@@ -444,6 +444,54 @@ def _trajectory_consistent(traj, skip=0):
     return all(b <= a + 1e-12 or a < 1e-12 for a, b in zip(incs, incs[1:]))
 
 
+def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
+                      traj_name, consistent_verdict, detailed):
+    """Finiteness and trajectory reports for the box-restricted norms of the
+    i-th power over the truncations of `a`.
+
+    A divergent integral is a "fail"; a quadrature that does not converge is
+    "evidence" that names the budget, never a "pass".  A consistent
+    trajectory gets `consistent_verdict`.  The `detailed` layout (thm51)
+    keeps i and the halfwidth in the params of every finiteness report, the
+    level count in the params and a caveat note on the trajectory; the other
+    layout (prop52) carries `dim_capped` in the finiteness payload.
+    """
+    tag = f"[i={i},box={bi}]"
+    params = {"i": i, "box_halfwidth": box.halfwidth}
+    try:
+        traj, capped = _glod_trajectory(
+            lambda l: truncate(a, s, l), s, i, box, L, quad, dim_cap)
+    except (DivergenceError, ValueError) as exc:
+        diverged = isinstance(exc, DivergenceError)
+        detail = str(exc) if diverged else (
+            f"not computable within the quadrature budget: {exc}")
+        return [CheckReport(
+            name=finite_name + tag,
+            verdict="fail" if diverged else "evidence",
+            payload={"detail": detail},
+            params=dict(params) if detailed else {},
+        )]
+    finite = {"largest_norm_sq": traj[-1] if traj else None}
+    if detailed:
+        finite_params = dict(params, levels=len(traj), dim_capped=capped)
+    else:
+        finite["dim_capped"] = capped
+        finite_params = dict(params)
+    skip = sum(1 for l in range(1, len(traj) + 1) if s.cut(l) < box.dims)
+    trajectory = {"trajectory": traj}
+    if detailed:
+        trajectory["note"] = ("limit behaviour consistent up to the "
+                              "reported truncation depth only")
+    return [
+        CheckReport(name=finite_name + tag, verdict="pass", payload=finite,
+                    params=finite_params),
+        CheckReport(name=traj_name + tag,
+                    verdict=consistent_verdict
+                    if _trajectory_consistent(traj, skip) else "fail",
+                    payload=trajectory, params=dict(params)),
+    ]
+
+
 def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
                 boxes, quad: QuadSpec | None = None,
                 dim_cap: int = 6) -> list:
@@ -459,44 +507,9 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     reports = []
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
-            try:
-                traj, capped = _glod_trajectory(
-                    lambda l: truncate(a, s, l), s, i, box, L, quad, dim_cap)
-            except DivergenceError as exc:
-                reports.append(CheckReport(
-                    name=f"finiteness[i={i},box={bi}]",
-                    verdict="fail",
-                    payload={"detail": str(exc)},
-                    params={"i": i, "box_halfwidth": box.halfwidth},
-                ))
-                continue
-            except ValueError as exc:
-                reports.append(CheckReport(
-                    name=f"finiteness[i={i},box={bi}]",
-                    verdict="evidence",
-                    payload={"detail": f"not computable within the "
-                                       f"quadrature budget: {exc}"},
-                    params={"i": i, "box_halfwidth": box.halfwidth},
-                ))
-                continue
-            reports.append(CheckReport(
-                name=f"finiteness[i={i},box={bi}]",
-                verdict="pass",
-                payload={"largest_norm_sq": traj[-1] if traj else None},
-                params={"i": i, "box_halfwidth": box.halfwidth,
-                        "levels": len(traj), "dim_capped": capped},
-            ))
-            skip = sum(1 for l in range(1, len(traj) + 1)
-                       if s.cut(l) < box.dims)
-            reports.append(CheckReport(
-                name=f"norm_trajectory[i={i},box={bi}]",
-                verdict="evidence" if _trajectory_consistent(traj, skip)
-                else "fail",
-                payload={"trajectory": traj,
-                         "note": "limit behaviour consistent up to the "
-                                 "reported truncation depth only"},
-                params={"i": i, "box_halfwidth": box.halfwidth},
-            ))
+            reports += _box_norm_reports(
+                a, s, i, bi, box, L, quad, dim_cap, "finiteness",
+                "norm_trajectory", "evidence", detailed=True)
         structural_ok = a.eta is not None and np.isfinite(a.eta)
         reports.append(CheckReport(
             name=f"coordinate_stability[i={i}]",
@@ -567,40 +580,9 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     # (c) + (e): finiteness and trajectory of the box-restricted norms
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
-            try:
-                traj, capped = _glod_trajectory(
-                    lambda l: truncate(a, s, l), s, i, box, L, quad, dim_cap)
-            except DivergenceError as exc:
-                reports.append(CheckReport(
-                    name=f"box_norm_finite[i={i},box={bi}]",
-                    verdict="fail",
-                    payload={"detail": str(exc)},
-                ))
-                continue
-            except ValueError as exc:
-                reports.append(CheckReport(
-                    name=f"box_norm_finite[i={i},box={bi}]",
-                    verdict="evidence",
-                    payload={"detail": f"not computable within the "
-                                       f"quadrature budget: {exc}"},
-                ))
-                continue
-            reports.append(CheckReport(
-                name=f"box_norm_finite[i={i},box={bi}]",
-                verdict="pass",
-                payload={"largest_norm_sq": traj[-1] if traj else None,
-                         "dim_capped": capped},
-                params={"i": i, "box_halfwidth": box.halfwidth},
-            ))
-            skip = sum(1 for l in range(1, len(traj) + 1)
-                       if s.cut(l) < box.dims)
-            reports.append(CheckReport(
-                name=f"norm_trajectory_consistent[i={i},box={bi}]",
-                verdict="pass" if _trajectory_consistent(traj, skip)
-                else "fail",
-                payload={"trajectory": traj},
-                params={"i": i, "box_halfwidth": box.halfwidth},
-            ))
+            reports += _box_norm_reports(
+                a, s, i, bi, box, L, quad, dim_cap, "box_norm_finite",
+                "norm_trajectory_consistent", "pass", detailed=False)
     return reports
 
 

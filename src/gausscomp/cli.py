@@ -20,6 +20,7 @@ separated strictly increasing positive integers.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -68,13 +69,47 @@ class _Parser(argparse.ArgumentParser):
 # symbol construction
 
 
+_ALPHA_FUNCS = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log}
+_ALPHA_NAMES = {"j", "pi", *_ALPHA_FUNCS}
+_ALPHA_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _alpha_node_ok(node):
+    """The sequence-rule grammar: numbers, the names j, pi, sqrt, exp, log,
+    binary + - * / **, unary + -, and calls of sqrt/exp/log with positional
+    arguments."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in _ALPHA_NAMES
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _ALPHA_BINOPS)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.UAdd, ast.USub))
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in _ALPHA_FUNCS
+    return isinstance(node, (ast.Load, *_ALPHA_BINOPS, ast.UAdd, ast.USub))
+
+
 def _alpha_expr(expr):
-    """Sequence rule j -> value from an expression in j; `^` means power."""
-    code = compile(expr.replace("^", "**"), "<alphas>", "eval")
-    env = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log, "pi": math.pi}
+    """Sequence rule j -> value from an expression in j; `^` means power.
+
+    The expression is parsed and validated against a small arithmetic
+    grammar once; only the validated tree is compiled and evaluated.
+    """
+    try:
+        tree = ast.parse(expr.replace("^", "**"), "<alphas>", mode="eval")
+    except SyntaxError as exc:
+        raise CliError(f"cannot parse sequence rule {expr!r}: {exc}")
+    bad = next((n for n in ast.walk(tree.body) if not _alpha_node_ok(n)), None)
+    if bad is not None:
+        raise CliError(f"sequence rule {expr!r}: {ast.unparse(bad)!r} "
+                       "is not allowed")
+    code = compile(tree, "<alphas>", "eval")
+    env = {"__builtins__": {}, "pi": math.pi, **_ALPHA_FUNCS}
 
     def fn(j):
-        return float(eval(code, {"__builtins__": {}}, dict(env, j=j)))
+        return float(eval(code, env, {"j": j}))
 
     try:
         fn(1)
@@ -117,20 +152,12 @@ def load_symbol(path):
             return BandedSymbol.identity()
         if name in ("diag", "ex53"):
             expr = params[0] if params else "1-2^-j"
-
-            class _A:
-                alphas = expr
-                q = None
-
-            return _builtin_symbol("ex53" if name == "ex53" else "diag", _A)
+            return _builtin_symbol(
+                name, argparse.Namespace(alphas=expr, q=None))
         if name == "ex59":
             q = float(params[0].split("=")[-1]) if params else 0.5
-
-            class _A:
-                alphas = None
-
-            _A.q = q
-            return _builtin_symbol("ex59", _A)
+            return _builtin_symbol(
+                "ex59", argparse.Namespace(alphas=None, q=q))
         if name == "geometric_tridiagonal":
             q = float(params[0])
             diag = float(params[1]) if len(params) > 1 else 1.0

@@ -2,10 +2,14 @@
 weighted-norm computations.
 
 Everything is assembled in log space: the densities involved span hundreds
-of orders of magnitude already in moderate dimension.  Quadrature is tensor
-Gauss-Hermite (probabilists' weight) on unrestricted coordinates and a
-composite Gauss-Legendre panel rule on box-restricted coordinates, with the
-order doubled until two successive values agree to the requested target.
+of orders of magnitude already in moderate dimension.  Box-restricted
+Gaussian integrals are exact on the unrestricted coordinates: a Cholesky
+factor of their block gives the determinant factor and the Schur complement
+left on the box coordinates.  A decoupled box then factors into closed-form
+erf (or, for negative curvature, erfi through Dawson's function) terms; a
+coupled box is integrated by a tensor composite Gauss-Legendre rule whose
+order doubles until two successive values agree to the requested target,
+and a refinement that runs out of budget raises instead of returning.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf
+from scipy.special import dawsn, erf
 
 from .banded import PerturbedIdentity, power
 
@@ -138,11 +141,11 @@ class Box:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    order: int = 40           # Gauss-Hermite order per unrestricted coordinate
+    order: int = 40           # unused: unrestricted coordinates are exact
     panels: int = 8           # panels per box coordinate
     panel_order: int = 12     # Gauss-Legendre order per panel
     target: float = 1e-9      # doubling stops when successive values agree
-    max_order: int = 1500
+    max_order: int = 1500     # largest Gauss-Legendre order per panel
     max_points: int = 4_000_000
     psd_tol: float = 1e-12    # decay threshold on unrestricted eigenvalues
 
@@ -159,125 +162,103 @@ def _box_rule(k, panels, order):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _free_rule(order, scale):
-    """Scaled probabilists' Gauss-Hermite rule for a coordinate whose
-    exponent has diagonal coefficient folded into `scale`.
-
-    Returns nodes x and weights w such that sum(w * f(x)) approximates
-    integral of f(x) * exp(-scale * x^2 / 2) / sqrt(2 pi) dx times
-    exp(+x^2 * scale / 2) ... i.e. plain Lebesgue weights carrying the
-    substitution x = z / sqrt(scale).
-    """
-    z, w = hermegauss(order)
-    x = z / math.sqrt(scale)
-    # Lebesgue weights: w_i * exp(z_i^2 / 2) / sqrt(scale), folded so the
-    # caller just evaluates the full (2 pi)^{-1/2} exp(-e x^2 / 2) integrand.
-    lw = w * np.exp(0.5 * z**2) / math.sqrt(scale)
-    return x, lw
-
-
 def _doubling(attempt, quad: QuadSpec):
-    """Run `attempt(order, panel_order)` with doubled orders until two
-    successive values agree to the target.  Stops at the best refinement
-    that fits the point budget."""
-    order, panel_order = quad.order, quad.panel_order
-    prev = attempt(order, panel_order)
-    while order < quad.max_order:
-        order, panel_order = 2 * order, 2 * panel_order
-        try:
-            cur = attempt(order, panel_order)
-        except _PointBudgetExceeded:
-            return prev
-        if abs(cur - prev) <= quad.target * max(1.0, abs(cur)):
+    """Run `attempt(panel_order)` with doubled orders until two successive
+    (positive) values agree to the relative target.  `attempt` returns None
+    when a rule exceeds the point budget; ValueError is raised when the
+    budget or `max_order` stops the refinement before it converges."""
+    panel_order = quad.panel_order
+    prev = attempt(panel_order)
+    while prev is not None and 2 * panel_order <= quad.max_order:
+        panel_order *= 2
+        cur = attempt(panel_order)
+        if cur is None:
+            break
+        if abs(cur - prev) <= quad.target * abs(cur):
             return cur
         prev = cur
-    return prev
+    raise ValueError(
+        f"box quadrature did not converge to {quad.target:g} within "
+        f"max_order {quad.max_order} and {quad.max_points} points "
+        f"(last panel order {panel_order})"
+    )
 
 
-class _PointBudgetExceeded(Exception):
-    pass
+def _log_box_factor(s, k):
+    """log of (2 pi)^{-1/2} * integral over [-k, k] of exp(-s x^2 / 2)."""
+    if s > 0:
+        return math.log(erf(k * math.sqrt(0.5 * s))) - 0.5 * math.log(s)
+    if s == 0:
+        return math.log(2.0 * k / _SQRT2PI)
+    # erfi(a) = 2 exp(a^2) dawsn(a) / sqrt(pi), kept in log space
+    t = -s
+    a = k * math.sqrt(0.5 * t)
+    return math.log(2.0 * dawsn(a)) + a * a - 0.5 * math.log(math.pi * t)
 
 
 def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
-    """Quadrature of (2 pi)^{-kappa/2} exp(-x^T E x / 2) over box x R^rest.
+    """exp(log_scale) (2 pi)^{-kappa/2} times the integral of
+    exp(-x^T E x / 2) over box x R^rest.
 
-    `log_scale` is added inside the exponent so huge prefactors can be
-    folded in without overflow.  Orders double until the target is met.
-    Diagonal exponent matrices use the separable per-coordinate path, so
-    dimension is unlimited there; coupled matrices need a full tensor grid
-    and are limited by the point budget.
+    The unrestricted coordinates f integrate in closed form: they contribute
+    det(E_ff)^{-1/2} and leave the Schur complement
+    S = E_bb - E_bf E_ff^{-1} E_fb on the box coordinates b.  A diagonal S
+    factors into exact one-dimensional erf (or erfi) box factors; a coupled
+    S is integrated by a tensor Gauss-Legendre rule on the box only, with
+    the order doubled until the target is met.
     """
     E = np.asarray(E, dtype=float)
+    E = 0.5 * (E + E.T)
     kappa = E.shape[0]
     d = box.dims if box is not None else 0
     if d > kappa:
         raise ValueError("box dimensions exceed ambient dimension")
+    S = E[:d, :d]
     if d < kappa:
         free = E[d:, d:]
-        evals = np.linalg.eigvalsh(0.5 * (free + free.T))
-        if evals.min() <= quad.psd_tol:
+        lo = np.linalg.eigvalsh(free)[0]
+        if lo <= quad.psd_tol:
             raise DivergenceError(
                 "quadratic form fails positive-definiteness on unrestricted "
-                f"coordinates (min eigenvalue {evals.min():.3e})"
+                f"coordinates (min eigenvalue {lo:.3e})"
             )
+        chol = np.linalg.cholesky(free)
+        log_scale -= float(np.sum(np.log(np.diag(chol))))
+        W = np.linalg.solve(chol, E[d:, :d])
+        S = S - W.T @ W
+    if d == 0:
+        return math.exp(log_scale)
 
-    diag = np.diag(E)
-    off = np.max(np.abs(E - np.diag(diag))) if kappa > 1 else 0.0
+    diag = np.diag(S)
+    off = np.max(np.abs(S - np.diag(diag)))
     if off <= 1e-13 * max(1.0, np.max(np.abs(diag))):
-        log_val = log_scale
-        for j in range(kappa):
-            e = diag[j]
+        return math.exp(log_scale + math.fsum(
+            _log_box_factor(float(s), box.halfwidth) for s in diag))
 
-            def attempt(order, panel_order, _e=e, _isbox=j < d):
-                if _isbox:
-                    x, w = _box_rule(box.halfwidth, quad.panels, panel_order)
-                else:
-                    x, w = _free_rule(order, 0.5 * (1.0 + _e))
-                return float(w @ np.exp(-0.5 * _e * x * x)) / _SQRT2PI
+    def attempt(panel_order):
+        x, w = _box_rule(box.halfwidth, quad.panels, panel_order)
+        if len(x) ** d > quad.max_points:
+            return None
+        pts = np.stack([g.ravel() for g in
+                        np.meshgrid(*[x] * d, indexing="ij")], axis=-1)
+        wts = np.ones(1)
+        for _ in range(d):
+            wts = np.multiply.outer(wts, w).ravel()
+        vals = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, S, pts))
+        return float(wts @ vals) / (2.0 * math.pi) ** (d / 2.0)
 
-            log_val += math.log(_doubling(attempt, quad))
-        return math.exp(log_val)
-
-    def attempt(order, panel_order):
-        rules = []
-        npts = 1
-        for j in range(kappa):
-            if j < d:
-                x, w = _box_rule(box.halfwidth, quad.panels, panel_order)
-            else:
-                # halfway scale keeps the rule an honest quadrature while
-                # matching the Gaussian envelope well enough to converge fast
-                x, w = _free_rule(order, 0.5 * (1.0 + E[j, j]))
-            rules.append((x, w))
-            npts *= len(x)
-        if npts > quad.max_points:
-            raise _PointBudgetExceeded(npts)
-        grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrid = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-        wts = np.ones(pts.shape[0])
-        for g in wgrid:
-            wts = wts * g.ravel()
-        expo = -0.5 * np.einsum("ni,ij,nj->n", pts, E, pts) + log_scale
-        vals = np.exp(expo)
-        return float(wts @ vals) / (2.0 * math.pi) ** (kappa / 2.0)
-
-    try:
-        return _doubling(attempt, quad)
-    except _PointBudgetExceeded as exc:
-        raise ValueError(
-            f"tensor quadrature needs {exc.args[0]} points "
-            f"(limit {quad.max_points}); dimension too large for a coupled "
-            "exponent matrix"
-        ) from None
+    return math.exp(log_scale) * _doubling(attempt, quad)
 
 
 def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> float:
-    """Squared L2 norm of the box-restricted density of A^i by quadrature.
+    """Squared L2 norm of the box-restricted density of A^i.
 
     Integrates the squared Radon-Nikodym density of the i-th power of the
-    linear symbol over box x R^rest against the Gaussian measure.  Raises
-    DivergenceError when the integral is infinite.
+    linear symbol over box x R^rest against the Gaussian measure.  The
+    unrestricted coordinates are integrated exactly (Schur complement), a
+    decoupled box exactly (erf factors), and a coupled box by tensor
+    Gauss-Legendre quadrature.  Raises DivergenceError when the integral is
+    infinite and ValueError when the box quadrature does not converge.
     """
     quad = quad or QuadSpec()
     A = np.asarray(A, dtype=float)
@@ -291,10 +272,11 @@ def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> flo
 
 
 def h_normalization(A, quad: QuadSpec | None = None) -> float:
-    """Quadrature of the density of A against the Gaussian measure.
+    """Integral of the density of A against the Gaussian measure.
 
-    Measure transport makes this exactly 1 for every invertible A; the
-    quadrature value is the numerical check.
+    Measure transport makes this exactly 1 for every invertible A; it is
+    evaluated in closed form as |det A^-1| * det(A^-T A^-1)^{-1/2}, so the
+    value checks the density's normalization to rounding.
     """
     quad = quad or QuadSpec()
     A = np.asarray(A, dtype=float)

@@ -23,7 +23,7 @@ from gausscomp.checker import (
     snr_form_value,
     thm51_suite,
 )
-from gausscomp.gaussmeas import Box
+from gausscomp.gaussmeas import Box, QuadSpec
 from gausscomp.hermite import HermiteModel
 
 RNG = np.random.default_rng(2024)
@@ -246,6 +246,27 @@ def test_thm51_diagonal_family():
     verdicts = {r.name: r.verdict for r in reports}
     assert all(v in ("pass", "evidence") for v in verdicts.values())
     assert any(v == "evidence" for v in verdicts.values())
+
+
+@pytest.mark.parametrize("suite,name", [(thm51_suite, "finiteness"),
+                                        (prop52_suite, "box_norm_finite")])
+def test_unconverged_box_quadrature_is_never_a_pass(suite, name):
+    sym = PerturbedIdentity.geometric(0.5).symbol
+    reports = suite(sym, BlockPartition.unit(8), 1, 1, 4, [Box(2, 1.0)],
+                    quad=QuadSpec(max_points=10_000))
+    finite = [r for r in reports if r.name.startswith(name)]
+    assert finite and all(r.verdict == "evidence" for r in finite)
+    assert all("not computable" in r.payload["detail"] for r in finite)
+    assert not any("trajectory" in r.name for r in reports)
+
+
+def test_ex59_trajectory_computable_with_default_budget():
+    sym = PerturbedIdentity.geometric(0.5).symbol
+    reports = thm51_suite(sym, BlockPartition.unit(8), 1, 1, 6, [Box(2, 1.0)])
+    traj = [r for r in reports if r.name.startswith("norm_trajectory")]
+    assert len(traj) == 2
+    assert all(len(r.payload["trajectory"]) == 6 for r in traj)
+    assert all(math.isfinite(v) for r in traj for v in r.payload["trajectory"])
 
 
 def test_prop56_geometric_passes():

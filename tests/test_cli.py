@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gausscomp.cli import load_partition, load_symbol, main
+from gausscomp.cli import CliError, _alpha_expr, load_partition, load_symbol, main
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,35 @@ def test_rn_divergent_box_flagged(capsys):
     code, doc = run_cli(capsys, "rn", "--builtin", "diag", "--alphas", "2",
                         "--kappa", "1", "--box", "1", "--box-dims", "0")
     assert code == 1
+
+
+def test_rn_alpha_1_4_norm_is_finite(capsys):
+    code, doc = run_cli(capsys, "rn", "--builtin", "diag", "--alphas",
+                        "1.4+0*j", "--kappa", "1", "--box", "1",
+                        "--box-dims", "0")
+    assert code == 0
+    norm_sq = doc["body"]["tables"]["box_norms"]["rows"][0][2]
+    assert norm_sq == pytest.approx(1.0 / (1.4 * math.sqrt(2.0 - 1.96)),
+                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("expr,j,expected", [
+    ("1-2^-j", 3, 0.875),
+    ("1.4+0*j", 5, 1.4),
+    ("sqrt(j)/(j+1)", 4, 0.4),
+])
+def test_alpha_expr_values(expr, j, expected):
+    assert _alpha_expr(expr)(j) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("expr", ["().__class__", "j.real", "abs(j)",
+                                  "sqrt(x=j)", "__import__('os')", "j//2"])
+def test_alpha_expr_rejects_outside_grammar(capsys, expr):
+    with pytest.raises(CliError):
+        _alpha_expr(expr)
+    code = main(["rn", "--builtin", "diag", "--alphas", expr, "--kappa", "1"])
+    capsys.readouterr()
+    assert code == 3
 
 
 # -- examples ---------------------------------------------------------------

@@ -92,10 +92,10 @@ def test_gaussian_space_normalization():
 
 
 def test_h_normalization_random():
-    for _ in range(5):
-        kappa = int(RNG.integers(1, 4))
+    for _ in range(10):
+        kappa = int(RNG.integers(1, 6))
         A = random_well_conditioned(kappa, RNG)
-        assert h_normalization(A) == pytest.approx(1.0, abs=1e-8)
+        assert h_normalization(A) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi_norm_identity_box_mass():
@@ -153,6 +153,104 @@ def test_diag_closed_form_converges_in_l():
     incs = np.abs(np.diff(vals))
     assert incs[-1] < 1e-7
     assert incs[-1] < incs[0]
+
+
+# -- closed forms pinning the box integrals --------------------------------
+
+def _log_gauss_free(A, i):
+    """log of |det B|^2 det(2 B^T B - I)^{-1/2}, B = A^{-i}; None when the
+    exponent matrix is not positive definite."""
+    B = np.linalg.matrix_power(np.linalg.inv(A), i)
+    E = 2.0 * B.T @ B - np.eye(A.shape[0])
+    if np.linalg.eigvalsh(E)[0] <= 1e-12:
+        return None
+    return 2.0 * np.linalg.slogdet(B)[1] - 0.5 * np.linalg.slogdet(E)[1]
+
+
+@seed(11)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_chi_norm_unrestricted_matches_determinant_formula(kappa, i, s):
+    rng = np.random.default_rng(s)
+    u, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    v, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    A = u @ np.diag(rng.uniform(0.6, 1.3, kappa)) @ v.T
+    ref = _log_gauss_free(A, i)
+    if ref is None:
+        with pytest.raises(DivergenceError):
+            chi_norm_sq(A, i, None)
+    else:
+        assert chi_norm_sq(A, i, None) == pytest.approx(math.exp(ref),
+                                                        rel=1e-10)
+
+
+@seed(12)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.3, 1.15), min_size=2, max_size=2),
+       st.lists(st.floats(0.3, 0.99), min_size=1, max_size=4),
+       st.integers(1, 2), st.floats(0.2, 3.0))
+def test_chi_norm_diagonal_matches_closed_form(box_alphas, tail, i, k):
+    alphas = box_alphas + tail
+    val = chi_norm_sq(np.diag(alphas), i, Box(2, k))
+    closed = diag_closed_form(alphas, i, 2, k, len(alphas))
+    assert val == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa,i,k", [(2, 1, 1.0), (4, 1, 0.7), (4, 2, 1.3),
+                                       (6, 1, 2.0)])
+def test_chi_norm_coupled_ex59_matches_erf_reference(kappa, i, k):
+    from scipy import integrate
+
+    A = PerturbedIdentity.geometric(0.5).symbol.window(kappa)
+    B = np.linalg.matrix_power(np.linalg.inv(A), i)
+    E = 2.0 * B.T @ B - np.eye(kappa)
+    log_scale = 2.0 * np.linalg.slogdet(B)[1]
+    S = E[:2, :2]
+    if kappa > 2:
+        free = E[2:, 2:]
+        log_scale -= 0.5 * np.linalg.slogdet(free)[1]
+        S = S - E[:2, 2:] @ np.linalg.solve(free, E[2:, :2])
+    a, b, c = S[0, 0], S[0, 1], S[1, 1]
+    assert abs(b) > 1e-3  # the box coordinates are coupled
+
+    def outer(x):  # the inner coordinate integrated in erf form
+        shift = b * x / c
+        inner = 0.5 * (erf((k + shift) * math.sqrt(c / 2.0))
+                       + erf((k - shift) * math.sqrt(c / 2.0)))
+        return math.exp(-0.5 * (a - b * b / c) * x * x) * inner
+
+    box, _ = integrate.quad(outer, -k, k, epsabs=0.0, epsrel=1e-12)
+    ref = math.exp(log_scale) * box / math.sqrt(2.0 * math.pi * c)
+    assert chi_norm_sq(A, i, Box(2, k)) == pytest.approx(ref, rel=1e-9)
+
+
+def test_chi_norm_nan_regression_alpha_1_4():
+    # order doubling of the former Gauss-Hermite rule produced NaN here
+    val = chi_norm_sq(np.diag([1.4]), 1, Box(0, 1.0))
+    assert val == pytest.approx(1.0 / (1.4 * math.sqrt(2.0 - 1.96)),
+                                rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_chi_norm_negative_curvature_box_matches_quadrature(alpha):
+    # exponent coefficient 2/alpha^2 - 1 < 0: the erfi (Dawson) branch
+    from scipy import integrate
+
+    k = 1.5
+    s = 2.0 / alpha**2 - 1.0
+    box, _ = integrate.quad(lambda x: math.exp(-0.5 * s * x * x), -k, k,
+                            epsabs=0.0, epsrel=1e-13)
+    ref = box / (alpha**2 * math.sqrt(2.0 * math.pi))
+    val = chi_norm_sq(np.array([[alpha]]), 1, Box(1, k))
+    assert val == pytest.approx(ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("max_points", [100, 10_000])
+def test_coupled_box_unconverged_raises(max_points):
+    # 10_000 points admit the first rule (96^2) but not its refinement
+    A = PerturbedIdentity.geometric(0.5).symbol.window(3)
+    with pytest.raises(ValueError, match="did not converge"):
+        chi_norm_sq(A, 1, Box(2, 1.0), QuadSpec(max_points=max_points))
 
 
 # -- products ---------------------------------------------------------------
