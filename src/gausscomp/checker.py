@@ -35,7 +35,7 @@ from .gaussmeas import (
     chi_norm_sq,
     perturbation_bound_check,
 )
-from .hermite import HermiteModel
+from .hermite import HermiteModel, _LRU, gaussian_gram
 
 __all__ = [
     "CheckReport",
@@ -180,22 +180,19 @@ def form_positivity_evidence(c: CoefficientTensor,
     A clean sweep is evidence only: sampling cannot certify all lambda.
     """
     grid = grid or LambdaGrid()
-    a = c.a
-    worst = math.inf
-    witness = None
-    max_asym = 0.0
-    for lam in grid.points():
-        lp = np.array([lam**p for p in range(c.n + 1)])
-        C = np.einsum("p,q,pqij->ij", lp, np.conj(lp), a)
-        M = C.T
-        scale = max(1.0, float(np.linalg.norm(M)))
-        asym = float(np.linalg.norm(M - M.conj().T)) / scale
-        max_asym = max(max_asym, asym)
-        H = 0.5 * (M + M.conj().T)
-        lo = float(np.linalg.eigvalsh(H)[0])
-        if asym > tol_psd or lo < -tol_psd * scale:
-            if lo / scale < worst:
-                worst, witness = lo / scale, lam
+    lams = grid.points()
+    lp = lams[:, None] ** np.arange(c.n + 1)
+    M = np.einsum("lp,lq,pqij->lji", lp, np.conj(lp), c.a)
+    Mh = np.conj(np.swapaxes(M, 1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)))
+    asym = np.linalg.norm(M - Mh, axis=(1, 2)) / scale
+    lo = np.linalg.eigvalsh(0.5 * (M + Mh))[:, 0]
+    max_asym = float(np.max(asym))
+    flagged = (asym > tol_psd) | (lo < -tol_psd * scale)
+    witness, worst = None, math.inf
+    if np.any(flagged):
+        k = int(np.argmin(np.where(flagged, lo / scale, math.inf)))
+        witness, worst = lams[k], float(lo[k] / scale[k])
     ok = witness is None
     return CheckReport(
         name="form_positivity",
@@ -206,7 +203,7 @@ def form_positivity_evidence(c: CoefficientTensor,
             "max_asymmetry": max_asym,
         },
         params={"n": c.n, "m": c.m, "n_a": c.n_a,
-                "grid_points": len(grid.points())},
+                "grid_points": len(lams)},
         tolerances={"tol_psd": tol_psd},
         seed=grid.seed,
     )
@@ -216,83 +213,62 @@ def form_positivity_evidence(c: CoefficientTensor,
 # the bilinear form for powers of the composition adjoint
 #
 # Inner products <S^a f, S^b g> with S the composition adjoint are computed
-# by direct quadrature of the weighted-composition representation
+# from the weighted-composition representation
 #     <S^a f, S^b g> = int h_{A^a} h_{A^b} (f o A^-a) conj(g o A^-b) d mu,
 # which involves no truncation of the operator at all.  Successive
 # projections of S onto a padded polynomial model were tried first and
 # rejected: the adjoint moves mass up in degree with slowly decaying tails,
-# so projection leakage of order 1e-1 swamps any useful tolerance.  Here
-# the only error source is quadrature, controlled by order doubling.
+# so projection leakage of order 1e-1 swamps any useful tolerance.  The
+# integrand is a polynomial times exp(-x^T E x / 2) with
+# E = M_a + M_b - I, M_d = A^-dT A^-d, so `gaussian_gram` evaluates it
+# exactly and the only error left is rounding.
 
 
-_gram_cache: dict = {}
+_gram_cache = _LRU()
 
 
-def _power_pair_grams(A, model: HermiteModel, max_power: int, order: int):
-    """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>."""
+def _power_pair_grams(A, model: HermiteModel, max_power: int,
+                      order: int | None = None):
+    """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>; `order`
+    only raises the exact Gauss-Hermite rule order."""
     A = np.asarray(A, dtype=float)
-    cache_key = (A.tobytes(), A.shape, id(model), max_power, order)
-    if cache_key in _gram_cache:
-        return _gram_cache[cache_key]
     kappa = A.shape[0]
     if kappa != model.kappa:
         raise ValueError("symbol dimension does not match the model")
-    inv = np.linalg.inv(A)
-    B = [np.linalg.matrix_power(inv, d) for d in range(max_power + 1)]
-    logdet = [np.linalg.slogdet(b)[1] for b in B]
-    M = [b.T @ b for b in B]
-    from numpy.polynomial.hermite_e import hermegauss
 
-    z1, v1 = hermegauss(order)
-    grams = {}
-    for a in range(max_power + 1):
-        for b in range(a, max_power + 1):
-            E = M[a] + M[b] - np.eye(kappa)
-            lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
-            if lo <= 1e-12:
-                raise DivergenceError(
-                    f"inner product of powers ({a}, {b}) diverges: combined "
-                    f"exponent matrix has min eigenvalue {lo:.3e}"
-                )
-            scales = np.maximum(np.diag(E), 0.1)
-            axes_x = [z1 / math.sqrt(s) for s in scales]
-            grids = np.meshgrid(*axes_x, indexing="ij")
-            X = np.stack([g.ravel() for g in grids], axis=-1)
-            zg = np.meshgrid(*[z1] * kappa, indexing="ij")
-            Z2 = sum((g.ravel() ** 2 * (1.0 - 1.0 / s))
-                     for g, s in zip(zg, scales))
-            logv = np.zeros(X.shape[0])
-            wg = np.meshgrid(*[np.log(v1)] * kappa, indexing="ij")
-            for g in wg:
-                logv = logv + g.ravel()
-            Xa = X @ B[a].T
-            Xb = X @ B[b].T
-            expo = (
-                logv
-                + 0.5 * Z2
-                - 0.5 * np.sum(np.log(scales))
-                - 0.5 * kappa * math.log(2.0 * math.pi)
-                + logdet[a] + logdet[b]
-                + 0.5 * (2.0 * np.sum(X * X, axis=1)
-                         - np.sum(Xa * Xa, axis=1)
-                         - np.sum(Xb * Xb, axis=1))
-            )
-            weff = np.exp(expo)
-            Ba = model.basis_matrix(Xa)
-            Bb = model.basis_matrix(Xb)
-            G = Ba.T @ (weff[:, None] * Bb)
-            grams[(a, b)] = G
-            if a != b:
-                grams[(b, a)] = G.T
-    _gram_cache[cache_key] = grams
-    return grams
+    def compute():
+        inv = np.linalg.inv(A)
+        B = [np.linalg.matrix_power(inv, d) for d in range(max_power + 1)]
+        logdet = [np.linalg.slogdet(b)[1] for b in B]
+        M = [b.T @ b for b in B]
+        grams = {}
+        for a in range(max_power + 1):
+            for b in range(a, max_power + 1):
+                E = M[a] + M[b] - np.eye(kappa)
+                lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+                if lo <= 1e-12:
+                    raise DivergenceError(
+                        f"inner product of powers ({a}, {b}) diverges: "
+                        f"combined exponent matrix has min eigenvalue "
+                        f"{lo:.3e}"
+                    )
+                G = gaussian_gram(E, B[a], model, B[b], model,
+                                  logdet[a] + logdet[b], order)
+                grams[(a, b)] = G
+                if a != b:
+                    grams[(b, a)] = G.T
+        return grams
+
+    key = (A.tobytes(), A.shape, kappa, model.degree, max_power, order)
+    return _gram_cache.fetch(key, compute)
 
 
 @dataclass
 class SnrFormResult:
     value: float
     imag: float
-    defect: float          # change of the value under quadrature doubling
+    defect: float          # rounding check: change between the exact
+                           # rule orders n and n + 1
     valid: bool
 
 
@@ -302,18 +278,20 @@ def snr_form_value(A, c: CoefficientTensor, r: int, testfns, model: HermiteModel
     """Value of the double-sum form for T = the composition adjoint of A.
 
     `testfns[i][k]` (i = 0..m-1, k = 0..r) are coefficient vectors over the
-    model.  The trial is valid when the value is stable under quadrature
-    doubling and its imaginary part is negligible.
+    model.  Every Gram is exact at the Gauss-Hermite order n = degree + 1
+    (a given `order` only raises n); the value is computed at n and n + 1,
+    and the trial is valid when the two agree to `defect_tol`, a rounding
+    check, and the imaginary part is negligible.
     """
     if len(testfns) != c.m or any(len(row) != r + 1 for row in testfns):
         raise ValueError("need an m x (r+1) array of test functions")
-    order = order or max(24, 2 * model.degree + 8)
+    n = max(model.degree + 1, order or 0)
     max_power = c.n_a + r
+    coefs = [[np.asarray(f.coef if hasattr(f, "coef") else f,
+                         dtype=complex) for f in row] for row in testfns]
     vals = []
-    for o in (order, 2 * order):
+    for o in (n, n + 1):
         grams = _power_pair_grams(A, model, max_power, o)
-        coefs = [[np.asarray(f.coef if hasattr(f, "coef") else f,
-                             dtype=complex) for f in row] for row in testfns]
         total = 0.0 + 0.0j
         for p in range(c.n_a + 1):
             for q in range(c.n_a + 1):
@@ -370,7 +348,7 @@ def hyponormality_consequence(A, model_degree: int = 6, trials: int = 200,
     """
     A = np.asarray(A, dtype=float)
     model = HermiteModel.get(A.shape[0], model_degree)
-    grams = _power_pair_grams(A, model, 1, max(24, 2 * model_degree + 8))
+    grams = _power_pair_grams(A, model, 1)
     G00, G10, G11 = grams[(0, 0)], grams[(1, 0)], grams[(1, 1)]
     # T* g = g o A within the model (degree-preserving, hence exact): its
     # coefficients satisfy <T* g, e_b> = <g, T e_b> = (G10 @ g)[b]

@@ -3,21 +3,26 @@
 The basis is the probabilists' Hermite family, normalized to be orthonormal
 under the standard Gaussian measure, tensorized over coordinates and
 truncated by total degree.  Linear-symbol composition and its adjoint act
-on coefficient vectors through cached quadrature-projection matrices, and
-every application reports its truncation leakage (the quadrature mass that
-falls outside the target degree).
+on coefficient vectors through cached projection matrices, and every
+application reports its truncation leakage (the squared norm that falls
+outside the target degree).
+
+Every entry of those matrices is a Gaussian moment of a polynomial, the
+integral of phi_a(P x) phi_b(Q x) exp(-x^T E x / 2).  `gaussian_gram`
+whitens E by its Cholesky factor and applies the tensor Gauss-Hermite rule
+that is exact for the degree at hand, so the matrices carry rounding error
+only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-
-from .gaussmeas import RnDerivative
 
 __all__ = [
     "HermiteModel",
@@ -46,6 +51,24 @@ def hermite_values(points, max_degree):
     return out
 
 
+class _LRU(OrderedDict):
+    """Cache keyed by value and bounded to `size` entries; the least
+    recently used entry is evicted first."""
+
+    def __init__(self, size=256):
+        super().__init__()
+        self.size = size
+
+    def fetch(self, key, compute):
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = compute()
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return value
+
+
 class HermiteModel:
     """Tensor Hermite basis on R^kappa truncated by total degree.
 
@@ -55,7 +78,7 @@ class HermiteModel:
     sum to one (expectation weights under the Gaussian measure).
     """
 
-    _cache: dict = {}
+    _cache = _LRU()
 
     def __init__(self, kappa, degree, quad_order=None):
         if quad_order is None:
@@ -74,6 +97,7 @@ class HermiteModel:
             key=lambda idx: (sum(idx), idx),
         )
         self._index_pos = {idx: b for b, idx in enumerate(self.indices)}
+        self._index_array = np.array(self.indices)
         z, w = hermegauss(quad_order)
         w = w / w.sum()
         grids = np.meshgrid(*[z] * kappa, indexing="ij")
@@ -88,10 +112,8 @@ class HermiteModel:
     @classmethod
     def get(cls, kappa, degree, quad_order=None):
         """Cached model lookup; construction is the expensive part."""
-        key = (kappa, degree, quad_order)
-        if key not in cls._cache:
-            cls._cache[key] = cls(kappa, degree, quad_order)
-        return cls._cache[key]
+        return cls._cache.fetch((kappa, degree, quad_order),
+                                lambda: cls(kappa, degree, quad_order))
 
     @property
     def dim(self):
@@ -100,15 +122,10 @@ class HermiteModel:
     def basis_matrix(self, points):
         """Values of every basis function at the points, (npts, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        per_coord = [
-            hermite_values(pts[:, c], self.degree) for c in range(self.kappa)
-        ]
-        out = np.empty((pts.shape[0], self.dim))
-        for b, idx in enumerate(self.indices):
-            col = per_coord[0][:, idx[0]].copy()
-            for c in range(1, self.kappa):
-                col *= per_coord[c][:, idx[c]]
-            out[:, b] = col
+        idx = self._index_array
+        out = hermite_values(pts[:, 0], self.degree)[:, idx[:, 0]]
+        for c in range(1, self.kappa):
+            out *= hermite_values(pts[:, c], self.degree)[:, idx[:, c]]
         return out
 
     def project(self, values):
@@ -159,98 +176,69 @@ class CylFunction:
 # ---------------------------------------------------------------------------
 # operators
 
-_op_cache: dict = {}
-
-_MAX_TRANSFER_POINTS = 2_000_000
+_op_cache = _LRU()
 
 
-def _scaled_grid(scales, order):
-    """Tensor Gauss-Hermite rule for the Gaussian measure after the
-    per-coordinate substitution x = z / sqrt(s).
+def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
+    """Exact Gram (2 pi)^(-kappa/2) int phi_p(P x) phi_q(Q x)^T
+    exp(-x^T E x / 2) dx, times exp(log_scale), for phi_p, phi_q the bases
+    of `model_p`, `model_q`.
 
-    Returns (points, log_weights) with sum exp(log_w) f(x) approximating
-    the Gaussian expectation of f; the choice s_j matched to the decay of
-    the integrand keeps the effective weight bounded.
+    With E = L L^T (numpy's LinAlgError unless E is positive definite), the
+    whitening x = L^-T z leaves det(L)^-1 times a standard Gaussian
+    expectation of a polynomial of total degree deg_p + deg_q, which the
+    tensor Gauss-Hermite rule of order (deg_p + deg_q) // 2 + 1 integrates
+    exactly.  A given `order` only raises the rule order.
     """
-    z, v = hermegauss(order)
-    v = v / v.sum()
-    kappa = len(scales)
-    axes = [z / math.sqrt(s) for s in scales]
-    grids = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=-1)
-    logw = np.zeros(X.shape[0])
-    zg = np.meshgrid(*[z] * kappa, indexing="ij")
-    vg = np.meshgrid(*[np.log(v)] * kappa, indexing="ij")
-    for g, lv, s in zip(zg, vg, scales):
-        logw += (lv.ravel() - 0.5 * math.log(s)
-                 + 0.5 * g.ravel() ** 2 * (1.0 - 1.0 / s))
-    return X, logw
-
-
-def _transfer_at(A, model_in, model_out, adjoint, order):
-    kappa = model_in.kappa
-    if adjoint:
-        A_inv = np.linalg.inv(A)
-        M = A_inv.T @ A_inv
-        E_G = 2.0 * M - np.eye(kappa)
-        if float(np.linalg.eigvalsh(0.5 * (E_G + E_G.T))[0]) <= 1e-12:
-            raise ValueError(
-                "adjoint image is not square-integrable: combined exponent "
-                "matrix fails positive-definiteness"
-            )
-        logdet = float(np.linalg.slogdet(A_inv)[1])
-        mats = []
-        for E in (M, E_G):
-            scales = np.clip(np.diag(E), 1e-6, None)
-            X, logw = _scaled_grid(scales, order)
-            Y = X @ A_inv.T
-            logh = (logdet + 0.5 * (np.sum(X * X, axis=1)
-                                    - np.sum(Y * Y, axis=1)))
-            mats.append((X, Y, logw, logh))
-        (Xs, Ys, logw_s, logh_s), (Xg, Yg, logw_g, logh_g) = mats
-        S = model_out.basis_matrix(Xs).T @ (
-            np.exp(logw_s + logh_s)[:, None] * model_in.basis_matrix(Ys))
-        Vg = model_in.basis_matrix(Yg)
-        G = Vg.T @ (np.exp(logw_g + 2.0 * logh_g)[:, None] * Vg)
-        return S, G
-    X, logw = _scaled_grid(np.ones(kappa), order)
-    w = np.exp(logw)
-    V = model_in.basis_matrix(X @ A.T)
-    S = model_out.basis_matrix(X).T @ (w[:, None] * V)
-    G = V.T @ (w[:, None] * V)
-    return S, G
+    L = np.linalg.cholesky(E)
+    n = max((model_p.degree + model_q.degree) // 2 + 1, order or 0)
+    z, w = hermegauss(n)
+    grid = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(n)] * len(L), indexing="ij")], axis=-1)
+    X = np.linalg.solve(L.T, z[grid].T).T
+    W = np.prod(w[grid] / w.sum(), axis=1) * math.exp(
+        log_scale - float(np.sum(np.log(np.diag(L)))))
+    Vp = model_p.basis_matrix(X @ P.T)
+    Vq = Vp if Q is P and model_q is model_p else \
+        model_q.basis_matrix(X @ Q.T)
+    return Vp.T @ (W[:, None] * Vq)
 
 
 def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool):
     """Projection matrix S and value-Gram G for composition or its adjoint.
 
     S c are the target coefficients of the transformed function with source
-    coefficients c; c^H G c is its full squared quadrature norm, so the
-    leakage of one application is c^H (G - S^T S) c >= 0.  The quadrature
-    order is doubled until both matrices stabilize to 1e-8; a failure to
-    stabilize within the point budget raises.
+    coefficients c; c^H G c is its full squared norm, so the leakage of one
+    application is c^H (G - S^T S) c >= 0.  For composition,
+    S = <phi_in o A, phi_out> and G = <phi_in o A, phi_in o A>.  For the
+    adjoint T (density times inverse composition), S follows from
+    <T phi_b, phi_a> = <phi_b, phi_a o A>, and the substitution y = A^-1 x
+    turns G into a Gaussian moment with exponent K = 2I - A^T A and factor
+    |det A|^-1.  Every entry is computed exactly by `gaussian_gram`; the
+    matrices are cached by value.
     """
     A = np.asarray(A, dtype=float)
-    key = (A.tobytes(), A.shape, id(model_in), id(model_out), adjoint)
-    if key in _op_cache:
-        return _op_cache[key]
-    order = max(model_out.quad_order, model_out.degree + 10)
-    S, G = _transfer_at(A, model_in, model_out, adjoint, order)
-    while True:
-        order *= 2
-        if order ** model_in.kappa > _MAX_TRANSFER_POINTS:
+    I = np.eye(model_in.kappa)
+
+    def compute():
+        if not adjoint:
+            return (gaussian_gram(I, I, model_out, A, model_in),
+                    gaussian_gram(I, A, model_in, A, model_in))
+        K = 2.0 * I - A.T @ A
+        if float(np.linalg.eigvalsh(K)[0]) <= 1e-12:
             raise ValueError(
-                "quadrature order insufficient: transfer matrices did not "
-                f"stabilize to 1e-8 within {_MAX_TRANSFER_POINTS} points"
+                "adjoint image is not square-integrable: combined exponent "
+                "matrix fails positive-definiteness"
             )
-        S2, G2 = _transfer_at(A, model_in, model_out, adjoint, order)
-        ds = float(np.max(np.abs(S2 - S)))
-        dg = float(np.max(np.abs(G2 - G))) / max(1.0, float(np.max(np.abs(G2))))
-        S, G = S2, G2
-        if ds <= 1e-8 and dg <= 1e-8:
-            break
-    _op_cache[key] = (S, G)
-    return S, G
+        sign, logdet = np.linalg.slogdet(A)
+        if sign == 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return (gaussian_gram(I, A, model_out, I, model_in),
+                gaussian_gram(K, I, model_in, I, model_in, -logdet))
+
+    key = (A.tobytes(), A.shape, model_in.kappa, model_in.degree,
+           model_out.degree, adjoint)
+    return _op_cache.fetch(key, compute)
 
 
 def _apply(A, f: CylFunction, target, adjoint, pad):
@@ -269,9 +257,9 @@ def adjoint_apply(A, f: CylFunction, target: HermiteModel | None = None,
                   pad: int = 4):
     """Apply the composition adjoint (density times inverse composition).
 
-    Returns (g, leakage); leakage is the squared quadrature norm falling
-    outside the target truncation.  The density factor is not polynomial,
-    so leakage is generically positive.
+    Returns (g, leakage); leakage is the squared norm falling outside the
+    target truncation.  The density factor is not polynomial, so leakage
+    is generically positive.
     """
     return _apply(A, f, target, adjoint=True, pad=pad)
 
@@ -281,7 +269,7 @@ def composition_apply(A, f: CylFunction, target: HermiteModel | None = None,
     """Apply composition by the linear map A (projection onto the target).
 
     Composition by a linear map preserves polynomial degree, so with a
-    target of the same degree the leakage vanishes up to quadrature noise.
+    target of the same degree the leakage vanishes up to rounding.
     """
     return _apply(A, f, target, adjoint=False, pad=pad)
 

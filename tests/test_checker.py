@@ -12,6 +12,7 @@ from gausscomp.banded import (
 )
 from gausscomp.checker import (
     CoefficientTensor,
+    _power_pair_grams,
     LambdaGrid,
     compute_n_a,
     form_positivity_evidence,
@@ -23,7 +24,7 @@ from gausscomp.checker import (
     snr_form_value,
     thm51_suite,
 )
-from gausscomp.gaussmeas import Box, QuadSpec
+from gausscomp.gaussmeas import Box, DivergenceError, QuadSpec, chi_norm_sq
 from gausscomp.hermite import HermiteModel
 
 RNG = np.random.default_rng(2024)
@@ -163,6 +164,55 @@ def test_snr_rejects_wrong_testfn_shape():
     with pytest.raises(ValueError):
         snr_form_value(np.array([[0.5]]), t, 1,
                        [[model.function(np.zeros(model.dim))]], model)
+
+
+def random_contraction(kappa, seed):
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    V, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    return U @ np.diag(rng.uniform(0.3, 0.9, kappa)) @ V.T
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_power_pair_grams_closed_forms(kappa, degree, seed):
+    # <S 1, S 1> is the squared norm of the density of A, and the power-0
+    # Gram is the orthonormal basis' identity
+    A = random_contraction(kappa, seed)
+    model = HermiteModel.get(kappa, degree)
+    grams = _power_pair_grams(A, model, 1)
+    assert grams[(1, 1)][0, 0] == pytest.approx(chi_norm_sq(A, 1, None),
+                                                rel=1e-12)
+    np.testing.assert_allclose(grams[(0, 0)], np.eye(model.dim), atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_power_pair_grams_order_raise_is_rounding_only(kappa, degree, seed):
+    A = random_contraction(kappa, seed)
+    model = HermiteModel.get(kappa, degree)
+    exact = _power_pair_grams(A, model, 2)
+    raised = _power_pair_grams(A, model, 2, order=degree + 2)
+    for key, G in exact.items():
+        assert np.max(np.abs(raised[key] - G)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(G))))
+
+
+def test_power_pair_grams_diverging_pair_raises():
+    # 2 / 1.5^2 - 1 < 0: <S f, S g> diverges for the expanding symbol 1.5
+    with pytest.raises(DivergenceError):
+        _power_pair_grams(np.array([[1.5]]), HermiteModel.get(1, 4), 1)
+
+
+def test_snr_defect_is_rounding_level():
+    rng = np.random.default_rng(5)
+    model = HermiteModel.get(2, 4)
+    c = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+    fs = [[model.function(rng.standard_normal(model.dim)) for _ in range(2)]
+          for _ in range(2)]
+    res = snr_form_value(random_contraction(2, 11), gram_construct(c), 1, fs,
+                         model)
+    assert res.valid and res.defect < 1e-12
 
 
 # -- normality --------------------------------------------------------------

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss, hermeval
 
+from gausscomp.gaussmeas import chi_norm_sq
 from gausscomp.hermite import (
     CylFunction,
     HermiteModel,
+    _transfer,
     adjoint_apply,
     composition_apply,
+    gaussian_gram,
     gram,
     hermite_values,
 )
@@ -175,3 +181,103 @@ def test_adjoint_leakage_is_significant_for_top_degree():
     top = model.basis_function((6,))
     _, leak = adjoint_apply(np.array([[0.5]]), top, pad=4)
     assert leak > 0.1
+
+
+# -- the exact Gaussian-moment kernel ---------------------------------------
+
+def well_conditioned(kappa, seed):
+    """Random A with singular values in [0.3, 1.2], so 2I - A^T A > 0."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    V, _ = np.linalg.qr(rng.standard_normal((kappa, kappa)))
+    return U @ np.diag(rng.uniform(0.3, 1.2, kappa)) @ V.T
+
+
+def brute_basis(points, indices):
+    """Orthonormal tensor Hermite values from numpy's hermeval, (npts, dim)."""
+    out = np.ones((len(points), len(indices)))
+    for b, idx in enumerate(indices):
+        for c, n in enumerate(idx):
+            unit = np.zeros(n + 1)
+            unit[n] = 1.0 / math.sqrt(math.factorial(n))
+            out[:, b] *= hermeval(points[:, c], unit)
+    return out
+
+
+def brute_projection(A, coef, model_in, model_out, adjoint):
+    """<f o A, e_b> or <T f, e_b> = <f, e_b o A> on a standard tensor
+    Gauss-Hermite rule three orders above exactness."""
+    kappa = A.shape[0]
+    z, w = hermegauss((model_in.degree + model_out.degree) // 2 + 4)
+    grids = np.meshgrid(*[np.arange(len(z))] * kappa, indexing="ij")
+    grid = np.stack([g.ravel() for g in grids], axis=-1)
+    X = z[grid]
+    W = np.prod(w[grid] / w.sum(), axis=1)
+    if adjoint:
+        f = brute_basis(X, model_in.indices) @ coef
+        e = brute_basis(X @ A.T, model_out.indices)
+    else:
+        f = brute_basis(X @ A.T, model_in.indices) @ coef
+        e = brute_basis(X, model_out.indices)
+    return e.T @ (W * f)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_operators_match_brute_force_projection(kappa, degree, adjoint, seed):
+    A = well_conditioned(kappa, seed)
+    model = HermiteModel.get(kappa, degree)
+    coef = np.random.default_rng(seed).standard_normal(model.dim)
+    apply = adjoint_apply if adjoint else composition_apply
+    g, leak = apply(A, model.function(coef))
+    ref = brute_projection(A, coef, model, g.model, adjoint)
+    np.testing.assert_allclose(g.coef, ref, rtol=0, atol=1e-10 * max(
+        1.0, float(np.max(np.abs(ref)))))
+    assert leak >= 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.1, 1.35), st.booleans())
+def test_adjoint_gram_of_constant_closed_form(a, negative):
+    # int h_a^2 d mu = 1 / (|a| sqrt(2 - a^2)) for the 1-D density of a
+    a = -a if negative else a
+    model = HermiteModel.get(1, 3)
+    _, G = _transfer(np.array([[a]]), model, model, True)
+    assert G[0, 0] == pytest.approx(1.0 / (abs(a) * math.sqrt(2.0 - a * a)),
+                                    rel=1e-13)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_adjoint_gram_of_constant_is_density_norm(kappa, seed):
+    # <T 1, T 1> is the squared norm of the density, in closed form
+    A = well_conditioned(kappa, seed)
+    model = HermiteModel.get(kappa, 2)
+    _, G = _transfer(A, model, model, True)
+    assert G[0, 0] == pytest.approx(chi_norm_sq(A, 1, None), rel=1e-12)
+
+
+def test_adjoint_of_expanding_symbol_raises():
+    model = HermiteModel.get(1, 4)
+    with pytest.raises(ValueError, match="positive-definiteness"):
+        adjoint_apply(np.array([[1.5]]), model.basis_function((0,)))
+    with pytest.raises(ValueError):  # singular: no density
+        adjoint_apply(np.zeros((1, 1)), model.basis_function((0,)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_gram_rule_order_raise_is_rounding_only(kappa, degree, seed):
+    A = well_conditioned(kappa, seed)
+    model = HermiteModel.get(kappa, degree)
+    out = HermiteModel.get(kappa, degree + 4)
+    I = np.eye(kappa)
+    cases = [(I, I, out, A, model), (I, A, model, A, model),
+             (I, A, out, I, model), (2.0 * I - A.T @ A, I, model, I, model)]
+    for E, P, mp, Q, mq in cases:
+        exact = gaussian_gram(E, P, mp, Q, mq)
+        raised = gaussian_gram(E, P, mp, Q, mq,
+                               order=(mp.degree + mq.degree) // 2 + 2)
+        assert np.max(np.abs(raised - exact)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(exact))))
