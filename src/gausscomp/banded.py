@@ -296,13 +296,16 @@ def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
 def logdet_corners(a: BandedSymbol, s: BlockPartition, K: int):
     """(sign, log|det|) of the corners a_p via pivoted LU.
 
-    An exactly singular corner is reported as (0.0, -inf), not an error.
+    The corner a_K is materialized once; every a_p is its leading s(p) x s(p)
+    slice.  An exactly singular corner is reported as (0.0, -inf), not an
+    error.
     """
+    corner = truncate(a, s, K)
     signs = np.empty(K)
     logabs = np.empty(K)
     for p in range(1, K + 1):
-        sg, la = np.linalg.slogdet(truncate(a, s, p))
-        signs[p - 1], logabs[p - 1] = sg, la
+        n = s.cut(p)
+        signs[p - 1], logabs[p - 1] = np.linalg.slogdet(corner[:n, :n])
     return signs, logabs
 
 

@@ -216,7 +216,8 @@ def _emit(args, command, config, reports, tables=None):
         },
         "body": body,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # a non-finite number is never written: ValueError, exit code 3
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -247,17 +248,22 @@ def cmd_rn(args):
     values = []
     for raw in args.point or []:
         x = np.array([float(v) for v in raw.split(",")])
+        if not np.all(np.isfinite(x)):
+            raise CliError(f"point {raw!r} is not finite")
         if len(x) != args.kappa:
             raise CliError(f"point {raw!r} has wrong dimension")
         values.append([raw, rn_eval(d, x)])
     norms = []
-    for hw in args.box or []:
+    for raw in args.box or []:
+        hw = float(raw)
+        if not math.isfinite(hw):
+            raise CliError(f"box halfwidth {raw!r} is not finite")
         dims = args.box_dims if args.box_dims is not None else args.kappa
         try:
-            val = chi_norm_sq(A, args.power, Box(dims, float(hw)))
-            norms.append([float(hw), dims, val])
+            val = chi_norm_sq(A, args.power, Box(dims, hw))
+            norms.append([hw, dims, val])
         except DivergenceError as exc:
-            reports.append(CheckReport(name=f"box_norm[{hw}]", verdict="fail",
+            reports.append(CheckReport(name=f"box_norm[{raw}]", verdict="fail",
                                        payload={"detail": str(exc)}))
     reports.append(CheckReport(
         name="density_evaluation", verdict="pass",

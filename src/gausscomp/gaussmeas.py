@@ -141,7 +141,6 @@ class Box:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    order: int = 40           # unused: unrestricted coordinates are exact
     panels: int = 8           # panels per box coordinate
     panel_order: int = 12     # Gauss-Legendre order per panel
     target: float = 1e-9      # doubling stops when successive values agree
@@ -160,28 +159,6 @@ def _box_rule(k, panels, order):
         xs.append(0.5 * (a + b) + half * base_x)
         ws.append(half * base_w)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def _doubling(attempt, quad: QuadSpec):
-    """Run `attempt(panel_order)` with doubled orders until two successive
-    (positive) values agree to the relative target.  `attempt` returns None
-    when a rule exceeds the point budget; ValueError is raised when the
-    budget or `max_order` stops the refinement before it converges."""
-    panel_order = quad.panel_order
-    prev = attempt(panel_order)
-    while prev is not None and 2 * panel_order <= quad.max_order:
-        panel_order *= 2
-        cur = attempt(panel_order)
-        if cur is None:
-            break
-        if abs(cur - prev) <= quad.target * abs(cur):
-            return cur
-        prev = cur
-    raise ValueError(
-        f"box quadrature did not converge to {quad.target:g} within "
-        f"max_order {quad.max_order} and {quad.max_points} points "
-        f"(last panel order {panel_order})"
-    )
 
 
 def _log_box_factor(s, k):
@@ -205,7 +182,9 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
     S = E_bb - E_bf E_ff^{-1} E_fb on the box coordinates b.  A diagonal S
     factors into exact one-dimensional erf (or erfi) box factors; a coupled
     S is integrated by a tensor Gauss-Legendre rule on the box only, with
-    the order doubled until the target is met.
+    the panel order doubled until two successive values agree to the
+    relative target.  ValueError is raised when the point budget or
+    `max_order` stops the refinement first.
     """
     E = np.asarray(E, dtype=float)
     E = 0.5 * (E + E.T)
@@ -235,19 +214,28 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
         return math.exp(log_scale + math.fsum(
             _log_box_factor(float(s), box.halfwidth) for s in diag))
 
-    def attempt(panel_order):
+    panel_order, prev = quad.panel_order, None
+    while True:
         x, w = _box_rule(box.halfwidth, quad.panels, panel_order)
         if len(x) ** d > quad.max_points:
-            return None
+            break
         pts = np.stack([g.ravel() for g in
                         np.meshgrid(*[x] * d, indexing="ij")], axis=-1)
         wts = np.ones(1)
         for _ in range(d):
             wts = np.multiply.outer(wts, w).ravel()
         vals = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, S, pts))
-        return float(wts @ vals) / (2.0 * math.pi) ** (d / 2.0)
-
-    return math.exp(log_scale) * _doubling(attempt, quad)
+        cur = float(wts @ vals) / (2.0 * math.pi) ** (d / 2.0)
+        if prev is not None and abs(cur - prev) <= quad.target * abs(cur):
+            return math.exp(log_scale) * cur
+        if 2 * panel_order > quad.max_order:
+            break
+        prev, panel_order = cur, 2 * panel_order
+    raise ValueError(
+        f"box quadrature did not converge to {quad.target:g} within "
+        f"max_order {quad.max_order} and {quad.max_points} points "
+        f"(last panel order {panel_order})"
+    )
 
 
 def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> float:

@@ -11,7 +11,8 @@ Every entry of those matrices is a Gaussian moment of a polynomial, the
 integral of phi_a(P x) phi_b(Q x) exp(-x^T E x / 2).  `gaussian_gram`
 whitens E by its Cholesky factor and applies the tensor Gauss-Hermite rule
 that is exact for the degree at hand, so the matrices carry rounding error
-only.
+only.  It is the only Gauss-Hermite rule here: a model holds no grid of
+its own.
 """
 
 from __future__ import annotations
@@ -73,21 +74,16 @@ class HermiteModel:
     """Tensor Hermite basis on R^kappa truncated by total degree.
 
     Basis functions are indexed by multi-indices in graded lexicographic
-    order.  The quadrature grid is the tensor probabilists' Gauss-Hermite
-    rule of the given order per coordinate, with weights normalized so they
-    sum to one (expectation weights under the Gaussian measure).
+    order.  A model is an index set: it evaluates its basis at given points
+    and maps coefficient vectors to functions; every inner product over it
+    is a coefficient dot product or an exact `gaussian_gram`.
     """
 
     _cache = _LRU()
 
-    def __init__(self, kappa, degree, quad_order=None):
-        if quad_order is None:
-            quad_order = degree + 12
-        if quad_order < degree + 2:
-            raise ValueError("quadrature order must be at least degree + 2")
+    def __init__(self, kappa, degree):
         self.kappa = int(kappa)
         self.degree = int(degree)
-        self.quad_order = int(quad_order)
         self.indices = sorted(
             (
                 idx
@@ -98,22 +94,12 @@ class HermiteModel:
         )
         self._index_pos = {idx: b for b, idx in enumerate(self.indices)}
         self._index_array = np.array(self.indices)
-        z, w = hermegauss(quad_order)
-        w = w / w.sum()
-        grids = np.meshgrid(*[z] * kappa, indexing="ij")
-        self.nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wg = np.meshgrid(*[w] * kappa, indexing="ij")
-        wts = np.ones(self.nodes.shape[0])
-        for g in wg:
-            wts = wts * g.ravel()
-        self.weights = wts
-        self._phi = self.basis_matrix(self.nodes)
 
     @classmethod
-    def get(cls, kappa, degree, quad_order=None):
-        """Cached model lookup; construction is the expensive part."""
-        return cls._cache.fetch((kappa, degree, quad_order),
-                                lambda: cls(kappa, degree, quad_order))
+    def get(cls, kappa, degree):
+        """Cached model lookup, so that equal (kappa, degree) give the same
+        object: `gram` and `CylFunction.embed` compare models by identity."""
+        return cls._cache.fetch((kappa, degree), lambda: cls(kappa, degree))
 
     @property
     def dim(self):
@@ -127,13 +113,6 @@ class HermiteModel:
         for c in range(1, self.kappa):
             out *= hermite_values(pts[:, c], self.degree)[:, idx[:, c]]
         return out
-
-    def project(self, values):
-        """Coefficients of the quadrature projection of point values."""
-        return self._phi.T @ (self.weights * values)
-
-    def quad_norm_sq(self, values):
-        return float(np.real(self.weights @ (values * np.conj(values))))
 
     def function(self, coef):
         coef = np.asarray(coef)

@@ -155,6 +155,24 @@ def test_det_block_diagonal_product():
     np.testing.assert_allclose(dets, [d1, d1 * d2], rtol=1e-12)
 
 
+@seed(4)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 3), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_logdet_corners_match_dense_slogdet(eta, widths, s_seed):
+    # each corner's slice of a_K against a_p rebuilt from the symbol
+    n = sum(widths)
+    rng = np.random.default_rng(s_seed)
+    mat = rng.standard_normal((n, n))
+    mat[np.abs(np.subtract.outer(range(n), range(n))) > eta] = 0.0
+    a = BandedSymbol.from_dense(mat, eta=eta)
+    s = BlockPartition(np.cumsum(widths))
+    signs, logabs = logdet_corners(a, s, len(widths))
+    for p in range(1, len(widths) + 1):
+        sg, la = np.linalg.slogdet(truncate(a, s, p))
+        assert signs[p - 1] == sg and logabs[p - 1] == la
+
+
 def test_det_singular_corner_reported():
     a = BandedSymbol.diagonal([1.0, 0.0, 2.0])
     signs, logabs = logdet_corners(a, BlockPartition.unit(3), 3)

@@ -278,6 +278,14 @@ def test_prop52_nonnormal_truncations_fail():
     assert by_name["inverse_corners_normal"] == "fail"
 
 
+def test_prop52_reports_first_singular_level():
+    a = BandedSymbol.diagonal([1.0, 2.0, 0.0, 3.0, 0.0, 4.0])
+    reports = prop52_suite(a, BlockPartition.unit(6), 1, 0, 6, [Box(1, 1.0)])
+    assert len(reports) == 1
+    assert reports[0].verdict == "fail"
+    assert reports[0].payload == {"first_singular_level": 3}
+
+
 def test_prop52_rank_break_fails_structurally():
     # inverse of a block-diagonal orthogonal-ish symbol with a partial-rank
     # off-diagonal block is itself partial rank

@@ -111,6 +111,27 @@ def test_rn_alpha_1_4_norm_is_finite(capsys):
                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kappa", "1", "--point=nan"),
+    ("--kappa", "1", "--point=inf"),
+    ("--kappa", "1", "--point=1e200"),  # finite, but x @ x overflows
+    ("--kappa", "2", "--box", "nan", "--box-dims", "1"),
+], ids=["point-nan", "point-inf", "point-overflow", "box-nan"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rn_nonfinite_input_exits_three_writing_nothing(tmp_path, capsys,
+                                                        argv):
+    report = tmp_path / "report.json"
+    code = main(["rn", "--builtin", "ex53", *argv, "--output", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert not report.exists()
+    assert out == ""
+    assert "NaN" not in err and "Infinity" not in err
+    assert main(["rn", "--builtin", "ex53", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "NaN" not in err and "Infinity" not in err
+
+
 @pytest.mark.parametrize("expr,j,expected", [
     ("1-2^-j", 3, 0.875),
     ("1.4+0*j", 5, 1.4),

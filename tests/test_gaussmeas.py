@@ -253,6 +253,17 @@ def test_coupled_box_unconverged_raises(max_points):
         chi_norm_sq(A, 1, Box(2, 1.0), QuadSpec(max_points=max_points))
 
 
+@pytest.mark.parametrize("quad,last", [
+    (QuadSpec(max_points=100), 12),      # the first rule is over budget
+    (QuadSpec(max_points=10_000), 24),   # the refinement is over budget
+    (QuadSpec(max_order=23), 12),        # no refinement within max_order
+], ids=["first-over-budget", "refinement-over-budget", "max-order"])
+def test_coupled_box_unconverged_names_last_order(quad, last):
+    A = PerturbedIdentity.geometric(0.5).symbol.window(3)
+    with pytest.raises(ValueError, match=rf"\(last panel order {last}\)"):
+        chi_norm_sq(A, 1, Box(2, 1.0), quad)
+
+
 # -- products ---------------------------------------------------------------
 
 def test_product_all_ones():

@@ -21,6 +21,16 @@ from gausscomp.hermite import (
 RNG = np.random.default_rng(7)
 
 
+def gauss_hermite_rule(kappa, order):
+    """Tensor probabilists' Gauss-Hermite rule with expectation weights under
+    the standard Gaussian on R^kappa: nodes (npts, kappa), weights (npts,).
+    Exact for polynomials of degree below 2 * order in each coordinate."""
+    z, w = hermegauss(order)
+    grids = np.meshgrid(*[np.arange(order)] * kappa, indexing="ij")
+    grid = np.stack([g.ravel() for g in grids], axis=-1)
+    return z[grid], np.prod(w[grid] / w.sum(), axis=1)
+
+
 def test_hermite_values_low_degrees():
     x = np.array([0.0, 1.0, -2.0])
     vals = hermite_values(x, 3)
@@ -33,7 +43,9 @@ def test_hermite_values_low_degrees():
 @pytest.mark.parametrize("kappa,degree", [(1, 8), (2, 6), (3, 4)])
 def test_basis_orthonormal(kappa, degree):
     model = HermiteModel.get(kappa, degree)
-    G = model._phi.T @ (model.weights[:, None] * model._phi)
+    X, W = gauss_hermite_rule(kappa, degree + 2)
+    phi = model.basis_matrix(X)
+    G = phi.T @ (W[:, None] * phi)
     np.testing.assert_allclose(G, np.eye(model.dim), atol=1e-10)
 
 
@@ -54,8 +66,9 @@ def test_project_roundtrip():
     model = HermiteModel.get(2, 5)
     coef = RNG.standard_normal(model.dim)
     f = model.function(coef)
-    vals = f.eval(model.nodes)
-    np.testing.assert_allclose(model.project(vals), coef, atol=1e-10)
+    X, W = gauss_hermite_rule(2, model.degree + 2)
+    projected = model.basis_matrix(X).T @ (W * f.eval(X))
+    np.testing.assert_allclose(projected, coef, atol=1e-10)
 
 
 def test_cyl_function_norm_parseval():
@@ -63,8 +76,8 @@ def test_cyl_function_norm_parseval():
     coef = RNG.standard_normal(model.dim)
     f = model.function(coef)
     assert f.norm_sq == pytest.approx(float(coef @ coef))
-    assert model.quad_norm_sq(f.eval(model.nodes)) == pytest.approx(
-        f.norm_sq, abs=1e-10)
+    X, W = gauss_hermite_rule(1, model.degree + 2)
+    assert float(W @ f.eval(X) ** 2) == pytest.approx(f.norm_sq, abs=1e-10)
 
 
 def test_embed_preserves_coefficients():
@@ -166,10 +179,10 @@ def test_gram_matches_quadrature():
     model = HermiteModel.get(2, 5)
     fs = [model.function(RNG.standard_normal(model.dim)) for _ in range(3)]
     G = gram(fs, fs)
+    X, W = gauss_hermite_rule(2, model.degree + 2)
     for i in range(3):
         for j in range(3):
-            quad = float(model.weights @ (fs[i].eval(model.nodes)
-                                          * fs[j].eval(model.nodes)))
+            quad = float(W @ (fs[i].eval(X) * fs[j].eval(X)))
             assert G[i, j] == pytest.approx(quad, abs=1e-10)
 
 
@@ -207,12 +220,8 @@ def brute_basis(points, indices):
 def brute_projection(A, coef, model_in, model_out, adjoint):
     """<f o A, e_b> or <T f, e_b> = <f, e_b o A> on a standard tensor
     Gauss-Hermite rule three orders above exactness."""
-    kappa = A.shape[0]
-    z, w = hermegauss((model_in.degree + model_out.degree) // 2 + 4)
-    grids = np.meshgrid(*[np.arange(len(z))] * kappa, indexing="ij")
-    grid = np.stack([g.ravel() for g in grids], axis=-1)
-    X = z[grid]
-    W = np.prod(w[grid] / w.sum(), axis=1)
+    X, W = gauss_hermite_rule(
+        A.shape[0], (model_in.degree + model_out.degree) // 2 + 4)
     if adjoint:
         f = brute_basis(X, model_in.indices) @ coef
         e = brute_basis(X @ A.T, model_out.indices)
