@@ -29,6 +29,7 @@ from .checker import (
     normality_test,
     prop52_suite,
     prop56_suite,
+    snr_form_matrix,
     snr_form_value,
     thm51_suite,
 )

@@ -132,19 +132,11 @@ class BandedSymbol:
     @classmethod
     def from_dense(cls, mat, eta=None, kind="banded", decay=None):
         mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0]
+        rows, cols = np.nonzero(mat)
         if eta is None:
-            eta = 0
-            for i in range(n):
-                for j in range(n):
-                    if mat[i, j] != 0.0:
-                        eta = max(eta, abs(i - j))
-        entries = {
-            (i + 1, j + 1): mat[i, j]
-            for i in range(n)
-            for j in range(n)
-            if mat[i, j] != 0.0
-        }
+            eta = int(np.max(np.abs(rows - cols), initial=0))
+        entries = {(i + 1, j + 1): mat[i, j]
+                   for i, j in zip(rows.tolist(), cols.tolist())}
         return cls.from_entries(eta, entries, kind=kind, decay=decay)
 
     # -- access -----------------------------------------------------------
@@ -227,12 +219,11 @@ def block(a: BandedSymbol, s: BlockPartition, p: int, q: int) -> np.ndarray:
     """Block a_pq; the zero matrix of the correct shape when |p - q| > 1."""
     rlo, rhi = s.block_rows(p)
     clo, chi = s.block_rows(q)
-    if abs(p - q) > 1:
-        return np.zeros((rhi - rlo + 1, chi - clo + 1))
     out = np.zeros((rhi - rlo + 1, chi - clo + 1))
-    for i in range(rlo, rhi + 1):
-        for j in range(clo, chi + 1):
-            out[i - rlo, j - clo] = a.entry(i, j)
+    if abs(p - q) <= 1:
+        for i in range(rlo, rhi + 1):
+            for j in range(clo, chi + 1):
+                out[i - rlo, j - clo] = a.entry(i, j)
     return out
 
 
@@ -410,12 +401,9 @@ def power_entry_bound(b: PerturbedIdentity, k: int, window: int):
     """
     b.validate_window(window + k * b.base.eta)
     pw = power(b.base, k, window).window(window)
-    factor = b.alpha_sum ** (k - 1)
-    worst = 0.0
-    for i in range(1, window + 1):
-        bound = factor * b.alpha(i)
-        row_max = np.max(np.abs(pw[i - 1]))
-        worst = max(worst, row_max / bound)
+    bounds = b.alpha_sum ** (k - 1) * np.array(
+        [b.alpha(i) for i in range(1, window + 1)])
+    worst = float(np.max(np.max(np.abs(pw), axis=1) / bounds))
     return worst <= 1.0 + 1e-12, worst
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "compute_n_a",
     "gram_construct",
     "form_positivity_evidence",
+    "snr_form_matrix",
     "snr_form_value",
     "SnrFormResult",
     "normality_test",
@@ -273,41 +274,48 @@ class SnrFormResult:
     valid: bool
 
 
+def snr_form_matrix(A, c: CoefficientTensor, r: int, model: HermiteModel,
+                    order: int | None = None):
+    """Matrix M, of size m (r+1) dim, of the double-sum form for T = the
+    composition adjoint of A: block (i, l), (j, k) is
+    sum_pq a[p, q, i, j] G[(p + k, q + l)], and the form at the stacked
+    coefficient vectors U = (testfns[i][l]) is U^T M conj(U).  For a
+    Hermitian M (every `gram_construct` tensor) the smallest eigenvalue is
+    the exact minimum of the form over unit vectors of the model.
+    """
+    max_power = c.n_a + r
+    grams = _power_pair_grams(A, model, max_power, order)
+    G = np.array([[grams[(a, b)] for b in range(max_power + 1)]
+                  for a in range(max_power + 1)])
+    a = c.a[: c.n_a + 1, : c.n_a + 1]
+    pk = np.add.outer(np.arange(c.n_a + 1), np.arange(r + 1))
+    # G[p + k, q + l] gathered as (p, q, k, l, basis, basis)
+    gathered = G[pk[:, None, :, None], pk[None, :, None, :]]
+    M = np.einsum("pqij,pqklxy->ilxjky", a, gathered)
+    size = c.m * (r + 1) * model.dim
+    return M.reshape(size, size)
+
+
 def snr_form_value(A, c: CoefficientTensor, r: int, testfns, model: HermiteModel,
                    order: int | None = None,
                    defect_tol: float = 1e-6) -> SnrFormResult:
     """Value of the double-sum form for T = the composition adjoint of A.
 
     `testfns[i][k]` (i = 0..m-1, k = 0..r) are coefficient vectors over the
-    model.  Every Gram is exact at the Gauss-Hermite order n = degree + 1
-    (a given `order` only raises n); the value is computed at n and n + 1,
-    and the trial is valid when the two agree to `defect_tol`, a rounding
-    check, and the imaginary part is negligible.
+    model; the value is U^T M conj(U) with M = `snr_form_matrix`.  Every
+    Gram is exact at the Gauss-Hermite order n = degree + 1 (a given
+    `order` only raises n); the value is computed at n and n + 1, and the
+    trial is valid when the two agree to `defect_tol`, a rounding check,
+    and the imaginary part is negligible.
     """
-    if len(testfns) != c.m or any(len(row) != r + 1 for row in testfns):
+    U = np.array([[getattr(f, "coef", f) for f in row] for row in testfns],
+                 dtype=complex)
+    if U.shape != (c.m, r + 1, model.dim):
         raise ValueError("need an m x (r+1) array of test functions")
+    U = U.ravel()
     n = max(model.degree + 1, order or 0)
-    max_power = c.n_a + r
-    coefs = [[np.asarray(f.coef if hasattr(f, "coef") else f,
-                         dtype=complex) for f in row] for row in testfns]
-    vals = []
-    for o in (n, n + 1):
-        grams = _power_pair_grams(A, model, max_power, o)
-        total = 0.0 + 0.0j
-        for p in range(c.n_a + 1):
-            for q in range(c.n_a + 1):
-                for k in range(r + 1):
-                    for l in range(r + 1):
-                        G = grams[(p + k, q + l)]
-                        for i in range(c.m):
-                            for j in range(c.m):
-                                aij = c.a[p, q, i, j]
-                                if aij == 0:
-                                    continue
-                                u = coefs[i][l]
-                                v = coefs[j][k]
-                                total += aij * (u @ (G @ np.conj(v)))
-        vals.append(total)
+    vals = [U @ snr_form_matrix(A, c, r, model, o) @ np.conj(U)
+            for o in (n, n + 1)]
     defect = abs(vals[1] - vals[0]) / max(1.0, abs(vals[1]))
     imag = abs(vals[1].imag) / max(1.0, abs(vals[1]))
     return SnrFormResult(
@@ -339,50 +347,29 @@ def normality_test(A, tol: float = 1e-10) -> CheckReport:
 
 def hyponormality_consequence(A, model_degree: int = 6, trials: int = 200,
                               seed: int = 0, tol: float = 1e-7) -> CheckReport:
-    """Empirical consequence of membership in the first weak class.
-
-    On random pairs (f, g) checks the quadratic form
-    <f,f> + <g,Tf> + <Tf,g> + <Tg,Tg> >= -tol with T the composition
-    adjoint, plus the derived norm comparison |T* g| <= |Tg| obtained by
-    substituting f = -T* g (T* acts as plain composition, which preserves
-    polynomial degree and is evaluated exactly in the model).
+    """Consequence of membership in the first weak class, exact over the
+    Hermite model: with T the composition adjoint, `worst_form_value` is the
+    minimum over unit (f, g) of <f,f> + <g,Tf> + <Tf,g> + <Tg,Tg>, and
+    `worst_adjoint_norm_excess` the maximum over unit g of
+    |T* g|^2 - |Tg|^2 (T* g = G10 g: composition preserves degree).  Both
+    are eigenvalues of exact Grams, so a value past `tol` is a genuine
+    disproof.  `trials` and `seed` are unused: nothing is sampled.
     """
     A = np.asarray(A, dtype=float)
     model = HermiteModel.get(A.shape[0], model_degree)
     grams = _power_pair_grams(A, model, 1)
     G00, G10, G11 = grams[(0, 0)], grams[(1, 0)], grams[(1, 1)]
-    # T* g = g o A within the model (degree-preserving, hence exact): its
-    # coefficients satisfy <T* g, e_b> = <g, T e_b> = (G10 @ g)[b]
-    rng = np.random.default_rng(seed)
-    worst_form = math.inf
-    worst_norm_gap = -math.inf
-    for t in range(trials):
-        f = rng.standard_normal(model.dim)
-        g = rng.standard_normal(model.dim)
-        f /= np.linalg.norm(f)
-        g /= np.linalg.norm(g)
-        if t % 4 == 0:
-            # adversarial substitution f = -T* g
-            f = -(G10 @ g)
-        form = float(f @ (G00 @ f) + 2.0 * (f @ (G10 @ g))
-                     + g @ (G11 @ g))
-        worst_form = min(worst_form, form)
-        tstar = G10 @ g
-        tstar_sq = float(tstar @ (G00 @ tstar))
-        t_sq = float(g @ (G11 @ g))
-        worst_norm_gap = max(worst_norm_gap,
-                             math.sqrt(max(tstar_sq, 0.0))
-                             - math.sqrt(max(t_sq, 0.0)))
+    worst_form = float(np.linalg.eigvalsh(
+        np.block([[G00, G10], [G10.T, G11]]))[0])
+    worst_norm_gap = float(np.linalg.eigvalsh(G10.T @ G00 @ G10 - G11)[-1])
     ok = worst_form >= -tol and worst_norm_gap <= tol
     return CheckReport(
         name="hyponormality_consequence",
         verdict="pass" if ok else "fail",
         payload={"worst_form_value": worst_form,
-                 "worst_adjoint_norm_excess": worst_norm_gap,
-                 "trials": trials},
+                 "worst_adjoint_norm_excess": worst_norm_gap},
         params={"degree": model_degree},
         tolerances={"tol": tol},
-        seed=seed,
     )
 
 
@@ -423,14 +410,22 @@ def _trajectory_consistent(traj, skip=0):
     return all(b <= a + 1e-12 or a < 1e-12 for a, b in zip(incs, incs[1:]))
 
 
+def _first_singular_level(a, s, L):
+    """First level p <= L whose corner a_p is singular, or None."""
+    signs, logabs = logdet_corners(a, s, L)
+    singular = np.flatnonzero((signs == 0) | ~np.isfinite(logabs))
+    return int(singular[0]) + 1 if singular.size else None
+
+
 def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
                       traj_name, consistent_verdict, detailed):
     """Finiteness and trajectory reports for the box-restricted norms of the
     i-th power over the truncations of `a`.
 
-    A divergent integral is a "fail"; a quadrature that does not converge is
-    "evidence" that names the budget, never a "pass".  A consistent
-    trajectory gets `consistent_verdict`.  The `detailed` layout (thm51)
+    A divergent integral and a singular corner (named by its level) are a
+    "fail"; a quadrature that does not converge is "evidence" that names the
+    budget, never a "pass".  A consistent trajectory gets
+    `consistent_verdict`.  The `detailed` layout (thm51)
     keeps i and the halfwidth in the params of every finiteness report, the
     level count in the params and a caveat note on the trajectory; the other
     layout (prop52) carries `dim_capped` in the finiteness payload.
@@ -441,15 +436,18 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
         traj, capped = _glod_trajectory(
             lambda l: truncate(a, s, l), s, i, box, L, quad, dim_cap)
     except (DivergenceError, ValueError) as exc:
-        diverged = isinstance(exc, DivergenceError)
-        detail = str(exc) if diverged else (
-            f"not computable within the quadrature budget: {exc}")
-        return [CheckReport(
-            name=finite_name + tag,
-            verdict="fail" if diverged else "evidence",
-            payload={"detail": detail},
-            params=dict(params) if detailed else {},
-        )]
+        if isinstance(exc, np.linalg.LinAlgError):
+            verdict, payload = "fail", {
+                "detail": "singular truncation corner",
+                "first_singular_level": _first_singular_level(a, s, L)}
+        elif isinstance(exc, DivergenceError):
+            verdict, payload = "fail", {"detail": str(exc)}
+        else:
+            verdict, payload = "evidence", {
+                "detail": f"not computable within the quadrature budget: {exc}"}
+        return [CheckReport(name=finite_name + tag, verdict=verdict,
+                            payload=payload,
+                            params=dict(params) if detailed else {})]
     finite = {"largest_norm_sq": traj[-1] if traj else None}
     if detailed:
         finite_params = dict(params, levels=len(traj), dim_capped=capped)
@@ -513,9 +511,7 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     reports = []
     corner_L = truncate(a, s, L)
     # (a) invertibility of the truncations
-    signs, logabs = logdet_corners(a, s, L)
-    singular = np.flatnonzero((signs == 0) | ~np.isfinite(logabs))
-    bad = int(singular[0]) + 1 if singular.size else None
+    bad = _first_singular_level(a, s, L)
     reports.append(CheckReport(
         name="invertible_truncations",
         verdict="pass" if bad is None else "fail",

@@ -182,12 +182,6 @@ def _resolve_symbol(args):
     return _builtin_symbol(args.builtin, args)
 
 
-def _as_matrix(sym, kappa):
-    if isinstance(sym, PerturbedIdentity):
-        return sym.symbol.window(kappa)
-    return sym.window(kappa)
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -241,7 +235,9 @@ def _emit(args, command, config, reports, tables=None):
 
 def cmd_rn(args):
     sym = _resolve_symbol(args)
-    A = _as_matrix(sym, args.kappa)
+    if isinstance(sym, PerturbedIdentity):
+        sym = sym.symbol
+    A = sym.window(args.kappa)
     Ai = np.linalg.matrix_power(A, args.power)
     d = RnDerivative(Ai)
     reports = []
@@ -278,6 +274,10 @@ def cmd_rn(args):
 
 
 def cmd_check(args):
+    if args.L < 1 or min(args.n, args.r) < 0 or (
+            args.suite != "prop56" and args.n + args.r < 1):
+        raise CliError("check needs --L >= 1, --n, --r >= 0 and, for thm51 "
+                       "and prop52, --n + --r >= 1")
     sym = _resolve_symbol(args)
     boxes = [Box(args.n + args.r, float(h))
              for h in (args.boxes.split(",") if args.boxes else ["1"])]
@@ -292,20 +292,14 @@ def cmd_check(args):
             rho = 1.0 - q * q / (1.0 - q * q) if q * q < 0.5 else None
         reports = checker.prop56_suite(sym, s, args.n, args.r, rho,
                                        L=args.L, seed=args.seed)
-    elif args.suite == "prop52":
-        if isinstance(sym, PerturbedIdentity):
-            sym = sym.symbol
-        s = args.partition or BlockPartition.unit(max(args.L + 2, 8))
-        reports = checker.prop52_suite(sym, s, args.n, args.r, args.L, boxes,
-                                       dim_cap=args.dim_cap)
-    elif args.suite == "thm51":
-        if isinstance(sym, PerturbedIdentity):
-            sym = sym.symbol
-        s = args.partition or BlockPartition.unit(max(args.L + 2, 8))
-        reports = checker.thm51_suite(sym, s, args.n, args.r, args.L, boxes,
-                                      dim_cap=args.dim_cap)
     else:
-        raise CliError(f"unknown suite {args.suite!r}")
+        if isinstance(sym, PerturbedIdentity):
+            sym = sym.symbol
+        s = args.partition or BlockPartition.unit(max(args.L + 2, 8))
+        suite = (checker.prop52_suite if args.suite == "prop52"
+                 else checker.thm51_suite)
+        reports = suite(sym, s, args.n, args.r, args.L, boxes,
+                        dim_cap=args.dim_cap)
     config = {"suite": args.suite, "symbol": args.builtin or args.file,
               "q": args.q, "alphas": args.alphas, "n": args.n, "r": args.r,
               "L": args.L, "boxes": [b.halfwidth for b in boxes],
@@ -314,19 +308,16 @@ def cmd_check(args):
 
 
 def cmd_example(args):
-    if args.which == "diag":
-        return _example_diag(args)
-    if args.which == "banded":
-        return _example_banded(args)
-    if args.which == "singular":
-        return _example_singular(args)
-    raise CliError(f"unknown example {args.which!r}")
+    return {"diag": _example_diag, "banded": _example_banded,
+            "singular": _example_singular}[args.which](args)
 
 
 def _example_diag(args):
     expr = args.alphas or "1-2^-j"
     alpha = _alpha_expr(expr)
     n_plus_r = 2
+    if args.L <= n_plus_r:
+        raise CliError(f"example diag needs --L > {n_plus_r}")
     rows = []
     worst = 0.0
     for i in (1, 2):
@@ -352,6 +343,8 @@ def _example_diag(args):
 
 
 def _example_banded(args):
+    if args.L < 2:
+        raise CliError("example banded needs --L >= 2")
     b = PerturbedIdentity.geometric(args.q)
     s = BlockPartition.unit(args.L)
     dets = det_sequence(b.symbol, s, args.L)

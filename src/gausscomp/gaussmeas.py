@@ -74,6 +74,7 @@ class RnDerivative:
 
     For an invertible matrix A the density against the Gaussian measure is
     |det A^-1| * exp((|x|^2 - |A^-1 x|^2) / 2), evaluated here in log space.
+    A log-density or a density outside the float range raises ValueError.
     """
 
     def __init__(self, A):
@@ -94,10 +95,17 @@ class RnDerivative:
     def log_eval(self, x):
         x = np.asarray(x, dtype=float)
         y = self.A_inv @ x
-        return self.log_abs_det_A_inv + 0.5 * (float(x @ x) - float(y @ y))
+        # (x - y) @ (x + y), not x @ x - y @ y: no overflow for large x
+        val = self.log_abs_det_A_inv + 0.5 * float((x - y) @ (x + y))
+        if not math.isfinite(val):
+            raise ValueError("log-density is outside the float range")
+        return val
 
     def __call__(self, x):
-        return math.exp(self.log_eval(x))
+        try:
+            return math.exp(self.log_eval(x))
+        except OverflowError:
+            raise ValueError("density is outside the float range") from None
 
 
 def rn_eval(d: RnDerivative, x) -> float:
@@ -135,7 +143,7 @@ class Box:
     halfwidth: float
 
     def __post_init__(self):
-        if self.dims < 0 or self.halfwidth <= 0:
+        if self.dims < 0 or not self.halfwidth > 0:
             raise ValueError("box needs dims >= 0 and positive halfwidth")
 
 
@@ -417,6 +425,8 @@ def singular_scaling_demo(alpha: float, N: int = 10_000) -> SingularScalingRepor
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    if N < 2:
+        raise ValueError("N must be at least 2")
     beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
     q_exp = 2.0 * alpha * alpha * beta
     ns = np.arange(2, N + 2, dtype=float)

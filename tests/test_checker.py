@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gausscomp.checker import (
     normality_test,
     prop52_suite,
     prop56_suite,
+    snr_form_matrix,
     snr_form_value,
     thm51_suite,
 )
@@ -215,6 +217,49 @@ def test_snr_defect_is_rounding_level():
     assert res.valid and res.defect < 1e-12
 
 
+def brute_form(A, t, r, coefs, model):
+    """The double-sum form entry by entry over (p, q, k, l, i, j)."""
+    grams = _power_pair_grams(A, model, t.n_a + r)
+    total = 0.0 + 0.0j
+    for p, q, k, l in itertools.product(range(t.n_a + 1), range(t.n_a + 1),
+                                        range(r + 1), range(r + 1)):
+        G = grams[(p + k, q + l)]
+        for i, j in itertools.product(range(t.m), repeat=2):
+            total += t.a[p, q, i, j] * (coefs[i][l] @ G @ np.conj(coefs[j][k]))
+    return total
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2),
+       st.integers(0, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_snr_form_matrix_is_the_form(kappa, degree, n, r, m, seed):
+    rng = np.random.default_rng(seed)
+    A = random_contraction(kappa, seed)
+    model = HermiteModel.get(kappa, degree)
+    t = gram_construct(rng.standard_normal((n + 1, m, 2))
+                       + 1j * rng.standard_normal((n + 1, m, 2)))
+    M = snr_form_matrix(A, t, r, model)
+    scale = max(1.0, float(np.max(np.abs(M))))
+    assert M.shape == (m * (r + 1) * model.dim,) * 2
+    assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * scale
+    lo, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
+    for _ in range(3):
+        coefs = (rng.standard_normal((m, r + 1, model.dim))
+                 + 1j * rng.standard_normal((m, r + 1, model.dim)))
+        U = coefs.ravel()
+        value = U @ M @ np.conj(U)
+        assert value == pytest.approx(brute_form(A, t, r, coefs, model),
+                                      rel=1e-10, abs=1e-12)
+        res = snr_form_value(A, t, r, coefs, model)
+        assert res.valid
+        norm_sq = float(np.vdot(U, U).real)
+        assert lo[0] <= res.value / norm_sq + 1e-12 * scale
+    # the eigenvector of the smallest eigenvalue attains it
+    witness = np.conj(vecs[:, 0]).reshape(m, r + 1, model.dim)
+    assert snr_form_value(A, t, r, witness, model).value == pytest.approx(
+        lo[0], abs=1e-10 * scale)
+
+
 # -- normality --------------------------------------------------------------
 
 def test_normality_symmetric_passes():
@@ -253,6 +298,57 @@ def test_hyponormality_two_dims():
     rep = hyponormality_consequence(np.diag([0.5, 1.0 / 3.0]),
                                     model_degree=4, trials=50, seed=4)
     assert rep.verdict == "pass"
+
+
+SHEAR = 0.6 * np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+def test_hyponormality_shear_is_disproved():
+    # 200 random pairs (and 5000) missed this: the form's exact minimum over
+    # the degree-4 model is negative
+    rep = hyponormality_consequence(SHEAR, model_degree=4)
+    assert rep.verdict == "fail"
+    worst = rep.payload["worst_form_value"]
+    assert worst == pytest.approx(-0.0644, abs=5e-5)
+    # the minimizing eigenvector (f, g) evaluates the form to the minimum
+    grams = _power_pair_grams(SHEAR, HermiteModel.get(2, 4), 1)
+    G00, G10, G11 = grams[(0, 0)], grams[(1, 0)], grams[(1, 1)]
+    _, vecs = np.linalg.eigh(np.block([[G00, G10], [G10.T, G11]]))
+    f, g = np.split(vecs[:, 0], 2)
+    form = f @ G00 @ f + 2.0 * (f @ G10 @ g) + g @ G11 @ g
+    assert abs(form - worst) <= 1e-9
+
+
+@pytest.mark.parametrize("A,degree", [
+    (np.array([[0.5]]), 6),
+    (np.diag([0.5, 1.0 / 3.0]), 4),
+    (SHEAR, 4),
+], ids=["half", "diag", "shear"])
+def test_hyponormality_exact_extremes_bound_random_pairs(A, degree):
+    rep = hyponormality_consequence(A, model_degree=degree)
+    model = HermiteModel.get(A.shape[0], degree)
+    grams = _power_pair_grams(A, model, 1)
+    G00, G10, G11 = grams[(0, 0)], grams[(1, 0)], grams[(1, 1)]
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        fg = rng.standard_normal(2 * model.dim)
+        f, g = np.split(fg / np.linalg.norm(fg), 2)
+        form = f @ G00 @ f + 2.0 * (f @ G10 @ g) + g @ G11 @ g
+        assert rep.payload["worst_form_value"] <= form + 1e-12
+        g = g / np.linalg.norm(g)
+        tstar = G10 @ g
+        excess = tstar @ G00 @ tstar - g @ G11 @ g
+        assert rep.payload["worst_adjoint_norm_excess"] >= excess - 1e-12
+
+
+def test_hyponormality_form_is_the_snr_form_with_r_one():
+    # <f,f> + <g,Tf> + <Tf,g> + <Tg,Tg> is the double-sum form with a = 1,
+    # m = 1, r = 1 and test functions (f, g)
+    rep = hyponormality_consequence(SHEAR, model_degree=4)
+    one = CoefficientTensor(np.ones((1, 1, 1, 1)))
+    M = snr_form_matrix(SHEAR, one, 1, HermiteModel.get(2, 4))
+    assert np.linalg.eigvalsh(M)[0] == pytest.approx(
+        rep.payload["worst_form_value"], abs=1e-12)
 
 
 # -- suites -----------------------------------------------------------------
@@ -325,6 +421,16 @@ def test_ex59_trajectory_computable_with_default_budget():
     assert len(traj) == 2
     assert all(len(r.payload["trajectory"]) == 6 for r in traj)
     assert all(math.isfinite(v) for r in traj for v in r.payload["trajectory"])
+
+
+def test_thm51_singular_corner_is_a_fail_naming_the_level():
+    a = BandedSymbol.diagonal([0.9, 0.8, 0.0, 0.7, 0.6, 0.5])
+    reports = thm51_suite(a, BlockPartition.unit(6), 1, 0, 6, [Box(1, 1.0)])
+    finite = [r for r in reports if r.name.startswith("finiteness")]
+    assert len(finite) == 1
+    assert finite[0].verdict == "fail"
+    assert finite[0].payload == {"detail": "singular truncation corner",
+                                 "first_singular_level": 3}
 
 
 def test_prop56_geometric_passes():

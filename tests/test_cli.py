@@ -114,7 +114,7 @@ def test_rn_alpha_1_4_norm_is_finite(capsys):
 @pytest.mark.parametrize("argv", [
     ("--kappa", "1", "--point=nan"),
     ("--kappa", "1", "--point=inf"),
-    ("--kappa", "1", "--point=1e200"),  # finite, but x @ x overflows
+    ("--kappa", "1", "--point=1e200"),  # finite, but the log-density overflows
     ("--kappa", "2", "--box", "nan", "--box-dims", "1"),
 ], ids=["point-nan", "point-inf", "point-overflow", "box-nan"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -130,6 +130,22 @@ def test_rn_nonfinite_input_exits_three_writing_nothing(tmp_path, capsys,
     assert main(["rn", "--builtin", "ex53", *argv]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "NaN" not in err and "Infinity" not in err
+
+
+def test_rn_identity_large_point_is_one(capsys):
+    code, doc = run_cli(capsys, "rn", "--builtin", "identity", "--kappa", "1",
+                        "--point=1e200")
+    assert code == 0
+    assert doc["body"]["tables"]["values"]["rows"] == [["1e200", 1.0]]
+
+
+def test_rn_density_past_float_range_exits_three(capsys):
+    # h(50) = exp(937.5) / 2 for the symbol 2: finite input, no float value
+    code = main(["rn", "--builtin", "diag", "--alphas", "2", "--kappa", "1",
+                 "--point=50"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "outside the float range" in err
 
 
 @pytest.mark.parametrize("expr,j,expected", [
@@ -152,6 +168,41 @@ def test_alpha_expr_rejects_outside_grammar(capsys, expr):
 
 
 # -- examples ---------------------------------------------------------------
+
+def test_thm51_singular_corner_fails_naming_level(capsys):
+    # alpha_1 = 1 - 1^-0.5 = 0: the first corner is singular
+    code, doc = run_cli(capsys, "check", "thm51", "--builtin", "diag",
+                        "--alphas", "1-j^-0.5")
+    assert code == 1
+    finite = [r for r in doc["body"]["reports"]
+              if r["name"].startswith("finiteness")]
+    assert len(finite) == 2
+    for rep in finite:
+        assert rep["verdict"] == "fail"
+        assert rep["payload"] == {"detail": "singular truncation corner",
+                                  "first_singular_level": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "prop52", "--builtin", "ex53", "--L", "0"),
+    ("check", "thm51", "--builtin", "ex53", "--L", "0"),
+    ("check", "thm51", "--builtin", "ex53", "--n", "0", "--r", "0"),
+    ("check", "prop52", "--builtin", "ex53", "--n", "0", "--r", "0"),
+    ("check", "thm51", "--builtin", "ex53", "--n", "-1", "--r", "1"),
+    ("check", "prop52", "--builtin", "ex53", "--n", "-1", "--r", "1"),
+    ("example", "diag", "--L", "2"),
+    ("example", "banded", "--L", "1"),
+    ("example", "singular", "--N", "0"),
+    ("example", "singular", "--N", "1"),
+], ids=["prop52-L0", "thm51-L0", "thm51-n0-r0", "prop52-n0-r0",
+        "thm51-n-1", "prop52-n-1", "diag-L2", "banded-L1", "singular-N0",
+        "singular-N1"])
+def test_degenerate_sizes_are_bad_input(capsys, argv):
+    # each of these used to pass on an empty check or crash
+    code = main(list(argv))
+    out, _ = capsys.readouterr()
+    assert code == 3 and out == ""
+
 
 def test_example_diag_agreement(capsys):
     code, doc = run_cli(capsys, "example", "diag")

@@ -59,6 +59,13 @@ def test_rn_rejects_singular():
         RnDerivative(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def test_rn_identity_log_density_at_large_point():
+    # x @ x overflows at 1e200, but (x - y) @ (x + y) is exactly 0
+    for kappa in (1, 3):
+        assert RnDerivative(np.eye(kappa)).log_eval(np.full(kappa, 1e200)) \
+            == 0.0
+
+
 def test_factorization_trivial_n1():
     A = random_well_conditioned(3, RNG)
     pts = RNG.standard_normal((20, 3))
@@ -335,6 +342,18 @@ def test_singular_scaling_near_degenerate_flag():
 def test_singular_scaling_rejects_bad_alpha():
     with pytest.raises(ValueError):
         singular_scaling_demo(1.5)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_singular_scaling_rejects_short_trajectory(N):
+    with pytest.raises(ValueError):
+        singular_scaling_demo(0.5, N=N)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.nan])
+def test_box_rejects_nonpositive_halfwidth(halfwidth):
+    with pytest.raises(ValueError):
+        Box(1, halfwidth)
 
 
 # -- weighted norms and the perturbation inequality -------------------------
