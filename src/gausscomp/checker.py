@@ -36,7 +36,7 @@ from .gaussmeas import (
     chi_norm_sq,
     perturbation_bound_check,
 )
-from .hermite import HermiteModel, _LRU, gaussian_gram
+from .hermite import HermiteModel, gaussian_gram
 
 __all__ = [
     "CheckReport",
@@ -226,9 +226,6 @@ def form_positivity_evidence(c: CoefficientTensor,
 # exactly and the only error left is rounding.
 
 
-_gram_cache = _LRU()
-
-
 def _power_pair_grams(A, model: HermiteModel, max_power: int,
                       order: int | None = None):
     """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>; `order`
@@ -237,32 +234,26 @@ def _power_pair_grams(A, model: HermiteModel, max_power: int,
     kappa = A.shape[0]
     if kappa != model.kappa:
         raise ValueError("symbol dimension does not match the model")
-
-    def compute():
-        inv = np.linalg.inv(A)
-        B = [np.linalg.matrix_power(inv, d) for d in range(max_power + 1)]
-        logdet = [np.linalg.slogdet(b)[1] for b in B]
-        M = [b.T @ b for b in B]
-        grams = {}
-        for a in range(max_power + 1):
-            for b in range(a, max_power + 1):
-                E = M[a] + M[b] - np.eye(kappa)
-                lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
-                if lo <= 1e-12:
-                    raise DivergenceError(
-                        f"inner product of powers ({a}, {b}) diverges: "
-                        f"combined exponent matrix has min eigenvalue "
-                        f"{lo:.3e}"
-                    )
-                G = gaussian_gram(E, B[a], model, B[b], model,
-                                  logdet[a] + logdet[b], order)
-                grams[(a, b)] = G
-                if a != b:
-                    grams[(b, a)] = G.T
-        return grams
-
-    key = (A.tobytes(), A.shape, kappa, model.degree, max_power, order)
-    return _gram_cache.fetch(key, compute)
+    inv = np.linalg.inv(A)
+    B = [np.linalg.matrix_power(inv, d) for d in range(max_power + 1)]
+    logdet = [np.linalg.slogdet(b)[1] for b in B]
+    M = [b.T @ b for b in B]
+    grams = {}
+    for a in range(max_power + 1):
+        for b in range(a, max_power + 1):
+            E = M[a] + M[b] - np.eye(kappa)
+            lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+            if lo <= 1e-12:
+                raise DivergenceError(
+                    f"inner product of powers ({a}, {b}) diverges: "
+                    f"combined exponent matrix has min eigenvalue {lo:.3e}"
+                )
+            G = gaussian_gram(E, B[a], model, B[b], model,
+                              logdet[a] + logdet[b], order)
+            grams[(a, b)] = G
+            if a != b:
+                grams[(b, a)] = G.T
+    return grams
 
 
 @dataclass
@@ -394,20 +385,23 @@ def _glod_trajectory(corner, s, i, box, L, quad, dim_cap):
     return traj, capped
 
 
-def _trajectory_consistent(traj, skip=0):
-    """Finite values whose increments shrink (Cauchy-looking).
+def _trajectory_verdict(traj, skip, consistent_verdict):
+    """`consistent_verdict` for finite values whose increments shrink
+    (Cauchy-looking), "fail" for a non-finite value or a growing increment,
+    and "evidence" for fewer than two increments, too few to judge.
 
     The first `skip` levels are ignored: while the truncation is smaller
     than the box the restricted box grows with the level and increments are
     not comparable.
     """
     if any(not math.isfinite(v) for v in traj):
-        return False
+        return "fail"
     tail = traj[skip:]
     incs = [abs(b - a) for a, b in zip(tail, tail[1:])]
     if len(incs) < 2:
-        return True
-    return all(b <= a + 1e-12 or a < 1e-12 for a, b in zip(incs, incs[1:]))
+        return "evidence"
+    shrink = all(b <= a + 1e-12 or a < 1e-12 for a, b in zip(incs, incs[1:]))
+    return consistent_verdict if shrink else "fail"
 
 
 def _first_singular_level(a, s, L):
@@ -425,10 +419,11 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
     A divergent integral and a singular corner (named by its level) are a
     "fail"; a quadrature that does not converge is "evidence" that names the
     budget, never a "pass".  A consistent trajectory gets
-    `consistent_verdict`.  The `detailed` layout (thm51)
-    keeps i and the halfwidth in the params of every finiteness report, the
-    level count in the params and a caveat note on the trajectory; the other
-    layout (prop52) carries `dim_capped` in the finiteness payload.
+    `consistent_verdict`, one too short to judge "evidence".  The `detailed`
+    layout (thm51) keeps i and the halfwidth in the params of every
+    finiteness report, the level count in the params and a caveat note on
+    the trajectory; the other layout (prop52) carries `dim_capped` in the
+    finiteness payload.
     """
     tag = f"[i={i},box={bi}]"
     params = {"i": i, "box_halfwidth": box.halfwidth}
@@ -463,8 +458,7 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
         CheckReport(name=finite_name + tag, verdict="pass", payload=finite,
                     params=finite_params),
         CheckReport(name=traj_name + tag,
-                    verdict=consistent_verdict
-                    if _trajectory_consistent(traj, skip) else "fail",
+                    verdict=_trajectory_verdict(traj, skip, consistent_verdict),
                     payload=trajectory, params=dict(params)),
     ]
 
@@ -480,7 +474,6 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     coordinate-stability conditions (vi)/(vii) which hold exactly for
     banded symbols.
     """
-    quad = quad or QuadSpec()
     reports = []
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
@@ -507,7 +500,6 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     normality of the inverse corners, finiteness of the box-restricted
     norms and consistency of their trajectory.
     """
-    quad = quad or QuadSpec()
     reports = []
     corner_L = truncate(a, s, L)
     # (a) invertibility of the truncations

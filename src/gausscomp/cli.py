@@ -42,7 +42,6 @@ from .checker import CheckReport
 from .gaussmeas import (
     Box,
     DivergenceError,
-    QuadSpec,
     RnDerivative,
     chi_norm_sq,
     diag_closed_form,
@@ -234,6 +233,8 @@ def _emit(args, command, config, reports, tables=None):
 
 
 def cmd_rn(args):
+    if args.kappa < 1:
+        raise CliError("rn needs --kappa >= 1")
     sym = _resolve_symbol(args)
     if isinstance(sym, PerturbedIdentity):
         sym = sym.symbol
@@ -316,8 +317,9 @@ def _example_diag(args):
     expr = args.alphas or "1-2^-j"
     alpha = _alpha_expr(expr)
     n_plus_r = 2
-    if args.L <= n_plus_r:
-        raise CliError(f"example diag needs --L > {n_plus_r}")
+    if args.L <= n_plus_r or not 0 < args.k < math.inf:
+        raise CliError(f"example diag needs --L > {n_plus_r} and a positive, "
+                       "finite --k")
     rows = []
     worst = 0.0
     for i in (1, 2):

@@ -6,10 +6,11 @@ of orders of magnitude already in moderate dimension.  Box-restricted
 Gaussian integrals are exact on the unrestricted coordinates: a Cholesky
 factor of their block gives the determinant factor and the Schur complement
 left on the box coordinates.  A decoupled box then factors into closed-form
-erf (or, for negative curvature, erfi through Dawson's function) terms; a
-coupled box is integrated by a tensor composite Gauss-Legendre rule whose
-order doubles until two successive values agree to the requested target,
-and a refinement that runs out of budget raises instead of returning.
+erf (or, for negative curvature, erfi through Dawson's function) terms.  A
+coupled box integrates one coordinate of positive curvature in closed form
+(a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
+doubles until two successive values agree to the requested target; a
+refinement that runs out of budget raises instead of returning.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import dawsn, erf
+from scipy.special import dawsn, erf, log_ndtr
 
 from .banded import PerturbedIdentity, power
 
@@ -149,24 +150,12 @@ class Box:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    panels: int = 8           # panels per box coordinate
-    panel_order: int = 12     # Gauss-Legendre order per panel
     target: float = 1e-9      # doubling stops when successive values agree
-    max_order: int = 1500     # largest Gauss-Legendre order per panel
+    max_order: int = 1500     # largest Gauss-Legendre order per coordinate
     max_points: int = 4_000_000
-    psd_tol: float = 1e-12    # decay threshold on unrestricted eigenvalues
 
 
-def _box_rule(k, panels, order):
-    """Composite Gauss-Legendre nodes/weights on [-k, k]."""
-    base_x, base_w = leggauss(order)
-    edges = np.linspace(-k, k, panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(0.5 * (a + b) + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+_FIRST_ORDER = 8  # Gauss-Legendre order of the first coupled-box rule
 
 
 def _log_box_factor(s, k):
@@ -188,11 +177,12 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
     The unrestricted coordinates f integrate in closed form: they contribute
     det(E_ff)^{-1/2} and leave the Schur complement
     S = E_bb - E_bf E_ff^{-1} E_fb on the box coordinates b.  A diagonal S
-    factors into exact one-dimensional erf (or erfi) box factors; a coupled
-    S is integrated by a tensor Gauss-Legendre rule on the box only, with
-    the panel order doubled until two successive values agree to the
-    relative target.  ValueError is raised when the point budget or
-    `max_order` stops the refinement first.
+    factors into exact one-dimensional erf (or erfi) box factors.  A coupled
+    S is integrated in closed form in its coordinate of largest positive
+    diagonal entry (none if no entry is positive), and in the others by a
+    single-panel tensor Gauss-Legendre rule whose order doubles until two
+    successive values agree to the relative target.  ValueError is raised
+    when the point budget or `max_order` stops the refinement first.
     """
     E = np.asarray(E, dtype=float)
     E = 0.5 * (E + E.T)
@@ -204,7 +194,7 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
     if d < kappa:
         free = E[d:, d:]
         lo = np.linalg.eigvalsh(free)[0]
-        if lo <= quad.psd_tol:
+        if lo <= 1e-12:
             raise DivergenceError(
                 "quadratic form fails positive-definiteness on unrestricted "
                 f"coordinates (min eigenvalue {lo:.3e})"
@@ -222,27 +212,40 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
         return math.exp(log_scale + math.fsum(
             _log_box_factor(float(s), box.halfwidth) for s in diag))
 
-    panel_order, prev = quad.panel_order, None
-    while True:
-        x, w = _box_rule(box.halfwidth, quad.panels, panel_order)
-        if len(x) ** d > quad.max_points:
-            break
-        pts = np.stack([g.ravel() for g in
-                        np.meshgrid(*[x] * d, indexing="ij")], axis=-1)
-        wts = np.ones(1)
-        for _ in range(d):
-            wts = np.multiply.outer(wts, w).ravel()
-        vals = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, S, pts))
-        cur = float(wts @ vals) / (2.0 * math.pi) ** (d / 2.0)
+    # condition on the coordinate j of largest curvature s > 0: given the
+    # rest z, (2 pi)^{-1/2} times the integral over [-k, k] of
+    # exp(-s y^2 / 2 - u y), u = S_{j,rest} z, is exp(u^2 / 2s) (the Schur
+    # complement R - c c^T / s on the rest) times a shifted erf, even in u
+    k, j = box.halfwidth, int(np.argmax(diag))
+    s = float(diag[j])
+    if s > 0:
+        rest = np.arange(d) != j
+        c = S[rest, j]
+        Q = S[np.ix_(rest, rest)] - np.outer(c, c) / s
+        log_scale -= 0.5 * math.log(s)
+    else:
+        Q = S
+    m = Q.shape[0]
+    order, prev = _FIRST_ORDER, None
+    while order ** m <= quad.max_points:
+        t, w = leggauss(order)
+        x = np.array(np.meshgrid(*[k * t] * m, indexing="ij")).reshape(m, -1)
+        wts = np.prod(np.meshgrid(*[k * w] * m, indexing="ij"), 0).ravel()
+        log_vals = -0.5 * np.einsum("in,ij,jn->n", x, Q, x)
+        if s > 0:  # log(Phi(mu + h) - Phi(mu - h)) at mu <= 0: no cancellation
+            mu, h = -np.abs(c @ x) / math.sqrt(s), k * math.sqrt(s)
+            upper = log_ndtr(mu + h)
+            log_vals += upper + np.log(-np.expm1(log_ndtr(mu - h) - upper))
+        cur = float(wts @ np.exp(log_vals)) / (2.0 * math.pi) ** (m / 2.0)
         if prev is not None and abs(cur - prev) <= quad.target * abs(cur):
             return math.exp(log_scale) * cur
-        if 2 * panel_order > quad.max_order:
+        if 2 * order > quad.max_order:
             break
-        prev, panel_order = cur, 2 * panel_order
+        prev, order = cur, 2 * order
     raise ValueError(
         f"box quadrature did not converge to {quad.target:g} within "
         f"max_order {quad.max_order} and {quad.max_points} points "
-        f"(last panel order {panel_order})"
+        f"(last order {order})"
     )
 
 
@@ -252,9 +255,10 @@ def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> flo
     Integrates the squared Radon-Nikodym density of the i-th power of the
     linear symbol over box x R^rest against the Gaussian measure.  The
     unrestricted coordinates are integrated exactly (Schur complement), a
-    decoupled box exactly (erf factors), and a coupled box by tensor
-    Gauss-Legendre quadrature.  Raises DivergenceError when the integral is
-    infinite and ValueError when the box quadrature does not converge.
+    decoupled box exactly (erf factors), and a coupled box exactly in one
+    coordinate and by tensor Gauss-Legendre quadrature in the others.
+    Raises DivergenceError when the integral is infinite and ValueError
+    when the box quadrature does not converge.
     """
     quad = quad or QuadSpec()
     A = np.asarray(A, dtype=float)
@@ -267,19 +271,18 @@ def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> flo
     return _gauss_box_integral(E, box, quad, log_scale=2.0 * logdetB)
 
 
-def h_normalization(A, quad: QuadSpec | None = None) -> float:
+def h_normalization(A) -> float:
     """Integral of the density of A against the Gaussian measure.
 
     Measure transport makes this exactly 1 for every invertible A; it is
     evaluated in closed form as |det A^-1| * det(A^-T A^-1)^{-1/2}, so the
     value checks the density's normalization to rounding.
     """
-    quad = quad or QuadSpec()
     A = np.asarray(A, dtype=float)
     B = np.linalg.inv(A)
     sign, logdetB = np.linalg.slogdet(B)
     E = B.T @ B
-    return _gauss_box_integral(E, Box(0, 1.0), quad, log_scale=logdetB)
+    return _gauss_box_integral(E, Box(0, 1.0), QuadSpec(), log_scale=logdetB)
 
 
 def gaussian_box_mass(a: float) -> float:

@@ -406,12 +406,27 @@ def test_thm51_diagonal_family():
                                         (prop52_suite, "box_norm_finite")])
 def test_unconverged_box_quadrature_is_never_a_pass(suite, name):
     sym = PerturbedIdentity.geometric(0.5).symbol
-    reports = suite(sym, BlockPartition.unit(8), 1, 1, 4, [Box(2, 1.0)],
-                    quad=QuadSpec(max_points=10_000))
+    reports = suite(sym, BlockPartition.unit(8), 2, 1, 4, [Box(3, 1.0)],
+                    quad=QuadSpec(max_points=20))
     finite = [r for r in reports if r.name.startswith(name)]
     assert finite and all(r.verdict == "evidence" for r in finite)
     assert all("not computable" in r.payload["detail"] for r in finite)
     assert not any("trajectory" in r.name for r in reports)
+
+
+@pytest.mark.parametrize("suite,name", [(thm51_suite, "norm_trajectory"),
+                                        (prop52_suite,
+                                         "norm_trajectory_consistent")])
+@pytest.mark.parametrize("L", [1, 3])
+def test_too_short_trajectory_is_evidence(suite, name, L):
+    # level 1 is skipped (box larger than the truncation): L = 3 leaves one
+    # increment and L = 1 none, too few to judge either way
+    reports = suite(ex53_symbol(), BlockPartition.unit(8), 1, 1, L,
+                    [Box(2, 1.0)])
+    traj = [r for r in reports if r.name.startswith(name + "[")]
+    assert len(traj) == 2
+    assert all(len(r.payload["trajectory"]) == L for r in traj)
+    assert all(r.verdict == "evidence" for r in traj)
 
 
 def test_ex59_trajectory_computable_with_default_budget():

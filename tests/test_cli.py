@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ def test_thm51_reports_evidence_exit_two(capsys):
     assert code == 2
     verdicts = {r["verdict"] for r in doc["body"]["reports"]}
     assert "evidence" in verdicts and "fail" not in verdicts
+
+
+@pytest.mark.parametrize("L", ["1", "3"])
+def test_prop52_too_short_trajectory_exits_two(capsys, L):
+    # one increment (L 3, level 1 skipped) or none (L 1) cannot be judged
+    code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex53",
+                        "--L", L)
+    assert code == 2
+    traj = [r for r in doc["body"]["reports"]
+            if r["name"].startswith("norm_trajectory_consistent")]
+    assert len(traj) == 2 and all(r["verdict"] == "evidence" for r in traj)
+
+
+def test_thm51_ex59_three_dim_box_is_computable(capsys):
+    # n + r = 3 on a coupled symbol: every power is computed
+    code, doc = run_cli(capsys, "check", "thm51", "--builtin", "ex59",
+                        "--q", "0.5", "--n", "2", "--r", "1", "--L", "8")
+    assert code == 2
+    reports = doc["body"]["reports"]
+    assert not any("not computable" in json.dumps(r) for r in reports)
+    finite = [r for r in reports if r["name"].startswith("finiteness")]
+    assert len(finite) == 3 and all(r["verdict"] == "pass" for r in finite)
 
 
 def test_deterministic_body(capsys):
@@ -194,14 +217,34 @@ def test_thm51_singular_corner_fails_naming_level(capsys):
     ("example", "banded", "--L", "1"),
     ("example", "singular", "--N", "0"),
     ("example", "singular", "--N", "1"),
+    ("rn", "--builtin", "identity", "--kappa", "0"),
+    ("rn", "--builtin", "ex53", "--kappa", "-1"),
+    ("example", "diag", "--k", "0"),
+    ("example", "diag", "--k", "-1"),
+    ("example", "diag", "--k", "nan"),
+    ("example", "diag", "--k", "inf"),
 ], ids=["prop52-L0", "thm51-L0", "thm51-n0-r0", "prop52-n0-r0",
         "thm51-n-1", "prop52-n-1", "diag-L2", "banded-L1", "singular-N0",
-        "singular-N1"])
+        "singular-N1", "rn-kappa0", "rn-kappa-1", "diag-k0", "diag-k-1",
+        "diag-k-nan", "diag-k-inf"])
 def test_degenerate_sizes_are_bad_input(capsys, argv):
     # each of these used to pass on an empty check or crash
     code = main(list(argv))
     out, _ = capsys.readouterr()
     assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("rn", "--builtin", "identity", "--kappa", "0"), "--kappa"),
+    (("rn", "--builtin", "ex53", "--kappa", "-1"), "--kappa"),
+    (("example", "diag", "--k", "0"), "--k"),
+    (("example", "diag", "--k", "nan"), "--k"),
+])
+def test_bad_size_error_names_the_flag(capsys, argv, flag):
+    # not numpy's "negative dimensions" or a bare "math domain error"
+    assert main(list(argv)) == 3
+    _, err = capsys.readouterr()
+    assert re.search(rf"{flag}\b", err)
 
 
 def test_example_diag_agreement(capsys):

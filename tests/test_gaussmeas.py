@@ -203,20 +203,30 @@ def test_chi_norm_diagonal_matches_closed_form(box_alphas, tail, i, k):
     assert val == pytest.approx(closed, rel=1e-10)
 
 
+def _box_form(A, i, d):
+    """Schur complement S on the first d coordinates and the log scale of
+    the box integral behind chi_norm_sq(A, i, Box(d, k))."""
+    kappa = A.shape[0]
+    B = np.linalg.matrix_power(np.linalg.inv(A), i)
+    E = 2.0 * B.T @ B - np.eye(kappa)
+    log_scale = 2.0 * np.linalg.slogdet(B)[1]
+    S = E[:d, :d]
+    if kappa > d:
+        free = E[d:, d:]
+        log_scale -= 0.5 * np.linalg.slogdet(free)[1]
+        S = S - E[:d, d:] @ np.linalg.solve(free, E[d:, :d])
+    return S, log_scale
+
+
 @pytest.mark.parametrize("kappa,i,k", [(2, 1, 1.0), (4, 1, 0.7), (4, 2, 1.3),
-                                       (6, 1, 2.0)])
+                                       (6, 1, 2.0), (8, 1, 1.0), (8, 2, 0.5),
+                                       (3, 1, 3.0), (3, 2, 1.0),
+                                       (10, 2, 2.5)])
 def test_chi_norm_coupled_ex59_matches_erf_reference(kappa, i, k):
     from scipy import integrate
 
     A = PerturbedIdentity.geometric(0.5).symbol.window(kappa)
-    B = np.linalg.matrix_power(np.linalg.inv(A), i)
-    E = 2.0 * B.T @ B - np.eye(kappa)
-    log_scale = 2.0 * np.linalg.slogdet(B)[1]
-    S = E[:2, :2]
-    if kappa > 2:
-        free = E[2:, 2:]
-        log_scale -= 0.5 * np.linalg.slogdet(free)[1]
-        S = S - E[:2, 2:] @ np.linalg.solve(free, E[2:, :2])
+    S, log_scale = _box_form(A, i, 2)
     a, b, c = S[0, 0], S[0, 1], S[1, 1]
     assert abs(b) > 1e-3  # the box coordinates are coupled
 
@@ -229,6 +239,76 @@ def test_chi_norm_coupled_ex59_matches_erf_reference(kappa, i, k):
     box, _ = integrate.quad(outer, -k, k, epsabs=0.0, epsrel=1e-12)
     ref = math.exp(log_scale) * box / math.sqrt(2.0 * math.pi * c)
     assert chi_norm_sq(A, i, Box(2, k)) == pytest.approx(ref, rel=1e-9)
+
+
+def _symbol_with_box_form(S):
+    """A whose E = 2 A^-T A^-1 - I is S (S + I must be positive definite)."""
+    chol = np.linalg.cholesky((np.asarray(S) + np.eye(len(S))) / 2.0)
+    return np.linalg.inv(chol.T)
+
+
+@pytest.mark.parametrize("A,i,d,k", [
+    # no positive diagonal entry: the rule covers every box coordinate
+    (_symbol_with_box_form([[-0.3, 0.1], [0.1, -0.2]]), 1, 2, 1.0),
+    (PerturbedIdentity.geometric(0.5).symbol.window(12), 3, 2, 0.5),
+    # mixed signs: the closed-form coordinate is the one of curvature 1.5
+    (_symbol_with_box_form([[0.8, 0.3, -0.2], [0.3, -0.4, 0.1],
+                            [-0.2, 0.1, 1.5]]), 1, 3, 1.2),
+], ids=["negative-2x2", "ex59-l12-i3", "mixed-3x3"])
+def test_chi_norm_coupled_box_matches_scipy_reference(A, i, d, k):
+    from scipy import integrate
+
+    S, log_scale = _box_form(A, i, d)
+    assert abs(S[0, 1]) > 1e-3  # the box coordinates are coupled
+    s = S.tolist()
+
+    def integrand(*x):
+        return math.exp(-0.5 * sum(s[p][q] * x[p] * x[q]
+                                   for p in range(d) for q in range(d)))
+
+    box, _ = integrate.nquad(integrand, [[-k, k]] * d,
+                             opts={"epsabs": 0.0, "epsrel": 1e-11})
+    ref = math.exp(log_scale) * box / (2.0 * math.pi) ** (d / 2.0)
+    assert chi_norm_sq(A, i, Box(d, k)) == pytest.approx(ref, rel=1e-9)
+
+
+def test_chi_norm_coupled_three_dims_matches_mpmath():
+    """ex59 q = 0.5, level 8, i = 1, box [-1, 1]^3: the Schur complement is
+    indefinite (eigenvalues about -0.18, 0.88, 9.05).  The reference takes
+    minutes, so it is hard-coded; it was computed (to 20 digits from the
+    double-precision S) with
+
+        import mpmath as mp
+        import numpy as np
+        from gausscomp.banded import PerturbedIdentity
+
+        mp.mp.dps = 20
+        A = PerturbedIdentity.geometric(0.5).symbol.window(8)
+        B = np.linalg.inv(A)
+        E = 2.0 * B.T @ B - np.eye(8)
+        free = E[3:, 3:]
+        S = E[:3, :3] - E[:3, 3:] @ np.linalg.solve(free, E[3:, :3])
+        log_scale = (2.0 * np.linalg.slogdet(B)[1]
+                     - 0.5 * np.linalg.slogdet(free)[1])
+        S = mp.matrix(S.tolist())
+        box = mp.quad(
+            lambda *x: mp.exp(-(mp.matrix(x).T * S * mp.matrix(x))[0] / 2),
+            [-1, 1], [-1, 1], [-1, 1])
+        print(mp.exp(log_scale) * box / (2 * mp.pi) ** 1.5)
+    """
+    A = PerturbedIdentity.geometric(0.5).symbol.window(8)
+    assert chi_norm_sq(A, 1, Box(3, 1.0)) == pytest.approx(
+        0.46627659431759879577, rel=1e-12)
+
+
+@pytest.mark.parametrize("l,d", [(12, 4), (14, 5)])
+def test_chi_norm_coupled_high_dims_within_default_budget(l, d):
+    # the default QuadSpec converges, and a 1000x tighter target moves the
+    # value by less than the default target
+    A = PerturbedIdentity.geometric(0.5).symbol.window(l)
+    val = chi_norm_sq(A, 2, Box(d, 1.0))
+    tight = chi_norm_sq(A, 2, Box(d, 1.0), QuadSpec(target=1e-12))
+    assert math.isfinite(val) and val == pytest.approx(tight, rel=1e-9)
 
 
 def test_chi_norm_nan_regression_alpha_1_4():
@@ -254,21 +334,22 @@ def test_chi_norm_negative_curvature_box_matches_quadrature(alpha):
 
 @pytest.mark.parametrize("max_points", [100, 10_000])
 def test_coupled_box_unconverged_raises(max_points):
-    # 10_000 points admit the first rule (96^2) but not its refinement
-    A = PerturbedIdentity.geometric(0.5).symbol.window(3)
+    # a coupled 5-dim box: after the closed-form coordinate, 10_000 points
+    # admit the first rule (8^4) but not its refinement (16^4)
+    A = PerturbedIdentity.geometric(0.5).symbol.window(14)
     with pytest.raises(ValueError, match="did not converge"):
-        chi_norm_sq(A, 1, Box(2, 1.0), QuadSpec(max_points=max_points))
+        chi_norm_sq(A, 2, Box(5, 1.0), QuadSpec(max_points=max_points))
 
 
 @pytest.mark.parametrize("quad,last", [
-    (QuadSpec(max_points=100), 12),      # the first rule is over budget
-    (QuadSpec(max_points=10_000), 24),   # the refinement is over budget
-    (QuadSpec(max_order=23), 12),        # no refinement within max_order
+    (QuadSpec(max_points=100), 8),       # the first rule is over budget
+    (QuadSpec(max_points=10_000), 16),   # the refinement is over budget
+    (QuadSpec(max_order=15), 8),         # no refinement within max_order
 ], ids=["first-over-budget", "refinement-over-budget", "max-order"])
 def test_coupled_box_unconverged_names_last_order(quad, last):
-    A = PerturbedIdentity.geometric(0.5).symbol.window(3)
-    with pytest.raises(ValueError, match=rf"\(last panel order {last}\)"):
-        chi_norm_sq(A, 1, Box(2, 1.0), quad)
+    A = PerturbedIdentity.geometric(0.5).symbol.window(14)
+    with pytest.raises(ValueError, match=rf"\(last order {last}\)"):
+        chi_norm_sq(A, 2, Box(5, 1.0), quad)
 
 
 # -- products ---------------------------------------------------------------
