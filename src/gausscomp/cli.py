@@ -4,9 +4,9 @@ turnkey reproductions of the worked families, with deterministic reports.
 Reports are JSON documents with two top-level keys: `header` (carries the
 timestamp and the schema version; the only non-deterministic part) and
 `body` (configuration, per-check records and tables; byte-identical across
-runs with the same arguments and seed).  Tables are additionally emitted as
-CSV files when an output directory is given (flag `--outdir` or environment
-variable GAUSSCOMP_OUTDIR).
+runs with the same arguments; `--seed` is only recorded).  Tables are
+additionally emitted as CSV files when an output directory is given (flag
+`--outdir` or environment variable GAUSSCOMP_OUTDIR).
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
@@ -145,22 +145,26 @@ def load_symbol(path):
         raise CliError(f"{path}: header must be 'kind eta'")
     kind, eta = head[0], int(head[1])
     if len(lines) >= 2 and lines[1].startswith("rule"):
-        parts = lines[1].split()
-        name, params = parts[1], parts[2:]
-        if name == "identity":
-            return BandedSymbol.identity()
-        if name in ("diag", "ex53"):
-            expr = params[0] if params else "1-2^-j"
-            return _builtin_symbol(
-                name, argparse.Namespace(alphas=expr, q=None))
-        if name == "ex59":
-            q = float(params[0].split("=")[-1]) if params else 0.5
-            return _builtin_symbol(
-                "ex59", argparse.Namespace(alphas=None, q=q))
-        if name == "geometric_tridiagonal":
-            q = float(params[0])
-            diag = float(params[1]) if len(params) > 1 else 1.0
-            return BandedSymbol.geometric_tridiagonal(q, diag)
+        try:
+            parts = lines[1].split()
+            name, params = parts[1], parts[2:]
+            if name == "identity":
+                return BandedSymbol.identity()
+            if name in ("diag", "ex53"):
+                expr = params[0] if params else "1-2^-j"
+                return _builtin_symbol(
+                    name, argparse.Namespace(alphas=expr, q=None))
+            if name == "ex59":
+                q = float(params[0].split("=")[-1]) if params else 0.5
+                return _builtin_symbol(
+                    "ex59", argparse.Namespace(alphas=None, q=q))
+            if name == "geometric_tridiagonal":
+                q = float(params[0])
+                diag = float(params[1]) if len(params) > 1 else 1.0
+                return BandedSymbol.geometric_tridiagonal(q, diag)
+        except IndexError:
+            raise CliError(f"{path}: rule line {lines[1]!r} lacks the rule "
+                           "name or a required parameter") from None
         raise CliError(f"{path}: unknown rule {name!r}")
     entries = {}
     for ln in lines[1:]:
@@ -172,6 +176,8 @@ def load_symbol(path):
 def load_partition(path):
     with open(path) as fh:
         vals = [int(v) for v in fh.read().split()]
+    if not vals:
+        raise CliError(f"{path}: empty partition file")
     return BlockPartition(vals)
 
 
@@ -282,21 +288,26 @@ def cmd_check(args):
     sym = _resolve_symbol(args)
     boxes = [Box(args.n + args.r, float(h))
              for h in (args.boxes.split(",") if args.boxes else ["1"])]
+    if not all(math.isfinite(b.halfwidth) for b in boxes):
+        raise CliError(f"--boxes {args.boxes!r} has a non-finite halfwidth")
+    s = args.partition
+    if s is None:
+        s = BlockPartition.unit(max(args.L + 2, 8))
+    elif len(s) < args.L and args.suite != "prop56":
+        raise CliError(f"--partition-file has {len(s)} cut points; "
+                       f"--L {args.L} needs at least {args.L}")
     if args.suite == "prop56":
         if not isinstance(sym, PerturbedIdentity):
             raise CliError("prop56 needs a perturbed-identity symbol "
                            "(builtin ex59)")
-        s = args.partition or BlockPartition.unit(max(args.L, 8))
         rho = args.rho
         if rho is None and sym.base.rule and sym.base.rule[0] == "geometric_tridiagonal":
             q = sym.base.rule[1][0]
             rho = 1.0 - q * q / (1.0 - q * q) if q * q < 0.5 else None
-        reports = checker.prop56_suite(sym, s, args.n, args.r, rho,
-                                       L=args.L, seed=args.seed)
+        reports = checker.prop56_suite(sym, s, args.n, args.r, rho, L=args.L)
     else:
         if isinstance(sym, PerturbedIdentity):
             sym = sym.symbol
-        s = args.partition or BlockPartition.unit(max(args.L + 2, 8))
         suite = (checker.prop52_suite if args.suite == "prop52"
                  else checker.thm51_suite)
         reports = suite(sym, s, args.n, args.r, args.L, boxes,

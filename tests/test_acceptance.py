@@ -215,15 +215,8 @@ def test_criterion_11_trace_class_entry_bound():
 
 def test_criterion_12_perturbation_bound():
     b = PerturbedIdentity.geometric(0.5)
-    rng = np.random.default_rng(12)
     ok = True
     for k in (1, 2, 3):
-        xs = []
-        for _ in range(500):
-            x = np.zeros(24)
-            support = rng.choice(24, size=12, replace=False)
-            x[support] = rng.standard_normal(12)
-            xs.append(x)
-        chk = perturbation_bound_check(b, k, xs)
+        chk = perturbation_bound_check(b, k, 24)
         ok &= chk.all_pass and chk.worst_ratio <= 1.0
     _line(12, "perturbation inequality with the proof constant", ok)

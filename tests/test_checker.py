@@ -451,8 +451,10 @@ def test_thm51_singular_corner_is_a_fail_naming_the_level():
 def test_prop56_geometric_passes():
     s = BlockPartition.unit(64)
     reports = prop56_suite(PerturbedIdentity.geometric(0.5), s, 1, 1,
-                           rho=2.0 / 3.0, L=64, seed=0)
+                           rho=2.0 / 3.0, L=64)
     assert all(r.verdict == "pass" for r in reports)
+    pert = next(r for r in reports if r.name == "perturbation_inequality")
+    assert pert.params == {"window": 24} and pert.seed is None
     floor = next(r for r in reports if r.name == "determinant_floor")
     assert floor.payload["min_abs_det"] > 2.0 / 3.0
 

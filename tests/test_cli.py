@@ -24,6 +24,21 @@ def test_prop56_admissible_exits_zero(capsys):
     assert "determinant_floor" in names
 
 
+def test_prop56_perturbation_inequality_is_exact(capsys):
+    # the supremum over x on 24 coordinates, attained at k = 1 of n + r = 2
+    code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
+                        "--q", "0.5", "--seed", "5")
+    assert code == 0
+    rep = next(r for r in doc["body"]["reports"]
+               if r["name"] == "perturbation_inequality")
+    assert rep["payload"]["worst_ratio"] == pytest.approx(
+        0.05285081423000137, rel=1e-12)
+    assert rep["payload"]["C_tilde"] == pytest.approx(115.59591794226543,
+                                                      rel=1e-12)
+    assert rep["params"] == {"window": 24} and rep["seed"] is None
+    assert doc["body"]["config"]["seed"] == 5
+
+
 def test_prop56_inadmissible_exits_one_naming_precondition(capsys):
     code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
                         "--q", "0.8")
@@ -239,6 +254,7 @@ def test_degenerate_sizes_are_bad_input(capsys, argv):
     (("rn", "--builtin", "ex53", "--kappa", "-1"), "--kappa"),
     (("example", "diag", "--k", "0"), "--k"),
     (("example", "diag", "--k", "nan"), "--k"),
+    (("check", "thm51", "--builtin", "ex59", "--boxes", "1,inf"), "--boxes"),
 ])
 def test_bad_size_error_names_the_flag(capsys, argv, flag):
     # not numpy's "negative dimensions" or a bare "math domain error"
@@ -308,6 +324,40 @@ def test_partition_file(tmp_path):
     p.write_text("2 4 8 16\n")
     s = load_partition(str(p))
     assert s.cut(3) == 8
+
+
+@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+def test_short_partition_file_is_bad_input(tmp_path, capsys, suite):
+    p = tmp_path / "part.txt"
+    p.write_text("1 2 3\n")
+    code = main(["check", suite, "--builtin", "ex53", "--L", "6",
+                 "--partition-file", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "--partition-file" in err and "--L 6" in err
+
+
+@pytest.mark.parametrize("suite", ["thm51", "prop52", "prop56"])
+def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite):
+    # an empty file is rejected, not replaced by the unit partition
+    p = tmp_path / "part.txt"
+    p.write_text("\n")
+    code = main(["check", suite, "--builtin", "ex59",
+                 "--partition-file", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert str(p) in err and "empty partition file" in err
+
+
+@pytest.mark.parametrize("rule", ["rule", "rule geometric_tridiagonal"])
+def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, rule):
+    p = tmp_path / "sym.txt"
+    p.write_text(f"banded 1\n{rule}\n")
+    with pytest.raises(CliError, match=str(p)):
+        load_symbol(str(p))
+    code = main(["check", "prop52", "--file", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and str(p) in err
 
 
 def test_check_with_symbol_file(tmp_path, capsys):

@@ -454,35 +454,93 @@ def test_ell2p_homogeneity(x1, x2):
 
 
 def test_perturbation_bound_unit_vector():
+    # window 1 is the span of e1: |1 - |b e1|^2| / (C p_1) = q^2 / (C q)
     b = PerturbedIdentity.geometric(0.5)
-    e1 = np.zeros(8)
-    e1[0] = 1.0
-    chk = perturbation_bound_check(b, 1, [e1])
-    assert chk.all_pass and chk.worst_ratio <= 1.0
+    chk = perturbation_bound_check(b, 1, 1)
+    assert chk.all_pass and chk.window == 1
+    assert chk.worst_ratio == pytest.approx(0.5 / chk.C_tilde, rel=1e-14)
+
+
+def _zero_perturbation(weights=lambda j: 0.5 ** j):
+    from gausscomp.banded import BandedSymbol
+    base = BandedSymbol.from_entries(1, {})
+    return PerturbedIdentity(base=base, alpha=lambda j: 0.5 ** j,
+                             weights=weights, m=0.25, M=0.75,
+                             alpha_sum=1.0, weight_sum=1.0)
 
 
 def test_perturbation_bound_zero_perturbation():
-    from gausscomp.banded import BandedSymbol
-    base = BandedSymbol.from_entries(1, {})
-    b = PerturbedIdentity(base=base, alpha=lambda j: 0.5 ** j,
-                          weights=lambda j: 0.5 ** j, m=0.25, M=0.75,
-                          alpha_sum=1.0, weight_sum=1.0)
-    x = RNG.standard_normal(10)
-    chk = perturbation_bound_check(b, 2, [x])
-    assert chk.worst_ratio == 0.0
+    chk = perturbation_bound_check(_zero_perturbation(), 2, 10)
+    assert chk.worst_ratio == 0.0 and chk.all_pass
+
+
+def test_perturbation_bound_nonpositive_weight_raises():
+    # the ratio bounds hold (p_{j+1} / p_j = 0.5), the weights are negative
+    b = _zero_perturbation(weights=lambda j: -(0.5 ** j))
+    with pytest.raises(ValueError, match="weights must be positive"):
+        perturbation_bound_check(b, 1, 8)
+
+
+def _sampled_ratio(b, k, x):
+    """|x.x - |b^k x|^2| / (C_tilde x.Px) from a dense power of the
+    materialized symbol: len(x) + 2k rows hold every path of k steps."""
+    n = len(x) + 2 * k
+    xp = np.zeros(n)
+    xp[: len(x)] = x
+    y = np.linalg.matrix_power(b.symbol.window(n), k) @ xp
+    lhs = abs(float(xp @ xp - y @ y))
+    return lhs / (proof_constant(b, k) * ell2p_norm_sq(x, b.weights))
 
 
 def test_perturbation_bound_random_supports():
+    # the exact supremum bounds every sampled 12-sparse vector on 24 entries
     b = PerturbedIdentity.geometric(0.5)
-    xs = []
-    for _ in range(50):
-        x = np.zeros(24)
-        support = RNG.choice(24, size=12, replace=False)
-        x[support] = RNG.standard_normal(12)
-        xs.append(x)
     for k in (1, 2, 3):
-        chk = perturbation_bound_check(b, k, xs)
+        chk = perturbation_bound_check(b, k, 24)
         assert chk.all_pass, f"k={k}: worst ratio {chk.worst_ratio}"
+        for _ in range(50):
+            x = np.zeros(24)
+            support = RNG.choice(24, size=12, replace=False)
+            x[support] = RNG.standard_normal(12)
+            assert _sampled_ratio(b, k, x) <= chk.worst_ratio * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("q,k", [(0.5, 1), (0.3, 2), (0.65, 3)])
+def test_perturbation_bound_top_eigenvector_attains(q, k):
+    b = PerturbedIdentity.geometric(q)
+    chk = perturbation_bound_check(b, k, 24)
+    n = 24 + k
+    B = np.linalg.matrix_power(b.symbol.window(n + k), k)[:n, :24]
+    scale = 1.0 / np.sqrt([b.weights(j) for j in range(1, 25)])
+    w, v = np.linalg.eigh((np.eye(24) - B.T @ B) * np.outer(scale, scale))
+    top = v[:, np.argmax(np.abs(w))] * scale
+    assert _sampled_ratio(b, k, top) == pytest.approx(chk.worst_ratio,
+                                                      rel=1e-10)
+
+
+@pytest.mark.parametrize("q,k,window", [(0.5, 1, 12), (0.3, 2, 24),
+                                        (0.65, 3, 24)])
+def test_perturbation_bound_matches_mpmath(q, k, window):
+    """The supremum from a 40-digit symmetric eigensolver on the
+    tridiagonal b (b_jj = 1, b_{j,j+1} = b_{j+1,j} = q^j) of size
+    window + k, which holds every path of k steps from the window."""
+    import mpmath as mp
+    with mp.workdps(40):
+        n = window + k
+        qm = mp.mpf(q)
+        bm = mp.eye(n)
+        for j in range(1, n):
+            bm[j - 1, j] = bm[j, j - 1] = qm ** j
+        Bk = (bm ** k)[:, :window]
+        form = mp.eye(window) - Bk.T * Bk
+        for i in range(window):
+            for j in range(window):
+                form[i, j] /= mp.sqrt(qm ** (i + 1) * qm ** (j + 1))
+        ev = mp.eigsy(form, eigvals_only=True)
+        ref = max(abs(e) for e in ev) / mp.mpf(proof_constant(
+            PerturbedIdentity.geometric(q), k))
+    chk = perturbation_bound_check(PerturbedIdentity.geometric(q), k, window)
+    assert chk.worst_ratio == pytest.approx(float(ref), rel=1e-14)
 
 
 def test_proof_constant_monotone_in_power():
