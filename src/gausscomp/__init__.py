@@ -37,7 +37,6 @@ from .gaussmeas import (
     Box,
     DivergenceError,
     GaussianSpace,
-    QuadSpec,
     RnDerivative,
     chi_norm_sq,
     diag_closed_form,

@@ -31,6 +31,8 @@ __all__ = [
     "decay_certificate_check",
 ]
 
+_RANK_TOL = 1e-10  # in_class_F: relative singular-value floor of a rank
+
 
 @dataclass(frozen=True)
 class DecayCertificate:
@@ -234,12 +236,13 @@ class ClassFReport:
     block_ranks: list  # (p, rank, full_rank)
 
 
-def in_class_F(a: BandedSymbol, s: BlockPartition, K: int, tol: float = 1e-10):
+def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
     """Test block-3-diagonal structure with full-or-zero off-diagonal ranks.
 
     Returns a ClassFReport.  Structural violations (a nonzero entry outside
     the allowed block pattern on the window s(K)) are reported separately
-    from rank failures.
+    from rank failures.  A block's rank counts singular values above
+    `_RANK_TOL` times the largest.
     """
     n = s.cut(K)
     # zero pattern: entries with row in block p and column beyond block p+1
@@ -256,7 +259,7 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int, tol: float = 1e-10):
         full = s.cut(p) - s.cut(p - 1)
         sv = np.linalg.svd(blk, compute_uv=False)
         smax = sv[0] if sv.size else 0.0
-        rank = int(np.sum(sv > tol * smax)) if smax > 0 else 0
+        rank = int(np.sum(sv > _RANK_TOL * smax)) if smax > 0 else 0
         ranks.append((p, rank, full))
         if rank not in (0, full):
             ok = False

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .banded import (
+    _RANK_TOL,
     BandedSymbol,
     BlockPartition,
     PerturbedIdentity,
@@ -32,7 +34,6 @@ from .banded import (
 from .gaussmeas import (
     Box,
     DivergenceError,
-    QuadSpec,
     chi_norm_sq,
     perturbation_bound_check,
 )
@@ -54,6 +55,11 @@ __all__ = [
     "prop52_suite",
     "prop56_suite",
 ]
+
+_PSD_TOL = 1e-10  # form_positivity_evidence: relative asymmetry and eigenvalue
+_DEFECT_TOL = 1e-6  # snr_form_value: rounding allowance between rule orders
+_HYPO_TOL = 1e-7  # hyponormality_consequence: a value past it is a disproof
+_ENTRY_BOUND_WINDOW = 12  # prop56_suite: coordinates of the power entry bound
 
 
 @dataclass
@@ -149,10 +155,10 @@ def gram_construct(c) -> CoefficientTensor:
 class LambdaGrid:
     """Sampling grid in the complex plane for the positivity form."""
 
-    radii: tuple = tuple(round(0.1 * k, 1) for k in range(1, 21))
-    n_angles: int = 64
-    n_random: int = 256
-    random_radius: float = 3.0
+    radii: ClassVar[tuple] = tuple(round(0.1 * k, 1) for k in range(1, 21))
+    n_angles: ClassVar[int] = 64
+    n_random: ClassVar[int] = 256
+    random_radius: ClassVar[float] = 3.0
     seed: int = 0
 
     def points(self):
@@ -172,13 +178,12 @@ class LambdaGrid:
 
 
 def form_positivity_evidence(c: CoefficientTensor,
-                             grid: LambdaGrid | None = None,
-                             tol_psd: float = 1e-10) -> CheckReport:
+                             grid: LambdaGrid | None = None) -> CheckReport:
     """Sample the positivity form over a lambda grid.
 
     For each lambda the form in z is the Hermitian matrix M with
     M[j, i] = sum_{p,q} a[p,q,i,j] lambda^p conj(lambda)^q; a negative
-    eigenvalue below -tol_psd * |M| at any sampled lambda is a disproof.
+    eigenvalue below -_PSD_TOL * |M| at any sampled lambda is a disproof.
     A clean sweep is evidence only: sampling cannot certify all lambda.
     """
     grid = grid or LambdaGrid()
@@ -190,7 +195,7 @@ def form_positivity_evidence(c: CoefficientTensor,
     asym = np.linalg.norm(M - Mh, axis=(1, 2)) / scale
     lo = np.linalg.eigvalsh(0.5 * (M + Mh))[:, 0]
     max_asym = float(np.max(asym))
-    flagged = (asym > tol_psd) | (lo < -tol_psd * scale)
+    flagged = (asym > _PSD_TOL) | (lo < -_PSD_TOL * scale)
     witness, worst = None, math.inf
     if np.any(flagged):
         k = int(np.argmin(np.where(flagged, lo / scale, math.inf)))
@@ -206,7 +211,7 @@ def form_positivity_evidence(c: CoefficientTensor,
         },
         params={"n": c.n, "m": c.m, "n_a": c.n_a,
                 "grid_points": len(lams)},
-        tolerances={"tol_psd": tol_psd},
+        tolerances={"tol_psd": _PSD_TOL},
         seed=grid.seed,
     )
 
@@ -261,7 +266,7 @@ class SnrFormResult:
     value: float
     imag: float
     defect: float          # rounding check: change between the exact
-                           # rule orders n and n + 1
+                           # rule orders degree + 1 and degree + 2
     valid: bool
 
 
@@ -287,33 +292,31 @@ def snr_form_matrix(A, c: CoefficientTensor, r: int, model: HermiteModel,
     return M.reshape(size, size)
 
 
-def snr_form_value(A, c: CoefficientTensor, r: int, testfns, model: HermiteModel,
-                   order: int | None = None,
-                   defect_tol: float = 1e-6) -> SnrFormResult:
+def snr_form_value(A, c: CoefficientTensor, r: int, testfns,
+                   model: HermiteModel) -> SnrFormResult:
     """Value of the double-sum form for T = the composition adjoint of A.
 
     `testfns[i][k]` (i = 0..m-1, k = 0..r) are coefficient vectors over the
     model; the value is U^T M conj(U) with M = `snr_form_matrix`.  Every
-    Gram is exact at the Gauss-Hermite order n = degree + 1 (a given
-    `order` only raises n); the value is computed at n and n + 1, and the
-    trial is valid when the two agree to `defect_tol`, a rounding check,
-    and the imaginary part is negligible.
+    Gram is exact at the Gauss-Hermite order degree + 1; the value is
+    computed there and at degree + 2, and the trial is valid when the two
+    agree to `_DEFECT_TOL`, a rounding check, and the imaginary part is
+    within `_DEFECT_TOL` too.
     """
     U = np.array([[getattr(f, "coef", f) for f in row] for row in testfns],
                  dtype=complex)
     if U.shape != (c.m, r + 1, model.dim):
         raise ValueError("need an m x (r+1) array of test functions")
     U = U.ravel()
-    n = max(model.degree + 1, order or 0)
     vals = [U @ snr_form_matrix(A, c, r, model, o) @ np.conj(U)
-            for o in (n, n + 1)]
+            for o in (model.degree + 1, model.degree + 2)]
     defect = abs(vals[1] - vals[0]) / max(1.0, abs(vals[1]))
     imag = abs(vals[1].imag) / max(1.0, abs(vals[1]))
     return SnrFormResult(
         value=float(vals[1].real),
         imag=imag,
         defect=defect,
-        valid=defect <= defect_tol and imag <= defect_tol,
+        valid=defect <= _DEFECT_TOL and imag <= _DEFECT_TOL,
     )
 
 
@@ -336,15 +339,16 @@ def normality_test(A, tol: float = 1e-10) -> CheckReport:
     )
 
 
-def hyponormality_consequence(A, model_degree: int = 6, trials: int = 200,
-                              seed: int = 0, tol: float = 1e-7) -> CheckReport:
+def hyponormality_consequence(A, model_degree: int = 6,
+                              seed: int = 0) -> CheckReport:
     """Consequence of membership in the first weak class, exact over the
     Hermite model: with T the composition adjoint, `worst_form_value` is the
     minimum over unit (f, g) of <f,f> + <g,Tf> + <Tf,g> + <Tg,Tg>, and
     `worst_adjoint_norm_excess` the maximum over unit g of
     |T* g|^2 - |Tg|^2 (T* g = G10 g: composition preserves degree).  Both
-    are eigenvalues of exact Grams, so a value past `tol` is a genuine
-    disproof.  `trials` and `seed` are unused: nothing is sampled.
+    are eigenvalues of exact Grams, so a value past `_HYPO_TOL` is a
+    genuine disproof.  Nothing is sampled: `seed` is ignored, and stays
+    only until the benchmark workloads stop passing it.
     """
     A = np.asarray(A, dtype=float)
     model = HermiteModel.get(A.shape[0], model_degree)
@@ -353,36 +357,19 @@ def hyponormality_consequence(A, model_degree: int = 6, trials: int = 200,
     worst_form = float(np.linalg.eigvalsh(
         np.block([[G00, G10], [G10.T, G11]]))[0])
     worst_norm_gap = float(np.linalg.eigvalsh(G10.T @ G00 @ G10 - G11)[-1])
-    ok = worst_form >= -tol and worst_norm_gap <= tol
+    ok = worst_form >= -_HYPO_TOL and worst_norm_gap <= _HYPO_TOL
     return CheckReport(
         name="hyponormality_consequence",
         verdict="pass" if ok else "fail",
         payload={"worst_form_value": worst_form,
                  "worst_adjoint_norm_excess": worst_norm_gap},
         params={"degree": model_degree},
-        tolerances={"tol": tol},
+        tolerances={"tol": _HYPO_TOL},
     )
 
 
 # ---------------------------------------------------------------------------
 # hypothesis suites
-
-
-def _glod_trajectory(corner, s, i, box, L, quad, dim_cap):
-    """Trajectory of the box-restricted squared norms of the truncation
-    densities; `corner(l)` yields the s(l) x s(l) symbol matrix."""
-    traj = []
-    capped = False
-    cap = max(dim_cap, box.dims)
-    for l in range(1, L + 1):
-        size = s.cut(l)
-        if size > cap:
-            capped = True
-            break
-        mat = corner(l)
-        traj.append(chi_norm_sq(mat, i, Box(min(box.dims, size),
-                                            box.halfwidth), quad))
-    return traj, capped
 
 
 def _trajectory_verdict(traj, skip, consistent_verdict):
@@ -411,10 +398,11 @@ def _first_singular_level(a, s, L):
     return int(singular[0]) + 1 if singular.size else None
 
 
-def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
+def _box_norm_reports(a, s, i, bi, box, L, dim_cap, finite_name,
                       traj_name, consistent_verdict, detailed):
     """Finiteness and trajectory reports for the box-restricted norms of the
-    i-th power over the truncations of `a`.
+    i-th power over the truncations of `a` at levels 1..L, stopping before
+    the first level whose size s(l) exceeds both `dim_cap` and the box.
 
     A divergent integral and a singular corner (named by its level) are a
     "fail"; a quadrature that does not converge is "evidence" that names the
@@ -427,9 +415,13 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
     """
     tag = f"[i={i},box={bi}]"
     params = {"i": i, "box_halfwidth": box.halfwidth}
+    traj = []
     try:
-        traj, capped = _glod_trajectory(
-            lambda l: truncate(a, s, l), s, i, box, L, quad, dim_cap)
+        for l in range(1, L + 1):
+            if s.cut(l) > max(dim_cap, box.dims):
+                break
+            traj.append(chi_norm_sq(truncate(a, s, l), i, Box(
+                min(box.dims, s.cut(l)), box.halfwidth)))
     except (DivergenceError, ValueError) as exc:
         if isinstance(exc, np.linalg.LinAlgError):
             verdict, payload = "fail", {
@@ -443,6 +435,7 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
         return [CheckReport(name=finite_name + tag, verdict=verdict,
                             payload=payload,
                             params=dict(params) if detailed else {})]
+    capped = len(traj) < L
     finite = {"largest_norm_sq": traj[-1] if traj else None}
     if detailed:
         finite_params = dict(params, levels=len(traj), dim_capped=capped)
@@ -464,8 +457,7 @@ def _box_norm_reports(a, s, i, bi, box, L, quad, dim_cap, finite_name,
 
 
 def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
-                boxes, quad: QuadSpec | None = None,
-                dim_cap: int = 6) -> list:
+                boxes, dim_cap: int = 6) -> list:
     """Numeric checks for the general inductive-limit criterion.
 
     Per power i and box: finiteness of the truncation norm (iii), the
@@ -478,7 +470,7 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                a, s, i, bi, box, L, quad, dim_cap, "finiteness",
+                a, s, i, bi, box, L, dim_cap, "finiteness",
                 "norm_trajectory", "evidence", detailed=True)
         reports.append(CheckReport(
             name=f"coordinate_stability[i={i}]",
@@ -491,8 +483,7 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
 
 
 def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
-                 boxes, quad: QuadSpec | None = None,
-                 tol: float = 1e-10, dim_cap: int = 6) -> list:
+                 boxes, dim_cap: int = 6) -> list:
     """Hypothesis suite for the block-3-diagonal inverse-symbol criterion.
 
     Checks, on truncations up to depth L: invertibility of the corners,
@@ -517,13 +508,13 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
         np.where(np.abs(inv_L) > 1e-12, inv_L, 0.0))
     # (b) inverse symbol in the block class; edge rows of the window are
     # contaminated by truncation, so check one block short
-    rep = in_class_F(inv_sym, s, max(2, L - 1), tol=tol)
+    rep = in_class_F(inv_sym, s, max(2, L - 1))
     reports.append(CheckReport(
         name="inverse_in_block_class",
         verdict="pass" if rep.ok and rep.structural_violation is None else "fail",
         payload={"structural_violation": rep.structural_violation,
                  "block_ranks": rep.block_ranks},
-        tolerances={"rank_tol": tol},
+        tolerances={"rank_tol": _RANK_TOL},
     ))
     # (d) normality of the inverse corners
     worst = 0.0
@@ -542,23 +533,23 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                a, s, i, bi, box, L, quad, dim_cap, "box_norm_finite",
+                a, s, i, bi, box, L, dim_cap, "box_norm_finite",
                 "norm_trajectory_consistent", "pass", detailed=False)
     return reports
 
 
 def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
-                 rho: float | None, L: int = 64,
-                 bound_window: int = 12) -> list:
+                 rho: float | None, L: int = 64) -> list:
     """Hypothesis suite for the perturbed-identity criterion.
 
     Family preconditions are checked first; a failed precondition stops the
     suite before any determinant analysis.  Then: summability certificates,
     the determinant floor |det b_k| >= rho up to depth L, the power entry
-    bound, and the perturbation inequality with the proof-derived constant,
-    exact over x supported on the first 24 coordinates (one eigenvalue per
-    power, nothing sampled), reported with the constant of the power that
-    attains the largest ratio.
+    bound on the first `_ENTRY_BOUND_WINDOW` coordinates, and the
+    perturbation inequality with the proof-derived constant, exact over x
+    supported on the first 24 coordinates (one eigenvalue per power,
+    nothing sampled), reported with the constant of the power that attains
+    the largest ratio.
     """
     reports = []
     for name, ok in b.preconditions:
@@ -615,13 +606,13 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
     # trace-class entry bound for powers up to n + r
     worst_entry = 0.0
     for k in range(1, max(1, n + r) + 1):
-        ok, ratio = power_entry_bound(b, k, bound_window)
+        ok, ratio = power_entry_bound(b, k, _ENTRY_BOUND_WINDOW)
         worst_entry = max(worst_entry, ratio)
     reports.append(CheckReport(
         name="power_entry_bound",
         verdict="pass" if worst_entry <= 1.0 + 1e-12 else "fail",
         payload={"worst_ratio": worst_entry},
-        params={"window": bound_window, "max_power": max(1, n + r)},
+        params={"window": _ENTRY_BOUND_WINDOW, "max_power": max(1, n + r)},
     ))
     # perturbation inequality, exact on the first 24 coordinates
     worst = max((perturbation_bound_check(b, k, 24)

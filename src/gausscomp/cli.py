@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import json
 import math
 import os
@@ -141,8 +142,9 @@ def load_symbol(path):
     if not lines:
         raise CliError(f"{path}: empty symbol file")
     head = lines[0].split()
-    if len(head) != 2:
-        raise CliError(f"{path}: header must be 'kind eta'")
+    if len(head) != 2 or not head[1].isdecimal():
+        raise CliError(f"{path}: header {lines[0]!r} must be 'kind eta' "
+                       "with an unsigned integer eta")
     kind, eta = head[0], int(head[1])
     if len(lines) >= 2 and lines[1].startswith("rule"):
         try:
@@ -168,17 +170,25 @@ def load_symbol(path):
         raise CliError(f"{path}: unknown rule {name!r}")
     entries = {}
     for ln in lines[1:]:
-        i, j, v = ln.split()
-        entries[(int(i), int(j))] = float(v)
+        try:
+            i, j, v = ln.split()
+            entries[(int(i), int(j))] = float(v)
+        except ValueError:
+            raise CliError(f"{path}: entry line {ln!r} must be 'i j value' "
+                           "with integer i, j") from None
     return BandedSymbol.from_entries(eta, entries, kind=kind)
 
 
 def load_partition(path):
     with open(path) as fh:
-        vals = [int(v) for v in fh.read().split()]
+        vals = fh.read().split()
     if not vals:
         raise CliError(f"{path}: empty partition file")
-    return BlockPartition(vals)
+    bad = next((v for v in vals if not v.isdecimal()), None)
+    if bad is not None:
+        raise CliError(f"{path}: partition token {bad!r} is not an unsigned "
+                       "integer")
+    return BlockPartition([int(v) for v in vals])
 
 
 def _resolve_symbol(args):
@@ -226,11 +236,9 @@ def _emit(args, command, config, reports, tables=None):
     if outdir and tables:
         os.makedirs(outdir, exist_ok=True)
         for name, (cols, rows) in tables.items():
-            with open(os.path.join(outdir, f"{command}_{name}.csv"), "w") as fh:
-                fh.write(",".join(cols) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(v) if isinstance(v, float)
-                                      else str(v) for v in row) + "\n")
+            with open(os.path.join(outdir, f"{command}_{name}.csv"), "w",
+                      newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([cols, *rows])
     return _exit_code(reports)
 
 

@@ -9,14 +9,15 @@ left on the box coordinates.  A decoupled box then factors into closed-form
 erf (or, for negative curvature, erfi through Dawson's function) terms.  A
 coupled box integrates one coordinate of positive curvature in closed form
 (a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
-doubles until two successive values agree to the requested target; a
-refinement that runs out of budget raises instead of returning.
+doubles from `_FIRST_ORDER` until two successive values agree to `_TARGET`;
+a refinement that would pass `_MAX_ORDER` per coordinate or `_MAX_POINTS`
+points raises instead of returning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "GaussianSpace",
     "RnDerivative",
     "Box",
-    "QuadSpec",
     "rn_eval",
     "rn_power_factorization_check",
     "chi_norm_sq",
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SUP_WINDOW = 200  # proof_constant: coordinates of its sups
 
 
 class DivergenceError(ArithmeticError):
@@ -148,14 +149,10 @@ class Box:
             raise ValueError("box needs dims >= 0 and positive halfwidth")
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    target: float = 1e-9      # doubling stops when successive values agree
-    max_order: int = 1500     # largest Gauss-Legendre order per coordinate
-    max_points: int = 4_000_000
-
-
 _FIRST_ORDER = 8  # Gauss-Legendre order of the first coupled-box rule
+_TARGET = 1e-9  # doubling stops when successive values agree to this
+_MAX_ORDER = 1500  # largest Gauss-Legendre order per coordinate
+_MAX_POINTS = 4_000_000  # largest point count of one tensor rule
 
 
 def _log_box_factor(s, k):
@@ -170,7 +167,7 @@ def _log_box_factor(s, k):
     return math.log(2.0 * dawsn(a)) + a * a - 0.5 * math.log(math.pi * t)
 
 
-def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
+def _gauss_box_integral(E, box: Box, log_scale=0.0):
     """exp(log_scale) (2 pi)^{-kappa/2} times the integral of
     exp(-x^T E x / 2) over box x R^rest.
 
@@ -181,8 +178,8 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
     S is integrated in closed form in its coordinate of largest positive
     diagonal entry (none if no entry is positive), and in the others by a
     single-panel tensor Gauss-Legendre rule whose order doubles until two
-    successive values agree to the relative target.  ValueError is raised
-    when the point budget or `max_order` stops the refinement first.
+    successive values agree to the relative `_TARGET`.  ValueError is raised
+    when `_MAX_POINTS` or `_MAX_ORDER` stops the refinement first.
     """
     E = np.asarray(E, dtype=float)
     E = 0.5 * (E + E.T)
@@ -227,7 +224,7 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
         Q = S
     m = Q.shape[0]
     order, prev = _FIRST_ORDER, None
-    while order ** m <= quad.max_points:
+    while order ** m <= _MAX_POINTS:
         t, w = leggauss(order)
         x = np.array(np.meshgrid(*[k * t] * m, indexing="ij")).reshape(m, -1)
         wts = np.prod(np.meshgrid(*[k * w] * m, indexing="ij"), 0).ravel()
@@ -237,19 +234,19 @@ def _gauss_box_integral(E, box: Box, quad: QuadSpec, log_scale=0.0):
             upper = log_ndtr(mu + h)
             log_vals += upper + np.log(-np.expm1(log_ndtr(mu - h) - upper))
         cur = float(wts @ np.exp(log_vals)) / (2.0 * math.pi) ** (m / 2.0)
-        if prev is not None and abs(cur - prev) <= quad.target * abs(cur):
+        if prev is not None and abs(cur - prev) <= _TARGET * abs(cur):
             return math.exp(log_scale) * cur
-        if 2 * order > quad.max_order:
+        if 2 * order > _MAX_ORDER:
             break
         prev, order = cur, 2 * order
     raise ValueError(
-        f"box quadrature did not converge to {quad.target:g} within "
-        f"max_order {quad.max_order} and {quad.max_points} points "
+        f"box quadrature did not converge to {_TARGET:g} within "
+        f"max_order {_MAX_ORDER} and {_MAX_POINTS} points "
         f"(last order {order})"
     )
 
 
-def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> float:
+def chi_norm_sq(A, i: int, box: Box | None) -> float:
     """Squared L2 norm of the box-restricted density of A^i.
 
     Integrates the squared Radon-Nikodym density of the i-th power of the
@@ -258,9 +255,8 @@ def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> flo
     decoupled box exactly (erf factors), and a coupled box exactly in one
     coordinate and by tensor Gauss-Legendre quadrature in the others.
     Raises DivergenceError when the integral is infinite and ValueError
-    when the box quadrature does not converge.
+    when the box quadrature does not converge within its fixed budget.
     """
-    quad = quad or QuadSpec()
     A = np.asarray(A, dtype=float)
     kappa = A.shape[0]
     if box is None:
@@ -268,7 +264,7 @@ def chi_norm_sq(A, i: int, box: Box | None, quad: QuadSpec | None = None) -> flo
     B = np.linalg.matrix_power(np.linalg.inv(A), i)
     sign, logdetB = np.linalg.slogdet(B)
     E = 2.0 * (B.T @ B) - np.eye(kappa)
-    return _gauss_box_integral(E, box, quad, log_scale=2.0 * logdetB)
+    return _gauss_box_integral(E, box, log_scale=2.0 * logdetB)
 
 
 def h_normalization(A) -> float:
@@ -282,7 +278,7 @@ def h_normalization(A) -> float:
     B = np.linalg.inv(A)
     sign, logdetB = np.linalg.slogdet(B)
     E = B.T @ B
-    return _gauss_box_integral(E, Box(0, 1.0), QuadSpec(), log_scale=logdetB)
+    return _gauss_box_integral(E, Box(0, 1.0), log_scale=logdetB)
 
 
 def gaussian_box_mass(a: float) -> float:
@@ -473,17 +469,18 @@ def ell2p_norm_sq(x, p) -> float:
     return float(np.sum(x * x * w))
 
 
-def proof_constant(b: PerturbedIdentity, k: int, sup_window: int = 200) -> float:
+def proof_constant(b: PerturbedIdentity, k: int) -> float:
     """The explicit inequality constant for the k-th power of b = I + bhat.
 
     Assembled from the proof's chain: c = max(sup alpha_j / p_j, sup
-    alpha_j); the shift-norm bound on the weighted space comes from the
-    ratio bounds (m, M); the k-th power of the perturbation is controlled
+    alpha_j), both sups over the first `_SUP_WINDOW` coordinates; the
+    shift-norm bound on the weighted space comes from the ratio bounds
+    (m, M); the k-th power of the perturbation is controlled
     through the binomial expansion with row bounds alpha_j scaled by
     g_k = sum_i C(k, i) (sum alpha)^(i-1).
     """
     c = 0.0
-    for j in range(1, sup_window + 1):
+    for j in range(1, _SUP_WINDOW + 1):
         aj = b.alpha(j)
         c = max(c, aj, aj / b.weights(j))
     g_k = sum(

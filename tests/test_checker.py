@@ -26,7 +26,8 @@ from gausscomp.checker import (
     snr_form_value,
     thm51_suite,
 )
-from gausscomp.gaussmeas import Box, DivergenceError, QuadSpec, chi_norm_sq
+from gausscomp import gaussmeas
+from gausscomp.gaussmeas import Box, DivergenceError, chi_norm_sq
 from gausscomp.hermite import HermiteModel
 
 RNG = np.random.default_rng(2024)
@@ -288,15 +289,14 @@ def test_normality_transpose_agrees():
 # -- hyponormality consequence ----------------------------------------------
 
 def test_hyponormality_contracting_diagonal():
-    rep = hyponormality_consequence(np.array([[0.5]]), trials=200, seed=3)
+    rep = hyponormality_consequence(np.array([[0.5]]))
     assert rep.verdict == "pass"
     assert rep.payload["worst_form_value"] >= -1e-7
     assert rep.payload["worst_adjoint_norm_excess"] <= 1e-7
 
 
 def test_hyponormality_two_dims():
-    rep = hyponormality_consequence(np.diag([0.5, 1.0 / 3.0]),
-                                    model_degree=4, trials=50, seed=4)
+    rep = hyponormality_consequence(np.diag([0.5, 1.0 / 3.0]), model_degree=4)
     assert rep.verdict == "pass"
 
 
@@ -404,10 +404,10 @@ def test_thm51_diagonal_family():
 
 @pytest.mark.parametrize("suite,name", [(thm51_suite, "finiteness"),
                                         (prop52_suite, "box_norm_finite")])
-def test_unconverged_box_quadrature_is_never_a_pass(suite, name):
+def test_unconverged_box_quadrature_is_never_a_pass(monkeypatch, suite, name):
+    monkeypatch.setattr(gaussmeas, "_MAX_POINTS", 20)
     sym = PerturbedIdentity.geometric(0.5).symbol
-    reports = suite(sym, BlockPartition.unit(8), 2, 1, 4, [Box(3, 1.0)],
-                    quad=QuadSpec(max_points=20))
+    reports = suite(sym, BlockPartition.unit(8), 2, 1, 4, [Box(3, 1.0)])
     finite = [r for r in reports if r.name.startswith(name)]
     assert finite and all(r.verdict == "evidence" for r in finite)
     assert all("not computable" in r.payload["detail"] for r in finite)
@@ -486,3 +486,20 @@ def test_report_serialization_plain_types():
     d = rep.to_dict()
     assert isinstance(d["payload"]["commutator_frobenius"], float)
     assert d["verdict"] == "pass"
+
+
+def test_fixed_tolerances_reach_the_reports():
+    # the tuning values are constants; a report still records each one, and
+    # changing a constant means changing this test on purpose
+    t = gram_construct(np.ones((1, 1, 1), dtype=complex))
+    assert form_positivity_evidence(t).tolerances == {"tol_psd": 1e-10}
+    rep = hyponormality_consequence(np.array([[0.5]]), model_degree=2)
+    assert rep.tolerances == {"tol": 1e-7}
+    prop52 = {r.name: r for r in prop52_suite(
+        ex53_symbol(), BlockPartition.unit(8), 1, 0, 3, [Box(1, 1.0)])}
+    assert prop52["inverse_in_block_class"].tolerances == {"rank_tol": 1e-10}
+    prop56 = {r.name: r for r in prop56_suite(
+        PerturbedIdentity.geometric(0.5), BlockPartition.unit(16), 1, 1,
+        rho=None, L=16)}
+    assert prop56["power_entry_bound"].params["window"] == 12
+    assert len(LambdaGrid().points()) == 1537

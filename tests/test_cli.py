@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -296,10 +297,24 @@ def test_example_csv_output(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out.exists()
-    csv = (tmp_path / "example_banded_determinants.csv").read_text()
-    lines = csv.strip().splitlines()
+    text = (tmp_path / "example_banded_determinants.csv").read_text()
+    lines = text.strip().splitlines()
     assert lines[0] == "l,det,lower,upper"
     assert len(lines) == 9
+
+
+def test_rn_point_csv_keeps_two_columns(tmp_path, capsys):
+    # the point's own commas are quoted, not taken as column separators
+    code = main(["rn", "--builtin", "ex53", "--kappa", "2", "--point",
+                 "0.1,0.2", "--box", "1", "--outdir", str(tmp_path),
+                 "--output", str(tmp_path / "rn.json")])
+    capsys.readouterr()
+    assert code == 0
+    with open(tmp_path / "rn_values.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["point", "h"]
+    assert len(rows) == 2 and len(rows[1]) == 2 and rows[1][0] == "0.1,0.2"
+    assert float(rows[1][1]) > 0
 
 
 # -- file formats -----------------------------------------------------------
@@ -337,27 +352,43 @@ def test_short_partition_file_is_bad_input(tmp_path, capsys, suite):
     assert "--partition-file" in err and "--L 6" in err
 
 
-@pytest.mark.parametrize("suite", ["thm51", "prop52", "prop56"])
-def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite):
-    # an empty file is rejected, not replaced by the unit partition
+@pytest.mark.parametrize("suite,text,message", [
+    pytest.param(suite, "\n", "empty partition file", id=suite)
+    for suite in ("thm51", "prop52", "prop56")] + [
+    pytest.param("thm51", "1 2 x\n", "'x'", id="non-integer-token"),
+])
+def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite, text,
+                                           message):
+    # an empty file is rejected, not replaced by the unit partition, and a
+    # bad token is quoted
     p = tmp_path / "part.txt"
-    p.write_text("\n")
+    p.write_text(text)
     code = main(["check", suite, "--builtin", "ex59",
                  "--partition-file", str(p)])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert str(p) in err and "empty partition file" in err
+    assert str(p) in err and message in err
 
 
-@pytest.mark.parametrize("rule", ["rule", "rule geometric_tridiagonal"])
-def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, rule):
+@pytest.mark.parametrize("text,line", [
+    pytest.param(f"banded 1\n{rule}\n", rule, id=rule)
+    for rule in ("rule", "rule geometric_tridiagonal")] + [
+    pytest.param("banded 1\n1 1\n", "1 1", id="entry-two-fields"),
+    pytest.param("banded 1\n1 1 x\n", "1 1 x", id="entry-non-numeric"),
+    pytest.param("banded x\n1 1 1.0\n", "banded x", id="header-eta"),
+])
+def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
+                                                  line):
+    # a malformed rule, entry or header line: the error names the file and
+    # quotes the line
     p = tmp_path / "sym.txt"
-    p.write_text(f"banded 1\n{rule}\n")
+    p.write_text(text)
     with pytest.raises(CliError, match=str(p)):
         load_symbol(str(p))
     code = main(["check", "prop52", "--file", str(p)])
     out, err = capsys.readouterr()
-    assert code == 3 and out == "" and str(p) in err
+    assert code == 3 and out == ""
+    assert str(p) in err and repr(line) in err
 
 
 def test_check_with_symbol_file(tmp_path, capsys):

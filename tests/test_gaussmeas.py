@@ -6,12 +6,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from gausscomp import gaussmeas
 from gausscomp.banded import PerturbedIdentity
 from gausscomp.gaussmeas import (
     Box,
     DivergenceError,
     GaussianSpace,
-    QuadSpec,
     RnDerivative,
     chi_norm_sq,
     diag_closed_form,
@@ -302,12 +302,13 @@ def test_chi_norm_coupled_three_dims_matches_mpmath():
 
 
 @pytest.mark.parametrize("l,d", [(12, 4), (14, 5)])
-def test_chi_norm_coupled_high_dims_within_default_budget(l, d):
-    # the default QuadSpec converges, and a 1000x tighter target moves the
-    # value by less than the default target
+def test_chi_norm_coupled_high_dims_within_default_budget(monkeypatch, l, d):
+    # the fixed budget converges, and a 1000x tighter target moves the
+    # value by less than the fixed target
     A = PerturbedIdentity.geometric(0.5).symbol.window(l)
     val = chi_norm_sq(A, 2, Box(d, 1.0))
-    tight = chi_norm_sq(A, 2, Box(d, 1.0), QuadSpec(target=1e-12))
+    monkeypatch.setattr(gaussmeas, "_TARGET", 1e-12)
+    tight = chi_norm_sq(A, 2, Box(d, 1.0))
     assert math.isfinite(val) and val == pytest.approx(tight, rel=1e-9)
 
 
@@ -333,23 +334,26 @@ def test_chi_norm_negative_curvature_box_matches_quadrature(alpha):
 
 
 @pytest.mark.parametrize("max_points", [100, 10_000])
-def test_coupled_box_unconverged_raises(max_points):
+def test_coupled_box_unconverged_raises(monkeypatch, max_points):
     # a coupled 5-dim box: after the closed-form coordinate, 10_000 points
     # admit the first rule (8^4) but not its refinement (16^4)
+    monkeypatch.setattr(gaussmeas, "_MAX_POINTS", max_points)
     A = PerturbedIdentity.geometric(0.5).symbol.window(14)
     with pytest.raises(ValueError, match="did not converge"):
-        chi_norm_sq(A, 2, Box(5, 1.0), QuadSpec(max_points=max_points))
+        chi_norm_sq(A, 2, Box(5, 1.0))
 
 
-@pytest.mark.parametrize("quad,last", [
-    (QuadSpec(max_points=100), 8),       # the first rule is over budget
-    (QuadSpec(max_points=10_000), 16),   # the refinement is over budget
-    (QuadSpec(max_order=15), 8),         # no refinement within max_order
+@pytest.mark.parametrize("constant,value,last", [
+    ("_MAX_POINTS", 100, 8),       # the first rule is over budget
+    ("_MAX_POINTS", 10_000, 16),   # the refinement is over budget
+    ("_MAX_ORDER", 15, 8),         # no refinement within the largest order
 ], ids=["first-over-budget", "refinement-over-budget", "max-order"])
-def test_coupled_box_unconverged_names_last_order(quad, last):
+def test_coupled_box_unconverged_names_last_order(monkeypatch, constant,
+                                                  value, last):
+    monkeypatch.setattr(gaussmeas, constant, value)
     A = PerturbedIdentity.geometric(0.5).symbol.window(14)
     with pytest.raises(ValueError, match=rf"\(last order {last}\)"):
-        chi_norm_sq(A, 2, Box(5, 1.0), quad)
+        chi_norm_sq(A, 2, Box(5, 1.0))
 
 
 # -- products ---------------------------------------------------------------
