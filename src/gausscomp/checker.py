@@ -84,21 +84,22 @@ class CheckReport:
         }
 
 
+def _leaf(obj):
+    """A numpy array or scalar as Python values; json.dumps' `default`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _plain(obj):
     """Recursively convert numpy scalars/arrays for serialization."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    return _leaf(obj) if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import json
 import math
 import os
@@ -150,9 +151,7 @@ def load_symbol(path):
         try:
             parts = lines[1].split()
             name, params = parts[1], parts[2:]
-            if name == "identity":
-                return BandedSymbol.identity()
-            if name in ("diag", "ex53"):
+            if name in ("identity", "diag", "ex53"):
                 expr = params[0] if params else "1-2^-j"
                 return _builtin_symbol(
                     name, argparse.Namespace(alphas=expr, q=None))
@@ -176,7 +175,10 @@ def load_symbol(path):
         except ValueError:
             raise CliError(f"{path}: entry line {ln!r} must be 'i j value' "
                            "with integer i, j") from None
-    return BandedSymbol.from_entries(eta, entries, kind=kind)
+    try:
+        return BandedSymbol.from_entries(eta, entries, kind=kind)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def load_partition(path):
@@ -188,7 +190,10 @@ def load_partition(path):
     if bad is not None:
         raise CliError(f"{path}: partition token {bad!r} is not an unsigned "
                        "integer")
-    return BlockPartition([int(v) for v in vals])
+    try:
+        return BlockPartition([int(v) for v in vals])
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _resolve_symbol(args):
@@ -213,9 +218,9 @@ def _exit_code(reports):
 def _emit(args, command, config, reports, tables=None):
     body = {
         "command": command,
-        "config": checker._plain(config),
+        "config": config,
         "reports": [r.to_dict() for r in reports],
-        "tables": {name: {"columns": cols, "rows": checker._plain(rows)}
+        "tables": {name: {"columns": cols, "rows": rows}
                    for name, (cols, rows) in (tables or {}).items()},
     }
     doc = {
@@ -225,8 +230,9 @@ def _emit(args, command, config, reports, tables=None):
         },
         "body": body,
     }
-    # a non-finite number is never written: ValueError, exit code 3
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    # numpy leaves go through the hook; a non-finite number: ValueError, exit 3
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                      default=checker._leaf)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -249,6 +255,8 @@ def _emit(args, command, config, reports, tables=None):
 def cmd_rn(args):
     if args.kappa < 1:
         raise CliError("rn needs --kappa >= 1")
+    if args.power < 1:
+        raise CliError("rn needs --power >= 1")
     sym = _resolve_symbol(args)
     if isinstance(sym, PerturbedIdentity):
         sym = sym.symbol
@@ -427,6 +435,7 @@ def _add_common_args(p):
 
 
 def build_parser():
+    """A fresh parser; `main` builds one per process and reuses it."""
     parser = _Parser(prog="gausscomp",
                      description="Numerical checks for composition operators "
                                  "with banded matrix symbols over Gaussian "
@@ -475,10 +484,12 @@ def build_parser():
     return parser
 
 
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         if args.cmd == "check":
             args.L = args.L if args.L is not None else (
                 64 if args.suite == "prop56" else 6)
@@ -487,10 +498,7 @@ def main(argv=None):
         if args.cmd == "example" and args.L is None:
             args.L = 64 if args.which == "banded" else 6
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,10 +3,15 @@ import json
 import math
 import re
 
+import argparse
+
 import numpy as np
 import pytest
 
-from gausscomp.cli import CliError, _alpha_expr, load_partition, load_symbol, main
+from gausscomp import cli
+from gausscomp.checker import CheckReport
+from gausscomp.cli import (CliError, _alpha_expr, build_parser, load_partition,
+                           load_symbol, main)
 
 
 def run_cli(capsys, *argv):
@@ -235,14 +240,16 @@ def test_thm51_singular_corner_fails_naming_level(capsys):
     ("example", "singular", "--N", "1"),
     ("rn", "--builtin", "identity", "--kappa", "0"),
     ("rn", "--builtin", "ex53", "--kappa", "-1"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--power", "0", "--box", "1"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--power", "-1", "--box", "1"),
     ("example", "diag", "--k", "0"),
     ("example", "diag", "--k", "-1"),
     ("example", "diag", "--k", "nan"),
     ("example", "diag", "--k", "inf"),
 ], ids=["prop52-L0", "thm51-L0", "thm51-n0-r0", "prop52-n0-r0",
         "thm51-n-1", "prop52-n-1", "diag-L2", "banded-L1", "singular-N0",
-        "singular-N1", "rn-kappa0", "rn-kappa-1", "diag-k0", "diag-k-1",
-        "diag-k-nan", "diag-k-inf"])
+        "singular-N1", "rn-kappa0", "rn-kappa-1", "rn-power0", "rn-power-1",
+        "diag-k0", "diag-k-1", "diag-k-nan", "diag-k-inf"])
 def test_degenerate_sizes_are_bad_input(capsys, argv):
     # each of these used to pass on an empty check or crash
     code = main(list(argv))
@@ -256,6 +263,8 @@ def test_degenerate_sizes_are_bad_input(capsys, argv):
     (("example", "diag", "--k", "0"), "--k"),
     (("example", "diag", "--k", "nan"), "--k"),
     (("check", "thm51", "--builtin", "ex59", "--boxes", "1,inf"), "--boxes"),
+    (("rn", "--builtin", "ex53", "--power", "0", "--box", "1"), "--power"),
+    (("rn", "--builtin", "ex53", "--power", "-1", "--box", "1"), "--power"),
 ])
 def test_bad_size_error_names_the_flag(capsys, argv, flag):
     # not numpy's "negative dimensions" or a bare "math domain error"
@@ -356,11 +365,15 @@ def test_short_partition_file_is_bad_input(tmp_path, capsys, suite):
     pytest.param(suite, "\n", "empty partition file", id=suite)
     for suite in ("thm51", "prop52", "prop56")] + [
     pytest.param("thm51", "1 2 x\n", "'x'", id="non-integer-token"),
+    pytest.param("thm51", "0 1 2\n", "cut points must be positive",
+                 id="non-positive-cut"),
+    pytest.param("thm51", "3 2 1\n", "strictly increasing",
+                 id="decreasing-cuts"),
 ])
 def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite, text,
                                            message):
-    # an empty file is rejected, not replaced by the unit partition, and a
-    # bad token is quoted
+    # an empty file is rejected, not replaced by the unit partition, a bad
+    # token is quoted and an invalid cut sequence names the file
     p = tmp_path / "part.txt"
     p.write_text(text)
     code = main(["check", suite, "--builtin", "ex59",
@@ -370,17 +383,22 @@ def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite, text,
     assert str(p) in err and message in err
 
 
-@pytest.mark.parametrize("text,line", [
-    pytest.param(f"banded 1\n{rule}\n", rule, id=rule)
+@pytest.mark.parametrize("text,message", [
+    pytest.param(f"banded 1\n{rule}\n", repr(rule), id=rule)
     for rule in ("rule", "rule geometric_tridiagonal")] + [
-    pytest.param("banded 1\n1 1\n", "1 1", id="entry-two-fields"),
-    pytest.param("banded 1\n1 1 x\n", "1 1 x", id="entry-non-numeric"),
-    pytest.param("banded x\n1 1 1.0\n", "banded x", id="header-eta"),
+    pytest.param("banded 1\n1 1\n", "'1 1'", id="entry-two-fields"),
+    pytest.param("banded 1\n1 1 x\n", "'1 1 x'", id="entry-non-numeric"),
+    pytest.param("banded x\n1 1 1.0\n", "'banded x'", id="header-eta"),
+    pytest.param("banded 0\n1 2 0.5\n",
+                 "entry (1, 2) lies outside the declared band eta=0",
+                 id="entry-outside-band"),
+    pytest.param("banded 1\n0 1 0.5\n", "indices are 1-based",
+                 id="entry-zero-index"),
 ])
 def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
-                                                  line):
+                                                  message):
     # a malformed rule, entry or header line: the error names the file and
-    # quotes the line
+    # quotes the line; an entry the symbol rejects keeps the symbol's message
     p = tmp_path / "sym.txt"
     p.write_text(text)
     with pytest.raises(CliError, match=str(p)):
@@ -388,7 +406,7 @@ def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
     code = main(["check", "prop52", "--file", str(p)])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert str(p) in err and repr(line) in err
+    assert str(p) in err and message in err
 
 
 def test_check_with_symbol_file(tmp_path, capsys):
@@ -402,3 +420,77 @@ def test_missing_file_exits_three(capsys):
     code = main(["check", "prop52", "--file", "/nonexistent/sym.txt"])
     capsys.readouterr()
     assert code == 3
+
+
+# -- the shared parser --------------------------------------------------------
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # main parses every call with one parser; no value leaks into the next
+    code, doc = run_cli(capsys, "rn", "--builtin", "ex53", "--kappa", "2",
+                        "--point", "0.1,0.2", "--point", "0.3,0.4")
+    assert code == 0 and len(doc["body"]["tables"]["values"]["rows"]) == 2
+    code, doc = run_cli(capsys, "rn", "--builtin", "ex53", "--kappa", "2")
+    assert code == 0 and doc["body"]["tables"]["values"]["rows"] == []
+    code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59")
+    assert code == 0 and doc["body"]["config"]["L"] == 64
+    code, doc = run_cli(capsys, "check", "thm51", "--builtin", "ex53")
+    assert code == 2 and doc["body"]["config"]["L"] == 6
+    assert main(["check", "thm51", "--builtin", "ex53", "--L", "x"]) == 3
+    capsys.readouterr()
+    code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex53")
+    assert code == 0 and doc["body"]["config"]["L"] == 6
+
+
+def test_build_parser_returns_a_fresh_parser(capsys):
+    parser = build_parser()
+    assert parser is not build_parser()
+    assert cli._main_parser() is cli._main_parser()
+    parser.add_argument("--extra")
+    assert parser.parse_args(["--extra", "1", "example", "diag"]).extra == "1"
+    assert main(["--extra", "1", "example", "diag"]) == 3
+    capsys.readouterr()
+
+
+# -- the document format ------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("check", "prop52", "--builtin", "ex53", "--L", "3"),
+    ("example", "banded", "--q", "0.5", "--L", "8"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--point", "0.1,0.2",
+     "--box", "1"),
+], ids=["check", "example", "rn"])
+def test_output_is_indented_sorted_json(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) in (0, 2)
+    capsys.readouterr()
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _emitted(tmp_path, name, payload, rows):
+    out = tmp_path / f"{name}.json"
+    args = argparse.Namespace(output=str(out), outdir=None)
+    report = CheckReport(name="r", verdict="pass", payload=payload)
+    assert cli._emit(args, "t", {"x": rows[0][0]}, [report],
+                     {"tab": (["a", "b", "c", "d", "e"], rows)}) == 0
+    return [ln for ln in out.read_text().splitlines() if "timestamp" not in ln]
+
+
+def test_numpy_leaves_are_written_as_python_values(tmp_path):
+    numpy_row = [np.float32(0.25), np.int64(7), np.bool_(True),
+                 np.array([1.5, 2.0]), np.array([[1, 2], [3, 4]])]
+    python_row = [0.25, 7, True, [1.5, 2.0], [[1, 2], [3, 4]]]
+    numpy_payload = {"v": np.float64(0.1), "a": np.arange(3)}
+    python_payload = {"v": 0.1, "a": [0, 1, 2]}
+    assert _emitted(tmp_path, "np", numpy_payload, [numpy_row]) == \
+        _emitted(tmp_path, "py", python_payload, [python_row])
+
+
+def test_numpy_nan_in_a_table_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rn_eval", lambda d, x: np.array([1.0, np.nan]))
+    out = tmp_path / "rn.json"
+    code = main(["rn", "--builtin", "ex53", "--kappa", "1", "--point", "0",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert "NaN" not in err
