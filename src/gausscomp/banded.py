@@ -55,10 +55,9 @@ class BandedSymbol:
     an explicit finite window with implied zero extension.
     """
 
-    def __init__(self, kind, eta, entry_fn, decay=None, rule=None):
+    def __init__(self, eta, entry_fn, decay=None, rule=None):
         if eta < 0:
             raise ValueError("bandwidth must be nonnegative")
-        self.kind = kind
         self.eta = int(eta)
         self._entry_fn = entry_fn
         self.decay = decay
@@ -87,7 +86,6 @@ class BandedSymbol:
                 return _seq[j - 1]
 
         return cls(
-            "diagonal",
             0,
             lambda i, j: fn(i) if i == j else 0.0,
             decay=decay,
@@ -110,7 +108,6 @@ class BandedSymbol:
             return 0.0
 
         return cls(
-            "banded",
             1,
             entry,
             decay=DecayCertificate(C=max(1.0, abs(diag)), lam=abs(q)) if 0 < abs(q) < 1 else None,
@@ -118,7 +115,7 @@ class BandedSymbol:
         )
 
     @classmethod
-    def from_entries(cls, eta, entries, kind="banded", decay=None):
+    def from_entries(cls, eta, entries, decay=None):
         """Explicit symbol from a map (i, j) -> value, zero elsewhere."""
         table = {}
         for (i, j), v in entries.items():
@@ -129,17 +126,17 @@ class BandedSymbol:
                     f"entry ({i}, {j}) lies outside the declared band eta={eta}"
                 )
             table[(i, j)] = float(v)
-        return cls(kind, eta, lambda i, j: table.get((i, j), 0.0), decay=decay)
+        return cls(eta, lambda i, j: table.get((i, j), 0.0), decay=decay)
 
     @classmethod
-    def from_dense(cls, mat, eta=None, kind="banded", decay=None):
+    def from_dense(cls, mat, eta=None, decay=None):
         mat = np.asarray(mat, dtype=float)
         rows, cols = np.nonzero(mat)
         if eta is None:
             eta = int(np.max(np.abs(rows - cols), initial=0))
         entries = {(i + 1, j + 1): mat[i, j]
                    for i, j in zip(rows.tolist(), cols.tolist())}
-        return cls.from_entries(eta, entries, kind=kind, decay=decay)
+        return cls.from_entries(eta, entries, decay=decay)
 
     # -- access -----------------------------------------------------------
 
@@ -164,14 +161,11 @@ class BandedSymbol:
     def scaled(self, c):
         """The symbol c * a."""
         c = float(c)
-        return BandedSymbol(
-            self.kind, self.eta, lambda i, j: c * self._entry_fn(i, j)
-        )
+        return BandedSymbol(self.eta, lambda i, j: c * self._entry_fn(i, j))
 
     def plus_identity(self):
         """The symbol I + a (same bandwidth)."""
         return BandedSymbol(
-            self.kind,
             self.eta,
             lambda i, j: self._entry_fn(i, j) + (1.0 if i == j else 0.0),
         )
@@ -244,18 +238,18 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
     from rank failures.  A block's rank counts singular values above
     `_RANK_TOL` times the largest.
     """
-    n = s.cut(K)
-    # zero pattern: entries with row in block p and column beyond block p+1
-    for p in range(1, K):
-        rlo, rhi = s.block_rows(p)
-        for i in range(rlo, rhi + 1):
-            for j in range(s.cut(p + 1) + 1, n + 1):
-                if a.entry(i, j) != 0.0 or a.entry(j, i) != 0.0:
-                    return ClassFReport(False, (i, j), [])
+    W = a.window(s.cut(K))
+    # zero pattern: no entry between blocks two or more apart
+    part = np.searchsorted(s.s[:K], np.arange(1, len(W) + 1))  # block - 1
+    far = part[None, :] - part[:, None] >= 2
+    bad = np.argwhere(far & ((W != 0.0) | (W.T != 0.0)))
+    if len(bad):
+        i, j = bad[0] + 1
+        return ClassFReport(False, (int(i), int(j)), [])
     ranks = []
     ok = True
     for p in range(1, K):
-        blk = block(a, s, p, p + 1)
+        blk = W[s.cut(p - 1):s.cut(p), s.cut(p):s.cut(p + 1)]
         full = s.cut(p) - s.cut(p - 1)
         sv = np.linalg.svd(blk, compute_uv=False)
         smax = sv[0] if sv.size else 0.0
@@ -314,7 +308,7 @@ def power(a: BandedSymbol, k: int, window: int) -> BandedSymbol:
     big = a.window(window + k * a.eta)
     pw = np.linalg.matrix_power(big, k)[:window, :window]
     eta = min(k * a.eta, window - 1) if window > 1 else 0
-    return BandedSymbol.from_dense(pw, eta=eta, kind=a.kind)
+    return BandedSymbol.from_dense(pw, eta=eta)
 
 
 @dataclass
@@ -335,15 +329,18 @@ class PerturbedIdentity:
     alpha_sum: float            # certified sum of alpha_j
     weight_sum: float           # certified sum of p_j
     preconditions: tuple = ()   # ((name, ok), ...) family-level admissibility
-    validated_window: int = field(default=0)
+    validated_window: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0 < self.m < self.M:
             raise ValueError("ratio bounds require 0 < m < M")
-        self.validate_window(max(16, self.validated_window))
+        self.validate_window(16)
 
     def validate_window(self, n):
-        """Check symmetry, |bhat_ij| <= alpha_i and ratio bounds on [1, n]."""
+        """Check symmetry, |bhat_ij| <= alpha_i and ratio bounds on [1, n];
+        a window inside `validated_window` has been checked already."""
+        if n <= self.validated_window:
+            return
         b = self.base
         for i in range(1, n + 1):
             ai = self.alpha(i)
@@ -364,7 +361,7 @@ class PerturbedIdentity:
                     f"weight ratio p_{j+1}/p_{j} = {ratio} outside "
                     f"({self.m}, {self.M})"
                 )
-        self.validated_window = max(self.validated_window, n)
+        self.validated_window = n
 
     @property
     def symbol(self) -> BandedSymbol:

@@ -593,7 +593,8 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
     dets = det_sequence(b.symbol, s, min(L, len(s)))
     if rho is None:
         rho = 0.5 * float(np.min(np.abs(dets)))
-    floor_ok = bool(np.all(np.abs(dets) >= rho - 1e-12))
+    # a floor of zero admits a singular corner
+    floor_ok = rho > 0 and bool(np.all(np.abs(dets) >= rho - 1e-12))
     reports.append(CheckReport(
         name="determinant_floor",
         verdict="pass" if floor_ok else "fail",

@@ -11,7 +11,8 @@ additionally emitted as CSV files when an output directory is given (flag
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
 
-Symbol file format (text): first line `kind eta`, then either a line
+Symbol file format (text): first line `kind eta` (the kind is a label
+that is not read), then either a line
 `rule <name> <params...>` or explicit entries `i j value` one per line
 (1-based, zero extension outside).  Partition files hold whitespace-
 separated strictly increasing positive integers.
@@ -131,9 +132,7 @@ def _builtin_symbol(name, args):
         expr = args.alphas or "1-2^-j"
         return BandedSymbol.diagonal(_alpha_expr(expr),
                                      rule=("ex53", (expr,)))
-    if name == "ex59":
-        return PerturbedIdentity.geometric(args.q)
-    raise CliError(f"unknown builtin symbol {name!r}")
+    return PerturbedIdentity.geometric(args.q)
 
 
 def load_symbol(path):
@@ -146,13 +145,14 @@ def load_symbol(path):
     if len(head) != 2 or not head[1].isdecimal():
         raise CliError(f"{path}: header {lines[0]!r} must be 'kind eta' "
                        "with an unsigned integer eta")
-    kind, eta = head[0], int(head[1])
+    eta = int(head[1])
     if len(lines) >= 2 and lines[1].startswith("rule"):
         try:
             parts = lines[1].split()
             name, params = parts[1], parts[2:]
             if name in ("identity", "diag", "ex53"):
-                expr = params[0] if params else "1-2^-j"
+                # diag has no default sequence: params[0] raises, reported below
+                expr = params[0] if params or name == "diag" else "1-2^-j"
                 return _builtin_symbol(
                     name, argparse.Namespace(alphas=expr, q=None))
             if name == "ex59":
@@ -176,7 +176,7 @@ def load_symbol(path):
             raise CliError(f"{path}: entry line {ln!r} must be 'i j value' "
                            "with integer i, j") from None
     try:
-        return BandedSymbol.from_entries(eta, entries, kind=kind)
+        return BandedSymbol.from_entries(eta, entries)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -197,7 +197,7 @@ def load_partition(path):
 
 
 def _resolve_symbol(args):
-    if getattr(args, "file", None):
+    if args.file:
         return load_symbol(args.file)
     return _builtin_symbol(args.builtin, args)
 
@@ -301,6 +301,8 @@ def cmd_check(args):
             args.suite != "prop56" and args.n + args.r < 1):
         raise CliError("check needs --L >= 1, --n, --r >= 0 and, for thm51 "
                        "and prop52, --n + --r >= 1")
+    if args.rho is not None and not 0 < args.rho < math.inf:
+        raise CliError(f"--rho {args.rho} must be positive and finite")
     sym = _resolve_symbol(args)
     boxes = [Box(args.n + args.r, float(h))
              for h in (args.boxes.split(",") if args.boxes else ["1"])]
@@ -418,9 +420,11 @@ def _example_singular(args):
 
 
 def _add_symbol_args(p):
-    p.add_argument("--builtin",
-                   choices=["identity", "diag", "ex53", "ex59"])
-    p.add_argument("--file", help="symbol file (text format, see module doc)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin",
+                        choices=["identity", "diag", "ex53", "ex59"])
+    source.add_argument("--file",
+                        help="symbol file (text format, see module doc)")
     p.add_argument("--alphas", help="diagonal rule, expression in j")
     p.add_argument("--q", type=float, default=0.5,
                    help="off-diagonal ratio for builtin ex59")

@@ -17,8 +17,8 @@ its own.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -52,24 +52,6 @@ def hermite_values(points, max_degree):
     return out
 
 
-class _LRU(OrderedDict):
-    """Cache keyed by value and bounded to `size` entries; the least
-    recently used entry is evicted first."""
-
-    def __init__(self, size=256):
-        super().__init__()
-        self.size = size
-
-    def fetch(self, key, compute):
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        value = self[key] = compute()
-        if len(self) > self.size:
-            self.popitem(last=False)
-        return value
-
-
 class HermiteModel:
     """Tensor Hermite basis on R^kappa truncated by total degree.
 
@@ -78,8 +60,6 @@ class HermiteModel:
     and maps coefficient vectors to functions; every inner product over it
     is a coefficient dot product or an exact `gaussian_gram`.
     """
-
-    _cache = _LRU()
 
     def __init__(self, kappa, degree):
         self.kappa = int(kappa)
@@ -96,10 +76,11 @@ class HermiteModel:
         self._index_array = np.array(self.indices)
 
     @classmethod
-    def get(cls, kappa, degree):
-        """Cached model lookup, so that equal (kappa, degree) give the same
-        object: `gram` and `CylFunction.embed` compare models by identity."""
-        return cls._cache.fetch((kappa, degree), lambda: cls(kappa, degree))
+    @functools.lru_cache(maxsize=256)
+    def get(cls, kappa, degree, /):
+        """Cached model: equal (kappa, degree), passed by position, give the
+        same object, as `gram` and `CylFunction.embed` compare by identity."""
+        return cls(kappa, degree)
 
     @property
     def dim(self):
@@ -155,8 +136,6 @@ class CylFunction:
 # ---------------------------------------------------------------------------
 # operators
 
-_op_cache = _LRU()
-
 
 def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
     """Exact Gram (2 pi)^(-kappa/2) int phi_p(P x) phi_q(Q x)^T
@@ -197,27 +176,30 @@ def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool)
     matrices are cached by value.
     """
     A = np.asarray(A, dtype=float)
-    I = np.eye(model_in.kappa)
+    return _transfer_by_value(A.tobytes(), A.shape, model_in.kappa,
+                              model_in.degree, model_out.degree, adjoint)
 
-    def compute():
-        if not adjoint:
-            return (gaussian_gram(I, I, model_out, A, model_in),
-                    gaussian_gram(I, A, model_in, A, model_in))
-        K = 2.0 * I - A.T @ A
-        if float(np.linalg.eigvalsh(K)[0]) <= 1e-12:
-            raise ValueError(
-                "adjoint image is not square-integrable: combined exponent "
-                "matrix fails positive-definiteness"
-            )
-        sign, logdet = np.linalg.slogdet(A)
-        if sign == 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return (gaussian_gram(I, A, model_out, I, model_in),
-                gaussian_gram(K, I, model_in, I, model_in, -logdet))
 
-    key = (A.tobytes(), A.shape, model_in.kappa, model_in.degree,
-           model_out.degree, adjoint)
-    return _op_cache.fetch(key, compute)
+@functools.lru_cache(maxsize=256)
+def _transfer_by_value(data, shape, kappa, degree_in, degree_out, adjoint):
+    A = np.frombuffer(data).reshape(shape)
+    model_in = HermiteModel.get(kappa, degree_in)
+    model_out = HermiteModel.get(kappa, degree_out)
+    I = np.eye(kappa)
+    if not adjoint:
+        return (gaussian_gram(I, I, model_out, A, model_in),
+                gaussian_gram(I, A, model_in, A, model_in))
+    K = 2.0 * I - A.T @ A
+    if float(np.linalg.eigvalsh(K)[0]) <= 1e-12:
+        raise ValueError(
+            "adjoint image is not square-integrable: combined exponent "
+            "matrix fails positive-definiteness"
+        )
+    sign, logdet = np.linalg.slogdet(A)
+    if sign == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return (gaussian_gram(I, A, model_out, I, model_in),
+            gaussian_gram(K, I, model_in, I, model_in, -logdet))
 
 
 def _apply(A, f: CylFunction, target, adjoint, pad):

@@ -113,6 +113,54 @@ def test_class_F_scaling_invariance(q, c):
         in_class_F(geometric(q).scaled(c), s, 5).ok
 
 
+def class_F_by_entries(a, s, K):
+    """The nested `entry` walk that `in_class_F` replaced: the first
+    zero-pattern violation in row-major order, else the rank of every
+    block (p, p + 1) from `block`."""
+    n = s.cut(K)
+    for p in range(1, K):
+        rlo, rhi = s.block_rows(p)
+        for i in range(rlo, rhi + 1):
+            for j in range(s.cut(p + 1) + 1, n + 1):
+                if a.entry(i, j) != 0.0 or a.entry(j, i) != 0.0:
+                    return (i, j), []
+    ranks = []
+    for p in range(1, K):
+        sv = np.linalg.svd(block(a, s, p, p + 1), compute_uv=False)
+        smax = sv[0] if sv.size else 0.0
+        rank = int(np.sum(sv > 1e-10 * smax)) if smax > 0 else 0
+        ranks.append((p, rank, s.cut(p) - s.cut(p - 1)))
+    return None, ranks
+
+
+@st.composite
+def sparse_symbols(draw):
+    eta = draw(st.integers(0, 4))
+    s = BlockPartition(np.cumsum(draw(st.lists(st.integers(1, 3), min_size=1,
+                                               max_size=6))))
+    K = draw(st.integers(0, len(s)))
+    n = s.cut(len(s))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if abs(i - j) <= eta]
+    values = st.sampled_from([0.0, 1.0, -0.5, 2.0, 1e-12])
+    entries = draw(st.dictionaries(st.sampled_from(cells), values,
+                                   max_size=len(cells) // 3 + 1))
+    return BandedSymbol.from_entries(eta, entries), s, K
+
+
+@seed(11)
+@settings(max_examples=300, deadline=None)
+@given(sparse_symbols())
+def test_class_F_matches_entry_walk(case):
+    a, s, K = case
+    rep = in_class_F(a, s, K)
+    violation, ranks = class_F_by_entries(a, s, K)
+    assert rep.structural_violation == violation
+    assert rep.block_ranks == ranks
+    assert rep.ok == (violation is None
+                      and all(r in (0, full) for _, r, full in ranks))
+
+
 # -- determinants ----------------------------------------------------------
 
 def test_det_recursion_values_q_half():
@@ -272,6 +320,33 @@ def test_perturbed_identity_rejects_row_bound_violation():
         PerturbedIdentity(base=base, alpha=lambda j: 0.5**j * 0.1,
                           weights=lambda j: 0.5**j, m=0.25, M=0.75,
                           alpha_sum=0.2, weight_sum=1.0)
+
+
+def test_validate_window_checks_each_coordinate_once():
+    calls = []
+
+    def alpha(j):
+        calls.append(j)
+        return 0.5 ** (j - 1)
+
+    b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
+                          alpha=alpha, weights=lambda j: 0.5 ** j, m=0.25,
+                          M=0.75, alpha_sum=2.0, weight_sum=1.0)
+    assert b.validated_window == 16 and calls == list(range(1, 17))
+    calls.clear()
+    b.validate_window(10)
+    b.validate_window(16)
+    assert calls == []
+    b.validate_window(40)
+    assert b.validated_window == 40 and calls == list(range(1, 41))
+
+
+def test_validated_window_is_not_an_argument():
+    with pytest.raises(TypeError):
+        PerturbedIdentity(base=BandedSymbol.from_entries(1, {}),
+                          alpha=lambda j: 1.0, weights=lambda j: 0.5 ** j,
+                          m=0.25, M=0.75, alpha_sum=1.0, weight_sum=1.0,
+                          validated_window=100)
 
 
 def test_partition_validation():

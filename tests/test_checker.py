@@ -481,6 +481,21 @@ def test_prop56_zero_perturbation_trivial():
     assert all(r.verdict == "pass" for r in reports)
 
 
+def test_prop56_singular_corner_fails_the_floor():
+    # b_2 = [[1, 1], [1, 1]] is singular; half its |det| is no floor
+    base = BandedSymbol.from_entries(1, {(1, 2): 1.0, (2, 1): 1.0})
+    b = PerturbedIdentity(base=base,
+                          alpha=lambda j: 1.0 if j <= 2 else 0.5 ** j,
+                          weights=lambda j: 0.5 ** j, m=0.25, M=0.75,
+                          alpha_sum=3.0, weight_sum=1.0)
+    reports = {r.name: r for r in prop56_suite(b, BlockPartition.unit(10),
+                                                1, 1, None, L=8)}
+    floor = reports["determinant_floor"]
+    assert floor.verdict == "fail"
+    assert floor.payload["min_abs_det"] == 0.0 and floor.payload["rho"] == 0.0
+    assert reports["conclusion"].verdict == "fail"
+
+
 def test_report_serialization_plain_types():
     rep = normality_test(np.eye(2))
     d = rep.to_dict()

@@ -110,6 +110,33 @@ def test_bad_input_exits_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rho", ["-1", "0", "nan", "inf"])
+def test_prop56_rho_must_be_positive_and_finite(tmp_path, capsys, rho):
+    out = tmp_path / "report.json"
+    code = main(["check", "prop56", "--builtin", "ex59", f"--rho={rho}",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.search(r"--rho\b", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "prop56", "--builtin", "ex59", "--q", "0.9"),
+    ("rn", "--builtin", "ex53"),
+    ("check", "prop56"),
+    ("rn",),
+], ids=["check-both", "rn-both", "check-neither", "rn-neither"])
+def test_symbol_needs_builtin_or_file_not_both(tmp_path, capsys, argv):
+    # with both flags the report named the builtin and evaluated the file
+    p = tmp_path / "sym.txt"
+    p.write_text("diagonal 0\nrule ex59 q=0.5\n")
+    extra = ["--file", str(p)] if "--builtin" in argv else []
+    code = main([*argv, *extra])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "--builtin" in err and "--file" in err
+
+
 # -- rn ---------------------------------------------------------------------
 
 def test_rn_identity_all_ones(capsys):
@@ -394,6 +421,7 @@ def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite, text,
                  id="entry-outside-band"),
     pytest.param("banded 1\n0 1 0.5\n", "indices are 1-based",
                  id="entry-zero-index"),
+    pytest.param("diagonal 0\nrule diag\n", "'rule diag'", id="rule-diag"),
 ])
 def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
                                                   message):

@@ -11,6 +11,7 @@ from gausscomp.hermite import (
     CylFunction,
     HermiteModel,
     _transfer,
+    _transfer_by_value,
     adjoint_apply,
     composition_apply,
     gaussian_gram,
@@ -53,6 +54,27 @@ def test_model_dim_binomial():
     # multi-indices with |beta| <= D in kappa variables
     assert HermiteModel.get(2, 6).dim == math.comb(8, 2)
     assert HermiteModel.get(3, 4).dim == math.comb(7, 3)
+
+
+def test_model_lookup_is_cached_by_value():
+    # `gram` and `CylFunction.embed` compare models by identity
+    assert HermiteModel.get(2, 5) is HermiteModel.get(2, 5)
+    assert HermiteModel.get(2, 5) is not HermiteModel.get(2, 4)
+    assert HermiteModel.get.cache_info().maxsize == 256
+    with pytest.raises(TypeError):
+        HermiteModel.get(kappa=2, degree=5)
+
+
+def test_transfer_is_cached_by_value():
+    model = HermiteModel.get(2, 3)
+    A = np.array([[0.6, 0.1], [-0.2, 0.5]])
+    S, G = _transfer(A, model, HermiteModel.get(2, 5), True)
+    hits = _transfer_by_value.cache_info().hits
+    # an equal-valued copy in another memory layout
+    S2, G2 = _transfer(A.copy(order="F"), model, HermiteModel.get(2, 5), True)
+    assert _transfer_by_value.cache_info().hits == hits + 1
+    assert S2 is S and G2 is G
+    assert _transfer_by_value.cache_info().maxsize == 256
 
 
 def test_graded_lex_ordering():
