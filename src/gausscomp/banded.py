@@ -337,12 +337,15 @@ class PerturbedIdentity:
         self.validate_window(16)
 
     def validate_window(self, n):
-        """Check symmetry, |bhat_ij| <= alpha_i and ratio bounds on [1, n];
-        a window inside `validated_window` has been checked already."""
-        if n <= self.validated_window:
+        """Check symmetry, |bhat_ij| <= alpha_i and ratio bounds on [1, n].
+
+        [1, validated_window] has been checked already, so only the rows
+        whose band reaches past it and the new weight ratios are."""
+        w = self.validated_window
+        if n <= w:
             return
         b = self.base
-        for i in range(1, n + 1):
+        for i in range(max(1, w - b.eta + 1), n + 1):
             ai = self.alpha(i)
             if ai <= 0:
                 raise ValueError(f"alpha_{i} must be positive")
@@ -354,7 +357,7 @@ class PerturbedIdentity:
                         f"|bhat_({i},{j})| = {abs(b.entry(i, j))} exceeds "
                         f"alpha_{i} = {ai}"
                     )
-        for j in range(1, n):
+        for j in range(max(1, w), n):
             ratio = self.weights(j + 1) / self.weights(j)
             if not self.m < ratio < self.M:
                 raise ValueError(

@@ -14,6 +14,7 @@ tolerance) and "evidence" (a sampled or truncated statement).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -152,6 +153,19 @@ def gram_construct(c) -> CoefficientTensor:
     return CoefficientTensor(a)
 
 
+@functools.cache
+def _polar_ring(radii, n_angles):
+    """The origin and n_angles points on each radius; read-only."""
+    pts = [0.0 + 0.0j]
+    for rho in radii:
+        for t in range(n_angles):
+            theta = 2.0 * math.pi * t / n_angles
+            pts.append(rho * complex(math.cos(theta), math.sin(theta)))
+    ring = np.array(pts)
+    ring.flags.writeable = False
+    return ring
+
+
 @dataclass(frozen=True)
 class LambdaGrid:
     """Sampling grid in the complex plane for the positivity form."""
@@ -163,19 +177,16 @@ class LambdaGrid:
     seed: int = 0
 
     def points(self):
-        pts = [0.0 + 0.0j]
-        for rho in self.radii:
-            for t in range(self.n_angles):
-                theta = 2.0 * math.pi * t / self.n_angles
-                pts.append(rho * complex(math.cos(theta), math.sin(theta)))
+        """The polar ring, then n_random points uniform on the disc of
+        `random_radius`, by rejection from the square in draw order."""
         rng = np.random.default_rng(self.seed)
-        for _ in range(self.n_random):
-            while True:
-                z = complex(*(rng.uniform(-1, 1, 2) * self.random_radius))
-                if abs(z) <= self.random_radius:
-                    pts.append(z)
-                    break
-        return np.array(pts)
+        R = self.random_radius
+        kept = np.empty((0, 2))
+        while len(kept) < self.n_random:
+            xy = rng.uniform(-1, 1, (2 * self.n_random, 2)) * R
+            kept = np.concatenate([kept, xy[np.hypot(*xy.T) <= R]])
+        disc = kept[:self.n_random].view(complex)[:, 0]
+        return np.concatenate([_polar_ring(self.radii, self.n_angles), disc])
 
 
 def form_positivity_evidence(c: CoefficientTensor,

@@ -301,6 +301,8 @@ def cmd_check(args):
             args.suite != "prop56" and args.n + args.r < 1):
         raise CliError("check needs --L >= 1, --n, --r >= 0 and, for thm51 "
                        "and prop52, --n + --r >= 1")
+    if args.rho is not None and args.suite != "prop56":
+        raise CliError(f"--rho is read only by prop56, not by {args.suite}")
     if args.rho is not None and not 0 < args.rho < math.inf:
         raise CliError(f"--rho {args.rho} must be positive and finite")
     sym = _resolve_symbol(args)

@@ -13,6 +13,11 @@ whitens E by its Cholesky factor and applies the tensor Gauss-Hermite rule
 that is exact for the degree at hand, so the matrices carry rounding error
 only.  It is the only Gauss-Hermite rule here: a model holds no grid of
 its own.
+
+Three bounded `functools.lru_cache`s, keyed by value, hold what is built
+once per process: models by (kappa, degree), operator matrices by the
+symbol's bytes and both degrees, and the read-only tensor rules by
+(order, kappa).
 """
 
 from __future__ import annotations
@@ -35,21 +40,29 @@ __all__ = [
 ]
 
 
+# sqrt(n!) for every n whose factorial is a finite double
+_SQRT_FACTORIAL = np.array([math.sqrt(math.factorial(n)) for n in range(171)])
+
+
+def _hermite_rows(x, max_degree):
+    """Orthonormal Hermite values, degree first: shape (max_degree + 1,
+    *x.shape), so each step of the recurrence writes one contiguous row."""
+    out = np.empty((max_degree + 1,) + x.shape)
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = x
+    for n in range(1, max_degree):
+        out[n + 1] = x * out[n] - n * out[n - 1]
+    out /= _SQRT_FACTORIAL[:max_degree + 1].reshape((-1,) + (1,) * x.ndim)
+    return out
+
+
 def hermite_values(points, max_degree):
     """Orthonormal probabilists' Hermite values He_n(x)/sqrt(n!).
 
     Returns an array of shape (len(points), max_degree + 1).
     """
-    x = np.asarray(points, dtype=float)
-    out = np.empty((len(x), max_degree + 1))
-    out[:, 0] = 1.0
-    if max_degree >= 1:
-        out[:, 1] = x
-    for n in range(1, max_degree):
-        out[:, n + 1] = x * out[:, n] - n * out[:, n - 1]
-    for n in range(max_degree + 1):
-        out[:, n] /= math.sqrt(math.factorial(n))
-    return out
+    return _hermite_rows(np.asarray(points, dtype=float), max_degree).T
 
 
 class HermiteModel:
@@ -90,9 +103,10 @@ class HermiteModel:
         """Values of every basis function at the points, (npts, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = self._index_array
-        out = hermite_values(pts[:, 0], self.degree)[:, idx[:, 0]]
+        H = _hermite_rows(pts.T, self.degree)   # (degree + 1, kappa, npts)
+        out = H[idx[:, 0], 0].T
         for c in range(1, self.kappa):
-            out *= hermite_values(pts[:, c], self.degree)[:, idx[:, c]]
+            out *= H[idx[:, c], c].T
         return out
 
     def function(self, coef):
@@ -137,6 +151,19 @@ class CylFunction:
 # operators
 
 
+@functools.lru_cache(maxsize=256)
+def _tensor_rule(n, kappa):
+    """Tensor Gauss-Hermite rule of order n on R^kappa with expectation
+    weights under the standard Gaussian: read-only nodes (n**kappa, kappa)
+    and weights (n**kappa,)."""
+    z, w = hermegauss(n)
+    grid = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(n)] * kappa, indexing="ij")], axis=-1)
+    nodes, weights = z[grid], np.prod(w[grid] / w.sum(), axis=1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
     """Exact Gram (2 pi)^(-kappa/2) int phi_p(P x) phi_q(Q x)^T
     exp(-x^T E x / 2) dx, times exp(log_scale), for phi_p, phi_q the bases
@@ -150,12 +177,9 @@ def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
     """
     L = np.linalg.cholesky(E)
     n = max((model_p.degree + model_q.degree) // 2 + 1, order or 0)
-    z, w = hermegauss(n)
-    grid = np.stack([g.ravel() for g in np.meshgrid(
-        *[np.arange(n)] * len(L), indexing="ij")], axis=-1)
-    X = np.linalg.solve(L.T, z[grid].T).T
-    W = np.prod(w[grid] / w.sum(), axis=1) * math.exp(
-        log_scale - float(np.sum(np.log(np.diag(L)))))
+    Z, W = _tensor_rule(n, len(L))
+    X = np.linalg.solve(L.T, Z.T).T
+    W = W * math.exp(log_scale - float(np.sum(np.log(np.diag(L)))))
     Vp = model_p.basis_matrix(X @ P.T)
     Vq = Vp if Q is P and model_q is model_p else \
         model_q.basis_matrix(X @ Q.T)

@@ -338,7 +338,38 @@ def test_validate_window_checks_each_coordinate_once():
     b.validate_window(16)
     assert calls == []
     b.validate_window(40)
-    assert b.validated_window == 40 and calls == list(range(1, 41))
+    # only rows whose band reaches past the old window 16 are checked again
+    assert b.validated_window == 40 and calls == list(range(16, 41))
+
+
+@pytest.mark.parametrize("eta,i,j", [(1, 16, 17), (2, 16, 17), (2, 15, 17)])
+def test_validate_window_growth_checks_the_old_edge(eta, i, j):
+    # an entry in a row inside the validated window [1, 16] whose column
+    # lies past it is first seen when the window grows
+    asym = BandedSymbol.from_entries(eta, {(i, j): 0.5, (j, i): 0.4})
+    b = PerturbedIdentity(base=asym, alpha=lambda k: 1.0,
+                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+                          alpha_sum=40.0, weight_sum=1.0)
+    assert b.validated_window == 16
+    with pytest.raises(ValueError, match=rf"not symmetric at \({i}, {j}\)"):
+        b.validate_window(40)
+    assert b.validated_window == 16
+    # row j's own bound is loose, so only row i can see the violation
+    big = BandedSymbol.from_entries(eta, {(i, j): 2.0, (j, i): 2.0})
+    b = PerturbedIdentity(base=big, alpha=lambda k: 3.0 if k == j else 1.0,
+                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+                          alpha_sum=40.0, weight_sum=1.0)
+    with pytest.raises(ValueError, match=rf"\|bhat_\({i},{j}\)\| = 2.0 "):
+        b.validate_window(40)
+
+
+def test_validate_window_growth_checks_the_new_weight_ratios():
+    b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
+                          alpha=lambda k: 1.0,
+                          weights=lambda k: 0.5 ** k if k <= 16 else 0.1 ** k,
+                          m=0.25, M=0.75, alpha_sum=40.0, weight_sum=1.0)
+    with pytest.raises(ValueError, match=r"p_17/p_16"):
+        b.validate_window(40)
 
 
 def test_validated_window_is_not_an_argument():

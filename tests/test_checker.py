@@ -101,6 +101,44 @@ def test_lambda_grid_reproducible():
     np.testing.assert_array_equal(g.points(), LambdaGrid(seed=5).points())
 
 
+def per_point_grid(grid):
+    """The grid drawn one rejection sample at a time."""
+    pts = [0.0 + 0.0j]
+    for rho in grid.radii:
+        for t in range(grid.n_angles):
+            theta = 2.0 * math.pi * t / grid.n_angles
+            pts.append(rho * complex(math.cos(theta), math.sin(theta)))
+    rng = np.random.default_rng(grid.seed)
+    for _ in range(grid.n_random):
+        while True:
+            z = complex(*(rng.uniform(-1, 1, 2) * grid.random_radius))
+            if abs(z) <= grid.random_radius:
+                pts.append(z)
+                break
+    return np.array(pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lambda_grid_is_the_per_point_rejection_stream(seed):
+    grid = LambdaGrid(seed=seed)
+    np.testing.assert_array_equal(grid.points(), per_point_grid(grid))
+
+
+class FewRandomPoints(LambdaGrid):
+    n_random = 2
+
+
+@pytest.mark.parametrize("seed", [13, 25, 28, 60])
+def test_lambda_grid_draws_again_when_a_batch_keeps_too_few(seed):
+    # `points` draws 2 * n_random pairs at a time; these seeds keep fewer
+    # than 2 of their first 4
+    first = np.random.default_rng(seed).uniform(-1, 1, (4, 2)) * 3.0
+    assert np.sum(np.hypot(*first.T) <= 3.0) < 2
+    grid = FewRandomPoints(seed=seed)
+    np.testing.assert_array_equal(grid.points(), per_point_grid(grid))
+
+
 # -- the bilinear form of adjoint powers ------------------------------------
 
 def test_snr_reduces_to_norm_sum_for_degree_zero():

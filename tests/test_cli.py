@@ -120,6 +120,17 @@ def test_prop56_rho_must_be_positive_and_finite(tmp_path, capsys, rho):
     assert re.search(r"--rho\b", err)
 
 
+@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+def test_rho_is_bad_input_outside_prop56(tmp_path, capsys, suite):
+    # it was accepted and ignored: --rho 0.5 and --rho 7 wrote one body
+    out = tmp_path / "report.json"
+    code = main(["check", suite, "--builtin", "ex53", "--L", "4",
+                 "--rho", "0.5", "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.search(r"--rho\b", err) and "prop56" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "prop56", "--builtin", "ex59", "--q", "0.9"),
     ("rn", "--builtin", "ex53"),

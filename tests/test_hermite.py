@@ -10,6 +10,7 @@ from gausscomp.gaussmeas import chi_norm_sq
 from gausscomp.hermite import (
     CylFunction,
     HermiteModel,
+    _tensor_rule,
     _transfer,
     _transfer_by_value,
     adjoint_apply,
@@ -39,6 +40,15 @@ def test_hermite_values_low_degrees():
     np.testing.assert_allclose(vals[:, 1], x)
     np.testing.assert_allclose(vals[:, 2], (x**2 - 1.0) / math.sqrt(2.0))
     np.testing.assert_allclose(vals[:, 3], (x**3 - 3 * x) / math.sqrt(6.0))
+
+
+def test_hermite_values_match_hermeval_to_degree_20():
+    x = np.linspace(-6.0, 6.0, 49)
+    vals = hermite_values(x, 20)
+    assert vals.shape == (49, 21)
+    for n in range(21):
+        ref = hermeval(x, np.eye(n + 1)[n]) / math.sqrt(math.factorial(n))
+        np.testing.assert_allclose(vals[:, n], ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kappa,degree", [(1, 8), (2, 6), (3, 4)])
@@ -312,3 +322,38 @@ def test_gram_rule_order_raise_is_rounding_only(kappa, degree, seed):
                                order=(mp.degree + mq.degree) // 2 + 2)
         assert np.max(np.abs(raised - exact)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(exact))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_gram_reads_the_rule_it_would_build(kappa, deg_p, deg_q, raise_by,
+                                            seed):
+    # the cached rule changes no bit: the uncached formula, with the rule
+    # built here, gives the same Gram
+    rng = np.random.default_rng(seed)
+    A = well_conditioned(kappa, seed)
+    E = 2.0 * np.eye(kappa) - A.T @ A
+    P, Q = A, rng.standard_normal((kappa, kappa))
+    mp, mq = HermiteModel.get(kappa, deg_p), HermiteModel.get(kappa, deg_q)
+    n = (deg_p + deg_q) // 2 + 1 + raise_by
+    log_scale = float(rng.uniform(-1.0, 1.0))
+    L = np.linalg.cholesky(E)
+    Z, W = gauss_hermite_rule(kappa, n)
+    X = np.linalg.solve(L.T, Z.T).T
+    W = W * math.exp(log_scale - float(np.sum(np.log(np.diag(L)))))
+    expected = mp.basis_matrix(X @ P.T).T @ (W[:, None] *
+                                             mq.basis_matrix(X @ Q.T))
+    got = gaussian_gram(E, P, mp, Q, mq, log_scale,
+                        order=n if raise_by else None)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_tensor_rule_is_cached_and_read_only():
+    Z, W = _tensor_rule(4, 2)
+    assert Z.shape == (16, 2) and W.shape == (16,)
+    assert _tensor_rule(4, 2)[0] is Z
+    assert _tensor_rule.cache_info().maxsize == 256
+    for arr in (Z, W):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
