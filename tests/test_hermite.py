@@ -51,6 +51,32 @@ def test_hermite_values_match_hermeval_to_degree_20():
         np.testing.assert_allclose(vals[:, n], ref, rtol=1e-12, atol=1e-12)
 
 
+def column_hermite_values(x, max_degree):
+    """The recurrence one point-major column at a time."""
+    out = np.empty((len(x), max_degree + 1))
+    out[:, 0] = 1.0
+    if max_degree >= 1:
+        out[:, 1] = x
+    for n in range(1, max_degree):
+        out[:, n + 1] = x * out[:, n] - n * out[:, n - 1]
+    for n in range(max_degree + 1):
+        out[:, n] /= math.sqrt(math.factorial(n))
+    return out
+
+
+@pytest.mark.parametrize("kappa,degree", [(1, 20), (2, 12), (3, 6)])
+def test_basis_is_the_column_recurrence_bit_for_bit(kappa, degree):
+    X = RNG.standard_normal((40, kappa)) * 2.0
+    model = HermiteModel.get(kappa, degree)
+    expected = np.ones((40, model.dim))
+    for c in range(kappa):
+        expected *= column_hermite_values(X[:, c], degree)[
+            :, model._index_array[:, c]]
+    np.testing.assert_array_equal(model.basis_matrix(X), expected)
+    np.testing.assert_array_equal(hermite_values(X[:, 0], degree),
+                                  column_hermite_values(X[:, 0], degree))
+
+
 @pytest.mark.parametrize("kappa,degree", [(1, 8), (2, 6), (3, 4)])
 def test_basis_orthonormal(kappa, degree):
     model = HermiteModel.get(kappa, degree)
