@@ -1,10 +1,10 @@
 """Banded infinite-matrix symbols and their finite truncations.
 
-A symbol is an infinite real matrix with finite bandwidth, addressed with
-1-based indices.  All operations materialize finite windows as dense numpy
-arrays; entries outside an explicit window are zero by convention, while
-rule-based symbols (diagonal sequences, geometric off-diagonals) extend to
-any requested window.
+A symbol is an infinite real matrix with finite bandwidth eta and 1-based
+indices, held as its band: `bands(lo, hi)` returns columns lo..hi in the
+LAPACK "ab" layout, ab[eta + i - j, j - lo] = a_ij (Golub & Van Loan 4.3),
+and every view reads it.  Explicit symbols store a finite band with zero
+extension; rule-based symbols produce any requested columns.
 """
 
 from __future__ import annotations
@@ -49,48 +49,37 @@ class DecayCertificate:
 
 
 class BandedSymbol:
-    """Infinite real matrix with finite bandwidth.
+    """Infinite real matrix with finite bandwidth; `band(lo, hi)` returns
+    columns lo..hi in the "ab" layout, or a stored band's first of them."""
 
-    Entries are produced either by a rule ``entry_fn(i, j)`` (1-based) or by
-    an explicit finite window with implied zero extension.
-    """
-
-    def __init__(self, eta, entry_fn, decay=None, rule=None):
+    def __init__(self, eta, band, decay=None, rule=None):
         if eta < 0:
             raise ValueError("bandwidth must be nonnegative")
         self.eta = int(eta)
-        self._entry_fn = entry_fn
+        self._band = band
         self.decay = decay
-        self.rule = rule  # (name, params) for serialization, or None
+        self.rule = rule  # (name, params) of a geometric rule, or None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def identity(cls):
-        return cls.diagonal(lambda j: 1.0, rule=("identity", ()))
+        return cls.diagonal(lambda j: 1.0)
 
     @classmethod
-    def diagonal(cls, alpha, decay=None, rule=None):
+    def diagonal(cls, alpha, decay=None):
         """Diagonal symbol with entries alpha(j) or a finite sequence."""
-        if callable(alpha):
-            fn = alpha
-        else:
+        if not callable(alpha):
             seq = [float(v) for v in alpha]
 
-            def fn(j, _seq=seq):
-                if j > len(_seq):
-                    raise IndexError(
-                        f"diagonal sequence materialized to {len(_seq)}, "
-                        f"index {j} requested"
-                    )
-                return _seq[j - 1]
+            def alpha(j):
+                if j > len(seq):
+                    raise IndexError(f"diagonal sequence materialized to "
+                                     f"{len(seq)}, index {j} requested")
+                return seq[j - 1]
 
-        return cls(
-            0,
-            lambda i, j: fn(i) if i == j else 0.0,
-            decay=decay,
-            rule=rule,
-        )
+        return cls(0, lambda lo, hi: [[alpha(j) for j in range(lo, hi + 1)]],
+                   decay=decay)
 
     @classmethod
     def geometric_tridiagonal(cls, q, diag=1.0):
@@ -100,33 +89,31 @@ class BandedSymbol:
         """
         q = float(q)
 
-        def entry(i, j):
-            if i == j:
-                return diag
-            if abs(i - j) == 1:
-                return q ** min(i, j)
-            return 0.0
+        def band(lo, hi):
+            # q**j for j = lo-1..hi; j = 0 would sit at (0, 1), outside
+            pw = [q ** j if j else 0.0 for j in range(lo - 1, hi + 1)]
+            return [pw[:-1], [diag] * (hi - lo + 1), pw[1:]]
 
-        return cls(
-            1,
-            entry,
-            decay=DecayCertificate(C=max(1.0, abs(diag)), lam=abs(q)) if 0 < abs(q) < 1 else None,
-            rule=("geometric_tridiagonal", (q, diag)),
-        )
+        decay = (DecayCertificate(C=max(1.0, abs(diag)), lam=abs(q))
+                 if 0 < abs(q) < 1 else None)
+        return cls(1, band, decay=decay,
+                   rule=("geometric_tridiagonal", (q, diag)))
 
     @classmethod
     def from_entries(cls, eta, entries, decay=None):
         """Explicit symbol from a map (i, j) -> value, zero elsewhere."""
-        table = {}
+        # a negative eta admits no entry and is refused by the constructor
+        ab = np.zeros((2 * max(eta, 0) + 1, max(
+            [0, *(j for i, j in entries if abs(i - j) <= eta)])))
         for (i, j), v in entries.items():
             if i < 1 or j < 1:
                 raise ValueError("indices are 1-based")
-            if abs(i - j) > eta and v != 0.0:
-                raise ValueError(
-                    f"entry ({i}, {j}) lies outside the declared band eta={eta}"
-                )
-            table[(i, j)] = float(v)
-        return cls(eta, lambda i, j: table.get((i, j), 0.0), decay=decay)
+            if abs(i - j) <= eta:
+                ab[eta + i - j, j - 1] = v
+            elif v != 0.0:
+                raise ValueError(f"entry ({i}, {j}) lies outside the "
+                                 f"declared band eta={eta}")
+        return cls(eta, lambda lo, hi: ab[:, lo - 1:hi], decay=decay)
 
     @classmethod
     def from_dense(cls, mat, eta=None, decay=None):
@@ -140,35 +127,48 @@ class BandedSymbol:
 
     # -- access -----------------------------------------------------------
 
+    def bands(self, lo, hi):
+        """Columns lo..hi (1-based), a fresh (2 eta + 1, hi - lo + 1) array
+        with ab[eta + i - j, j - lo] = a_ij and zeros where i < 1."""
+        if lo < 1:
+            raise IndexError("indices are 1-based")
+        ab = np.zeros((2 * self.eta + 1, hi - lo + 1))
+        part = np.asarray(self._band(lo, hi), dtype=float)
+        ab[:, :part.shape[1]] = part
+        return ab
+
     def entry(self, i, j):
         """Entry a_{ij}, 1-based."""
         if i < 1 or j < 1:
             raise IndexError("indices are 1-based")
         if abs(i - j) > self.eta:
             return 0.0
-        return float(self._entry_fn(i, j))
+        return float(self.bands(j, j)[self.eta + i - j, 0])
 
     def window(self, n):
         """Dense leading n x n corner."""
         out = np.zeros((n, n))
-        for i in range(1, n + 1):
-            lo = max(1, i - self.eta)
-            hi = min(n, i + self.eta)
-            for j in range(lo, hi + 1):
-                out[i - 1, j - 1] = self._entry_fn(i, j)
+        flat = out.reshape(-1)  # entry (j + d, j) at d * n + j * (n + 1)
+        for d, c, v in _band_rows(self.bands(1, n), self.eta, n):
+            flat[d * n + c.start * (n + 1)::n + 1][:len(v)] = v
         return out
 
     def scaled(self, c):
         """The symbol c * a."""
         c = float(c)
-        return BandedSymbol(self.eta, lambda i, j: c * self._entry_fn(i, j))
+        return BandedSymbol(self.eta, lambda lo, hi: c * self.bands(lo, hi))
 
     def plus_identity(self):
         """The symbol I + a (same bandwidth)."""
-        return BandedSymbol(
-            self.eta,
-            lambda i, j: self._entry_fn(i, j) + (1.0 if i == j else 0.0),
-        )
+        eye = np.eye(2 * self.eta + 1)[:, [self.eta]]
+        return BandedSymbol(self.eta, lambda lo, hi: self.bands(lo, hi) + eye)
+
+
+def _band_rows(ab, eta, n):
+    """(i - j, column slice, entries) of each band row within rows 1..n."""
+    for k, row in enumerate(ab):
+        c = slice(max(0, eta - k), max(0, min(n, n + eta - k)))
+        yield k - eta, c, row[c]
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,9 @@ def block(a: BandedSymbol, s: BlockPartition, p: int, q: int) -> np.ndarray:
     """Block a_pq; the zero matrix of the correct shape when |p - q| > 1."""
     rlo, rhi = s.block_rows(p)
     clo, chi = s.block_rows(q)
-    out = np.zeros((rhi - rlo + 1, chi - clo + 1))
-    if abs(p - q) <= 1:
-        for i in range(rlo, rhi + 1):
-            for j in range(clo, chi + 1):
-                out[i - rlo, j - clo] = a.entry(i, j)
-    return out
+    if abs(p - q) > 1:
+        return np.zeros((rhi - rlo + 1, chi - clo + 1))
+    return a.window(max(rhi, chi))[rlo - 1:rhi, clo - 1:chi]
 
 
 @dataclass
@@ -247,17 +244,14 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
         i, j = bad[0] + 1
         return ClassFReport(False, (int(i), int(j)), [])
     ranks = []
-    ok = True
     for p in range(1, K):
         blk = W[s.cut(p - 1):s.cut(p), s.cut(p):s.cut(p + 1)]
-        full = s.cut(p) - s.cut(p - 1)
         sv = np.linalg.svd(blk, compute_uv=False)
         smax = sv[0] if sv.size else 0.0
         rank = int(np.sum(sv > _RANK_TOL * smax)) if smax > 0 else 0
-        ranks.append((p, rank, full))
-        if rank not in (0, full):
-            ok = False
-    return ClassFReport(ok, None, ranks)
+        ranks.append((p, rank, s.cut(p) - s.cut(p - 1)))
+    return ClassFReport(all(r in (0, full) for _, r, full in ranks), None,
+                        ranks)
 
 
 def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
@@ -269,13 +263,13 @@ def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
     """
     if a.eta <= 1:
         n = s.cut(K)
-        minors = np.empty(n + 1)
-        minors[0] = 1.0
-        for i in range(1, n + 1):
-            d = a.entry(i, i) * minors[i - 1]
-            if i >= 2:
-                d -= a.entry(i, i - 1) * a.entry(i - 1, i) * minors[i - 2]
-            minors[i] = d
+        ab = np.zeros((3, n))  # rows a_{j-1,j}, a_jj, a_{j+1,j}
+        ab[1 - a.eta:2 + a.eta] = a.bands(1, n)
+        up, diag, low = ab.tolist()
+        minors = [1.0, *diag[:1]]
+        for i in range(1, n):
+            minors.append(diag[i] * minors[i]
+                          - low[i - 1] * up[i] * minors[i - 1])
         return np.array([minors[s.cut(p)] for p in range(1, K + 1)])
     signs, logabs = logdet_corners(a, s, K)
     return signs * np.exp(logabs)
@@ -344,19 +338,27 @@ class PerturbedIdentity:
         w = self.validated_window
         if n <= w:
             return
-        b = self.base
-        for i in range(max(1, w - b.eta + 1), n + 1):
-            ai = self.alpha(i)
+        eta = self.base.eta
+        lo = max(1, w - eta + 1)
+        c0 = max(1, lo - eta)  # the first column a visited row reaches
+        # a_ij[r, t] = a_ij, a_ji[r, t] = a_ji at i = lo + r, j = i + t - eta
+        a_ij, a_ji = np.zeros((2, n - c0 + 1, 2 * eta + 1))
+        for d, c, v in _band_rows(self.base.bands(c0, n), eta, n - c0 + 1):
+            a_ij[c.start + d:c.stop + d, eta - d] = v
+            a_ji[c, eta + d] = v
+        a_ij, a_ji = a_ij[lo - c0:], a_ji[lo - c0:]
+        alpha = [self.alpha(k) for k in range(lo, n + 1)]
+        al = np.array(alpha, dtype=float)[:, None]
+        bad = (al <= 0) | (a_ij != a_ji) | (np.abs(a_ij) > al * (1 + 1e-12))
+        if bad.any():  # the first violation, in the order checks are stated
+            r, t = np.unravel_index(np.argmax(bad), bad.shape)
+            i, j, ai, x = lo + r, lo + r + t - eta, alpha[r], float(a_ij[r, t])
             if ai <= 0:
                 raise ValueError(f"alpha_{i} must be positive")
-            for j in range(max(1, i - b.eta), min(n, i + b.eta) + 1):
-                if b.entry(i, j) != b.entry(j, i):
-                    raise ValueError(f"perturbation not symmetric at ({i}, {j})")
-                if abs(b.entry(i, j)) > ai * (1 + 1e-12):
-                    raise ValueError(
-                        f"|bhat_({i},{j})| = {abs(b.entry(i, j))} exceeds "
-                        f"alpha_{i} = {ai}"
-                    )
+            if x != a_ji[r, t]:
+                raise ValueError(f"perturbation not symmetric at ({i}, {j})")
+            raise ValueError(
+                f"|bhat_({i},{j})| = {abs(x)} exceeds alpha_{i} = {ai}")
         for j in range(max(1, w), n):
             ratio = self.weights(j + 1) / self.weights(j)
             if not self.m < ratio < self.M:
@@ -415,8 +417,5 @@ def decay_certificate_check(a: BandedSymbol, window: int) -> bool:
     if a.decay is None:
         raise ValueError("symbol carries no decay certificate")
     C, lam = a.decay.C, a.decay.lam
-    for i in range(1, window + 1):
-        for j in range(max(1, i - a.eta), min(window, i + a.eta) + 1):
-            if abs(a.entry(i, j)) > C * lam ** abs(i - j) * (1 + 1e-12):
-                return False
-    return True
+    return not any(np.any(np.abs(v) > C * lam ** abs(d) * (1 + 1e-12))
+                   for d, _, v in _band_rows(a.bands(1, window), a.eta, window))

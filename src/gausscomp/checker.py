@@ -519,8 +519,9 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     inv_sym = BandedSymbol.from_dense(
         np.where(np.abs(inv_L) > 1e-12, inv_L, 0.0))
     # (b) inverse symbol in the block class; edge rows of the window are
-    # contaminated by truncation, so check one block short
-    rep = in_class_F(inv_sym, s, max(2, L - 1))
+    # contaminated by truncation, so check one block short (a partition of
+    # one block has no off-diagonal block to test)
+    rep = in_class_F(inv_sym, s, min(max(2, L - 1), len(s)))
     reports.append(CheckReport(
         name="inverse_in_block_class",
         verdict="pass" if rep.ok and rep.structural_violation is None else "fail",

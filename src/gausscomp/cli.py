@@ -36,7 +36,6 @@ from . import checker
 from .banded import (
     BandedSymbol,
     BlockPartition,
-    DecayCertificate,
     PerturbedIdentity,
     det_sequence,
     truncate,
@@ -126,12 +125,9 @@ def _builtin_symbol(name, args):
     if name == "diag":
         if not args.alphas:
             raise CliError("builtin diag needs --alphas")
-        return BandedSymbol.diagonal(_alpha_expr(args.alphas),
-                                     rule=("diag", (args.alphas,)))
+        return BandedSymbol.diagonal(_alpha_expr(args.alphas))
     if name == "ex53":
-        expr = args.alphas or "1-2^-j"
-        return BandedSymbol.diagonal(_alpha_expr(expr),
-                                     rule=("ex53", (expr,)))
+        return BandedSymbol.diagonal(_alpha_expr(args.alphas or "1-2^-j"))
     return PerturbedIdentity.geometric(args.q)
 
 

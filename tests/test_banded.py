@@ -388,3 +388,240 @@ def test_partition_validation():
     s = BlockPartition((2, 5, 9))
     assert s.cut(0) == 0
     assert s.block_rows(2) == (3, 5)
+
+
+# -- the band against the rule's own formula --------------------------------
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_same_bits(x, y):
+    assert np.shape(x) == np.shape(y)
+    assert np.array_equal(bits(x), bits(y))
+
+
+def walk_window(f, eta, n):
+    """The dense corner a walk over f(i, j) writes, zero outside the band."""
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(max(1, i - eta), min(n, i + eta) + 1):
+            out[i - 1, j - 1] = f(i, j)
+    return out
+
+
+def walk_minors(f, eta, n):
+    """The three-term minor recursion, each entry read through f."""
+    def e(i, j):
+        return float(f(i, j)) if abs(i - j) <= eta else 0.0
+
+    minors = [1.0]
+    for i in range(1, n + 1):
+        d = e(i, i) * minors[i - 1]
+        if i >= 2:
+            d -= e(i, i - 1) * e(i - 1, i) * minors[i - 2]
+        minors.append(d)
+    return minors
+
+
+@st.composite
+def rule_symbols(draw):
+    """(symbol, its entry formula f(i, j) on the band, eta, n, decay)."""
+    n = draw(st.integers(1, 40))
+    q = draw(st.floats(min_value=0.01, max_value=0.99))
+    kind = draw(st.sampled_from(["identity", "diagonal", "sequence",
+                                 "geometric", "entries"]))
+    decay = None
+    if kind == "identity":
+        a, eta = BandedSymbol.identity(), 0
+        f = lambda i, j: 1.0 if i == j else 0.0
+    elif kind in ("diagonal", "sequence"):
+        decay = DecayCertificate(draw(st.sampled_from([0.5, 1.0, 2.0])), q)
+        rule = lambda j: 1.0 - q ** j
+        alpha = rule if kind == "diagonal" else [rule(j) for j in
+                                                 range(1, n + 1)]
+        a, eta = BandedSymbol.diagonal(alpha, decay=decay), 0
+        f = lambda i, j: rule(i) if i == j else 0.0
+    elif kind == "geometric":
+        diag = draw(st.sampled_from([1.0, 0.0, -2.5]))
+        a, eta = BandedSymbol.geometric_tridiagonal(q, diag), 1
+        decay = a.decay
+
+        def f(i, j):
+            if i == j:
+                return diag
+            return q ** min(i, j) if abs(i - j) == 1 else 0.0
+    else:
+        eta = draw(st.integers(0, 3))
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if abs(i - j) <= eta]
+        values = st.sampled_from([0.0, -0.0, 1.0, -0.5, q, -q ** 3, 7.25])
+        table = draw(st.dictionaries(st.sampled_from(cells), values,
+                                     max_size=len(cells)))
+        decay = DecayCertificate(draw(st.sampled_from([0.5, 1.0, 8.0])), q)
+        a = BandedSymbol.from_entries(eta, table, decay=decay)
+        f = lambda i, j: table.get((i, j), 0.0)
+    chain = draw(st.sampled_from(["none", "scaled", "plus_identity",
+                                  "from_dense"]))
+    if chain == "scaled":
+        c = draw(st.sampled_from([-1.5, 0.3, 2.0]))
+        a, g, decay = a.scaled(c), f, None
+        f = lambda i, j: c * g(i, j)
+    elif chain == "plus_identity":
+        a, g, decay = a.plus_identity(), f, None
+        f = lambda i, j: g(i, j) + (1.0 if i == j else 0.0)
+    elif chain == "from_dense":
+        # a dense corner stores its nonzero entries only: -0.0 reads 0.0
+        a, g, decay = BandedSymbol.from_dense(a.window(n)), f, None
+        f = lambda i, j: (g(i, j) or 0.0) if max(i, j) <= n else 0.0
+    return a, f, eta, n, decay
+
+
+@seed(13)
+@settings(max_examples=300, deadline=None)
+@given(rule_symbols(), st.data())
+def test_every_view_reads_the_rule_bit_for_bit(case, data):
+    a, f, eta, n, decay = case
+    # a from_dense chain infers its own, possibly smaller, bandwidth
+    assert a.eta <= eta
+    W = walk_window(f, eta, n)
+    assert_same_bits(a.window(n), W)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert_same_bits(a.entry(i, j), W[i - 1, j - 1])
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo, n))
+    ab = a.bands(lo, hi)
+    assert ab.shape == (2 * a.eta + 1, hi - lo + 1)
+    for k in range(2 * a.eta + 1):
+        for j in range(lo, hi + 1):
+            i = j + k - a.eta  # outside the matrix where i < 1
+            if i >= 1:
+                assert_same_bits(ab[k, j - lo], f(i, j))
+            else:
+                assert ab[k, j - lo] == 0.0
+    s = BlockPartition(np.cumsum(data.draw(st.lists(
+        st.integers(1, 4), min_size=1, max_size=n))))
+    K = len(s) if s.cut(len(s)) <= n else int(np.searchsorted(s.s, n,
+                                                              "right"))
+    for p in range(1, K + 1):
+        for q in range(max(1, p - 2), min(K, p + 2) + 1):
+            (rlo, rhi), (clo, chi) = s.block_rows(p), s.block_rows(q)
+            want = (W[rlo - 1:rhi, clo - 1:chi] if abs(p - q) <= 1
+                    else np.zeros((rhi - rlo + 1, chi - clo + 1)))
+            assert_same_bits(block(a, s, p, q), want)
+    if eta <= 1 and K:
+        minors = walk_minors(f, eta, n)
+        assert_same_bits(det_sequence(a, s, K),
+                         [minors[s.cut(p)] for p in range(1, K + 1)])
+    if decay is not None:
+        want = not any(
+            abs(W[i - 1, j - 1]) > decay.C * decay.lam ** abs(i - j)
+            * (1 + 1e-12)
+            for i in range(1, n + 1)
+            for j in range(max(1, i - eta), min(n, i + eta) + 1))
+        assert decay_certificate_check(a, n) == want
+
+
+def first_violation_by_rows(base, alpha, w, n):
+    """The row loop `validate_window` replaced: the first symmetry or row
+    bound message on rows max(1, w - eta + 1)..n, else None."""
+    for i in range(max(1, w - base.eta + 1), n + 1):
+        ai = alpha(i)
+        if ai <= 0:
+            return f"alpha_{i} must be positive"
+        for j in range(max(1, i - base.eta), min(n, i + base.eta) + 1):
+            if base.entry(i, j) != base.entry(j, i):
+                return f"perturbation not symmetric at ({i}, {j})"
+            if abs(base.entry(i, j)) > ai * (1 + 1e-12):
+                return (f"|bhat_({i},{j})| = {abs(base.entry(i, j))} "
+                        f"exceeds alpha_{i} = {ai}")
+    return None
+
+
+@st.composite
+def perturbations(draw):
+    eta = draw(st.integers(0, 3))
+    n = draw(st.integers(17, 40))
+    values = st.sampled_from([0.25, -0.25, 0.5, 1.0, 2.0, 1e-300])
+    cells = [(i, j) for i in range(1, n + eta + 1)
+             for j in range(i, min(n + eta, i + eta) + 1)]
+    table = {}
+    for (i, j), v in draw(st.dictionaries(st.sampled_from(cells), values,
+                                          max_size=12)).items():
+        table[(i, j)] = table[(j, i)] = v
+    # break symmetry at a few cells; alpha breaks the row bound elsewhere
+    for (i, j), v in draw(st.dictionaries(st.sampled_from(cells), values,
+                                          max_size=2)).items():
+        table[(j, i)] = v
+    alphas = draw(st.lists(st.sampled_from([1.0, 0.5, 2, 0.3]),
+                           min_size=n, max_size=n))
+    bad = draw(st.none() | st.tuples(st.integers(1, n),
+                                      st.sampled_from([0.0, -1.0])))
+    if bad:
+        alphas[bad[0] - 1] = bad[1]
+    return BandedSymbol.from_entries(eta, table), alphas, n
+
+
+@seed(17)
+@settings(max_examples=400, deadline=None)
+@given(perturbations())
+def test_validate_window_reports_the_row_walks_first_violation(case):
+    base, alphas, n = case
+
+    def alpha(k):
+        return alphas[k - 1]
+
+    def make():
+        return PerturbedIdentity(base=base, alpha=alpha,
+                                 weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+                                 alpha_sum=100.0, weight_sum=1.0)
+
+    want = first_violation_by_rows(base, alpha, 0, 16)
+    if want is not None:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == want
+        return
+    b = make()
+    want = first_violation_by_rows(base, alpha, 16, n)
+    if want is None:
+        b.validate_window(n)
+        assert b.validated_window == n
+    else:
+        with pytest.raises(ValueError) as err:
+            b.validate_window(n)
+        assert str(err.value) == want and b.validated_window == 16
+
+
+def test_validate_window_and_minors_read_each_rule_value_once():
+    calls = []
+
+    def rule(j):
+        calls.append(j)
+        return 0.5 ** j
+
+    b = PerturbedIdentity(base=BandedSymbol.diagonal(rule),
+                          alpha=lambda j: 1.0, weights=lambda j: 0.5 ** j,
+                          m=0.25, M=0.75, alpha_sum=100.0, weight_sum=1.0)
+    assert sorted(calls) == list(range(1, 17))
+    calls.clear()
+    b.validate_window(40)
+    assert sorted(calls) == list(range(17, 41))  # once per new coordinate
+    calls.clear()
+    det_sequence(b.symbol, BlockPartition.unit(40), 40)
+    assert sorted(calls) == list(range(1, 41))
+
+
+def test_validate_window_names_asymmetry_before_the_row_bound():
+    # (17, 18) is both asymmetric and over its row bound: the symmetry
+    # check comes first, as in the row walk
+    base = BandedSymbol.from_entries(1, {(17, 18): 2.0, (18, 17): 1.0})
+    b = PerturbedIdentity(base=base, alpha=lambda k: 1.0,
+                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+                          alpha_sum=100.0, weight_sum=1.0)
+    with pytest.raises(ValueError) as err:
+        b.validate_window(40)
+    assert str(err.value) == "perturbation not symmetric at (17, 18)"
+    assert first_violation_by_rows(base, lambda k: 1.0, 16, 40) == \
+        str(err.value)

@@ -399,6 +399,22 @@ def test_short_partition_file_is_bad_input(tmp_path, capsys, suite):
     assert "--partition-file" in err and "--L 6" in err
 
 
+def test_prop52_one_cut_partition_writes_a_report(tmp_path, capsys):
+    # one block has no off-diagonal block, so the block-class check tests
+    # none instead of asking the partition for a second cut
+    p = tmp_path / "part.txt"
+    p.write_text("1\n")
+    out = tmp_path / "r.json"
+    code = main(["check", "prop52", "--builtin", "ex53", "--L", "1",
+                 "--partition-file", str(p), "--output", str(out)])
+    capsys.readouterr()
+    assert code == 2  # a one-level trajectory is evidence only
+    reports = json.loads(out.read_text())["body"]["reports"]
+    block = next(r for r in reports if r["name"] == "inverse_in_block_class")
+    assert block["verdict"] == "pass"
+    assert block["payload"]["block_ranks"] == []
+
+
 @pytest.mark.parametrize("suite,text,message", [
     pytest.param(suite, "\n", "empty partition file", id=suite)
     for suite in ("thm51", "prop52", "prop56")] + [
