@@ -18,7 +18,7 @@ from gausscomp import (
 for q in (0.3, 0.5, 0.7):
     b = PerturbedIdentity.geometric(q)
     dets = det_sequence(b.symbol, BlockPartition.unit(32), 32)
-    floor = 1.0 - q * q / (1.0 - q * q)
+    floor = b.det_floor
     print(f"q={q}: det_32={dets[-1]:.9f}, floor={floor:.9f}, "
           f"min={dets.min():.9f}")
     # the determinants decrease monotonically but never cross the floor

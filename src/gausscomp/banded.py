@@ -52,13 +52,12 @@ class BandedSymbol:
     """Infinite real matrix with finite bandwidth; `band(lo, hi)` returns
     columns lo..hi in the "ab" layout, or a stored band's first of them."""
 
-    def __init__(self, eta, band, decay=None, rule=None):
+    def __init__(self, eta, band, decay=None):
         if eta < 0:
             raise ValueError("bandwidth must be nonnegative")
         self.eta = int(eta)
         self._band = band
         self.decay = decay
-        self.rule = rule  # (name, params) of a geometric rule, or None
 
     # -- constructors -----------------------------------------------------
 
@@ -96,8 +95,7 @@ class BandedSymbol:
 
         decay = (DecayCertificate(C=max(1.0, abs(diag)), lam=abs(q))
                  if 0 < abs(q) < 1 else None)
-        return cls(1, band, decay=decay,
-                   rule=("geometric_tridiagonal", (q, diag)))
+        return cls(1, band, decay=decay)
 
     @classmethod
     def from_entries(cls, eta, entries, decay=None):
@@ -323,6 +321,7 @@ class PerturbedIdentity:
     alpha_sum: float            # certified sum of alpha_j
     weight_sum: float           # certified sum of p_j
     preconditions: tuple = ()   # ((name, ok), ...) family-level admissibility
+    det_floor: float | None = None  # floor of the corner determinants
     validated_window: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -359,8 +358,9 @@ class PerturbedIdentity:
                 raise ValueError(f"perturbation not symmetric at ({i}, {j})")
             raise ValueError(
                 f"|bhat_({i},{j})| = {abs(x)} exceeds alpha_{i} = {ai}")
-        for j in range(max(1, w), n):
-            ratio = self.weights(j + 1) / self.weights(j)
+        p = [self.weights(j) for j in range(max(1, w), n + 1)]
+        for j, (pj, pnext) in enumerate(zip(p, p[1:]), start=max(1, w)):
+            ratio = pnext / pj
             if not self.m < ratio < self.M:
                 raise ValueError(
                     f"weight ratio p_{j+1}/p_{j} = {ratio} outside "
@@ -379,7 +379,9 @@ class PerturbedIdentity:
 
         Admissible for 0 < q < sqrt(2)/2; the constructor records the
         admissibility of the supplied q as a precondition instead of
-        raising, so diagnostic runs on inadmissible q are possible.
+        raising, so diagnostic runs on inadmissible q are possible.  The
+        corner determinants stay above `det_floor` = 1 - q**2 / (1 - q**2),
+        which is positive exactly for admissible q.
         """
         q = float(q)
         if not 0 < q < 1:
@@ -396,6 +398,7 @@ class PerturbedIdentity:
             preconditions=(
                 ("q ∈ (0, √2/2)", 0 < q < math.sqrt(2) / 2),
             ),
+            det_floor=1.0 - q * q / (1.0 - q * q),
         )
 
 

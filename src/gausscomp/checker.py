@@ -38,7 +38,7 @@ from .gaussmeas import (
     chi_norm_sq,
     perturbation_bound_check,
 )
-from .hermite import HermiteModel, gaussian_gram
+from .hermite import HermiteModel, _power_pair_gram
 
 __all__ = [
     "CheckReport",
@@ -230,43 +230,20 @@ def form_positivity_evidence(c: CoefficientTensor,
 
 # ---------------------------------------------------------------------------
 # the bilinear form for powers of the composition adjoint
-#
-# Inner products <S^a f, S^b g> with S the composition adjoint are computed
-# from the weighted-composition representation
-#     <S^a f, S^b g> = int h_{A^a} h_{A^b} (f o A^-a) conj(g o A^-b) d mu,
-# which involves no truncation of the operator at all.  Successive
-# projections of S onto a padded polynomial model were tried first and
-# rejected: the adjoint moves mass up in degree with slowly decaying tails,
-# so projection leakage of order 1e-1 swamps any useful tolerance.  The
-# integrand is a polynomial times exp(-x^T E x / 2) with
-# E = M_a + M_b - I, M_d = A^-dT A^-d, so `gaussian_gram` evaluates it
-# exactly and the only error left is rounding.
 
 
 def _power_pair_grams(A, model: HermiteModel, max_power: int,
                       order: int | None = None):
-    """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>; `order`
-    only raises the exact Gauss-Hermite rule order."""
+    """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>, each the
+    exact `hermite._power_pair_gram`; `order` only raises the exact
+    Gauss-Hermite rule order."""
     A = np.asarray(A, dtype=float)
-    kappa = A.shape[0]
-    if kappa != model.kappa:
+    if A.shape[0] != model.kappa:
         raise ValueError("symbol dimension does not match the model")
-    inv = np.linalg.inv(A)
-    B = [np.linalg.matrix_power(inv, d) for d in range(max_power + 1)]
-    logdet = [np.linalg.slogdet(b)[1] for b in B]
-    M = [b.T @ b for b in B]
     grams = {}
     for a in range(max_power + 1):
         for b in range(a, max_power + 1):
-            E = M[a] + M[b] - np.eye(kappa)
-            lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
-            if lo <= 1e-12:
-                raise DivergenceError(
-                    f"inner product of powers ({a}, {b}) diverges: "
-                    f"combined exponent matrix has min eigenvalue {lo:.3e}"
-                )
-            G = gaussian_gram(E, B[a], model, B[b], model,
-                              logdet[a] + logdet[b], order)
+            G = _power_pair_gram(A, a, model, b, model, order)
             grams[(a, b)] = G
             if a != b:
                 grams[(b, a)] = G.T

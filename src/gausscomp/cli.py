@@ -110,12 +110,14 @@ def _alpha_expr(expr):
     env = {"__builtins__": {}, "pi": math.pi, **_ALPHA_FUNCS}
 
     def fn(j):
-        return float(eval(code, env, {"j": j}))
+        try:
+            return float(eval(code, env, {"j": j}))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            # a CliError: a suite would file a ValueError as over budget
+            raise CliError(f"cannot evaluate sequence rule {expr!r} at "
+                           f"j={j}: {exc}") from None
 
-    try:
-        fn(1)
-    except Exception as exc:
-        raise CliError(f"cannot evaluate sequence rule {expr!r}: {exc}")
+    fn(1)
     return fn
 
 
@@ -253,6 +255,9 @@ def cmd_rn(args):
         raise CliError("rn needs --kappa >= 1")
     if args.power < 1:
         raise CliError("rn needs --power >= 1")
+    if args.box_dims is not None and not 0 <= args.box_dims <= args.kappa:
+        raise CliError(f"rn needs 0 <= --box-dims <= --kappa {args.kappa}, "
+                       f"got {args.box_dims}")
     sym = _resolve_symbol(args)
     if isinstance(sym, PerturbedIdentity):
         sym = sym.symbol
@@ -274,12 +279,17 @@ def cmd_rn(args):
         if not math.isfinite(hw):
             raise CliError(f"box halfwidth {raw!r} is not finite")
         dims = args.box_dims if args.box_dims is not None else args.kappa
+        box = Box(dims, hw)  # a non-positive halfwidth is bad input
         try:
-            val = chi_norm_sq(A, args.power, Box(dims, hw))
-            norms.append([hw, dims, val])
+            norms.append([hw, dims, chi_norm_sq(A, args.power, box)])
         except DivergenceError as exc:
             reports.append(CheckReport(name=f"box_norm[{raw}]", verdict="fail",
                                        payload={"detail": str(exc)}))
+        except ValueError as exc:
+            reports.append(CheckReport(
+                name=f"box_norm[{raw}]", verdict="evidence",
+                payload={"detail": "not computable within the quadrature "
+                                   f"budget: {exc}"}))
     reports.append(CheckReport(
         name="density_evaluation", verdict="pass",
         payload={"points_evaluated": len(values), "boxes": len(norms)},
@@ -316,10 +326,7 @@ def cmd_check(args):
         if not isinstance(sym, PerturbedIdentity):
             raise CliError("prop56 needs a perturbed-identity symbol "
                            "(builtin ex59)")
-        rho = args.rho
-        if rho is None and sym.base.rule and sym.base.rule[0] == "geometric_tridiagonal":
-            q = sym.base.rule[1][0]
-            rho = 1.0 - q * q / (1.0 - q * q) if q * q < 0.5 else None
+        rho = args.rho if args.rho is not None else sym.det_floor
         reports = checker.prop56_suite(sym, s, args.n, args.r, rho, L=args.L)
     else:
         if isinstance(sym, PerturbedIdentity):
@@ -378,7 +385,7 @@ def _example_banded(args):
     s = BlockPartition.unit(args.L)
     dets = det_sequence(b.symbol, s, args.L)
     q = args.q
-    floor = 1.0 - q * q / (1.0 - q * q)
+    floor = b.det_floor
     rows = [[l + 1, float(d), floor, 1.0] for l, d in enumerate(dets)]
     inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
     reports = [CheckReport(

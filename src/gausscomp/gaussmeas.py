@@ -246,6 +246,13 @@ def _gauss_box_integral(E, box: Box, log_scale=0.0):
     )
 
 
+def _adjoint_power(A, d):
+    """(B, B^T B, log|det B|) for B = A^-d: the density of A^d against the
+    Gaussian measure is |det B| exp((|x|^2 - |B x|^2) / 2)."""
+    B = np.linalg.matrix_power(np.linalg.inv(A), d)
+    return B, B.T @ B, np.linalg.slogdet(B)[1]
+
+
 def chi_norm_sq(A, i: int, box: Box | None) -> float:
     """Squared L2 norm of the box-restricted density of A^i.
 
@@ -258,13 +265,9 @@ def chi_norm_sq(A, i: int, box: Box | None) -> float:
     when the box quadrature does not converge within its fixed budget.
     """
     A = np.asarray(A, dtype=float)
-    kappa = A.shape[0]
-    if box is None:
-        box = Box(0, 1.0)
-    B = np.linalg.matrix_power(np.linalg.inv(A), i)
-    sign, logdetB = np.linalg.slogdet(B)
-    E = 2.0 * (B.T @ B) - np.eye(kappa)
-    return _gauss_box_integral(E, box, log_scale=2.0 * logdetB)
+    _, M, ld = _adjoint_power(A, i)
+    return _gauss_box_integral(M + M - np.eye(len(A)),
+                               Box(0, 1.0) if box is None else box, ld + ld)
 
 
 def h_normalization(A) -> float:
@@ -274,11 +277,8 @@ def h_normalization(A) -> float:
     evaluated in closed form as |det A^-1| * det(A^-T A^-1)^{-1/2}, so the
     value checks the density's normalization to rounding.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.linalg.inv(A)
-    sign, logdetB = np.linalg.slogdet(B)
-    E = B.T @ B
-    return _gauss_box_integral(E, Box(0, 1.0), log_scale=logdetB)
+    _, M, ld = _adjoint_power(np.asarray(A, dtype=float), 1)
+    return _gauss_box_integral(M, Box(0, 1.0), ld)
 
 
 def gaussian_box_mass(a: float) -> float:

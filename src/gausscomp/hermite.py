@@ -30,6 +30,8 @@ from itertools import product as iproduct
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from .gaussmeas import DivergenceError, _adjoint_power
+
 __all__ = [
     "HermiteModel",
     "CylFunction",
@@ -186,6 +188,34 @@ def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
     return Vp.T @ (W[:, None] * Vq)
 
 
+def _power_pair_gram(A, a, model_a, b, model_b, order=None):
+    """Exact Gram <S^a phi, S^b psi> for S the composition adjoint of A and
+    phi, psi the bases of `model_a`, `model_b`; `order` only raises the
+    Gauss-Hermite rule order.
+
+    The weighted-composition representation
+        <S^a f, S^b g> = int h_{A^a} h_{A^b} (f o A^-a) conj(g o A^-b) d mu
+    involves no truncation of the operator at all.  Successive projections
+    of S onto a padded polynomial model were tried first and rejected: the
+    adjoint moves mass up in degree with slowly decaying tails, so
+    projection leakage of order 1e-1 swamps any useful tolerance.  The
+    integrand is a polynomial times exp(-x^T E x / 2) with
+    E = M_a + M_b - I, M_d = A^-dT A^-d, so `gaussian_gram` evaluates it
+    exactly and the only error left is rounding.  DivergenceError is raised
+    when E is not positive definite: the integral is infinite.
+    """
+    B_a, M_a, ld_a = _adjoint_power(A, a)
+    B_b, M_b, ld_b = (B_a, M_a, ld_a) if b == a else _adjoint_power(A, b)
+    E = M_a + M_b - np.eye(len(A))
+    lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+    if lo <= 1e-12:
+        raise DivergenceError(
+            f"inner product of powers ({a}, {b}) diverges: "
+            f"combined exponent matrix has min eigenvalue {lo:.3e}"
+        )
+    return gaussian_gram(E, B_a, model_a, B_b, model_b, ld_a + ld_b, order)
+
+
 def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool):
     """Projection matrix S and value-Gram G for composition or its adjoint.
 
@@ -194,10 +224,9 @@ def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool)
     application is c^H (G - S^T S) c >= 0.  For composition,
     S = <phi_in o A, phi_out> and G = <phi_in o A, phi_in o A>.  For the
     adjoint T (density times inverse composition), S follows from
-    <T phi_b, phi_a> = <phi_b, phi_a o A>, and the substitution y = A^-1 x
-    turns G into a Gaussian moment with exponent K = 2I - A^T A and factor
-    |det A|^-1.  Every entry is computed exactly by `gaussian_gram`; the
-    matrices are cached by value.
+    <T phi_b, phi_a> = <phi_b, phi_a o A>, and G is the power-pair Gram
+    <T phi_in, T phi_in>.  Every entry is computed exactly by
+    `gaussian_gram`; the matrices are cached by value.
     """
     A = np.asarray(A, dtype=float)
     return _transfer_by_value(A.tobytes(), A.shape, model_in.kappa,
@@ -213,17 +242,8 @@ def _transfer_by_value(data, shape, kappa, degree_in, degree_out, adjoint):
     if not adjoint:
         return (gaussian_gram(I, I, model_out, A, model_in),
                 gaussian_gram(I, A, model_in, A, model_in))
-    K = 2.0 * I - A.T @ A
-    if float(np.linalg.eigvalsh(K)[0]) <= 1e-12:
-        raise ValueError(
-            "adjoint image is not square-integrable: combined exponent "
-            "matrix fails positive-definiteness"
-        )
-    sign, logdet = np.linalg.slogdet(A)
-    if sign == 0:
-        raise np.linalg.LinAlgError("Singular matrix")
     return (gaussian_gram(I, A, model_out, I, model_in),
-            gaussian_gram(K, I, model_in, I, model_in, -logdet))
+            _power_pair_gram(A, 1, model_in, 1, model_in))
 
 
 def _apply(A, f: CylFunction, target, adjoint, pad):
@@ -244,7 +264,7 @@ def adjoint_apply(A, f: CylFunction, target: HermiteModel | None = None,
 
     Returns (g, leakage); leakage is the squared norm falling outside the
     target truncation.  The density factor is not polynomial, so leakage
-    is generically positive.
+    is generically positive.  DivergenceError: the image has no finite norm.
     """
     return _apply(A, f, target, adjoint=True, pad=pad)
 

@@ -300,6 +300,14 @@ def test_perturbed_identity_preconditions():
     assert any(not ok for _, ok in bad.preconditions)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_geometric_det_floor_bounds_the_corners(q):
+    b = PerturbedIdentity.geometric(q)
+    assert b.det_floor == 1.0 - q * q / (1.0 - q * q)
+    dets = det_sequence(b.symbol, BlockPartition.unit(64), 64)
+    assert dets.min() > b.det_floor
+
+
 def test_perturbed_identity_symbol_diagonal():
     b = PerturbedIdentity.geometric(0.5)
     assert b.symbol.entry(3, 3) == 1.0
@@ -339,6 +347,26 @@ def test_validate_window_checks_each_coordinate_once():
     assert calls == []
     b.validate_window(40)
     # only rows whose band reaches past the old window 16 are checked again
+    assert b.validated_window == 40 and calls == list(range(16, 41))
+
+
+def test_validate_window_reads_each_weight_once():
+    calls = []
+
+    def weights(j):
+        calls.append(j)
+        return 0.5 ** j
+
+    b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
+                          alpha=lambda j: 0.5 ** (j - 1), weights=weights,
+                          m=0.25, M=0.75, alpha_sum=2.0, weight_sum=1.0)
+    assert b.validated_window == 16 and calls == list(range(1, 17))
+    calls.clear()
+    b.validate_window(10)
+    b.validate_window(16)
+    assert calls == []
+    b.validate_window(40)
+    # the first new ratio p_17 / p_16 reads the old edge weight again
     assert b.validated_window == 40 and calls == list(range(16, 41))
 
 

@@ -26,8 +26,10 @@ def test_prop56_admissible_exits_zero(capsys):
     code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
                         "--q", "0.5")
     assert code == 0
-    names = [r["name"] for r in doc["body"]["reports"]]
-    assert "determinant_floor" in names
+    floor = next(r for r in doc["body"]["reports"]
+                 if r["name"] == "determinant_floor")
+    # without --rho the floor is the family's 1 - q^2 / (1 - q^2)
+    assert floor["payload"]["rho"] == 1.0 - 0.25 / 0.75
 
 
 def test_prop56_perturbation_inequality_is_exact(capsys):
@@ -193,6 +195,21 @@ def test_rn_alpha_1_4_norm_is_finite(capsys):
                                     rel=1e-12)
 
 
+def test_rn_box_past_the_quadrature_budget_is_evidence(capsys):
+    # a coupled 5-dim box of the third power: no Gauss-Legendre order within
+    # the point budget converges
+    code, doc = run_cli(capsys, "rn", "--builtin", "ex59", "--q", "0.5",
+                        "--kappa", "5", "--power", "3", "--box", "1",
+                        "--box-dims", "5")
+    assert code == 2
+    rep = doc["body"]["reports"][0]
+    assert rep["name"] == "box_norm[1]" and rep["verdict"] == "evidence"
+    assert rep["payload"]["detail"].startswith(
+        "not computable within the quadrature budget: box quadrature did "
+        "not converge")
+    assert doc["body"]["tables"]["box_norms"]["rows"] == []
+
+
 @pytest.mark.parametrize("argv", [
     ("--kappa", "1", "--point=nan"),
     ("--kappa", "1", "--point=inf"),
@@ -249,6 +266,22 @@ def test_alpha_expr_rejects_outside_grammar(capsys, expr):
     assert code == 3
 
 
+@pytest.mark.parametrize("expr,detail", [
+    ("1/(j-2)", "division by zero"),
+    ("exp(j*400)", "math range error"),
+    ("(1-j)^0.5+1", "complex"),
+], ids=["zero-division", "overflow", "complex"])
+def test_sequence_rule_failing_past_j1_is_bad_input(tmp_path, capsys, expr,
+                                                     detail):
+    # j = 1 evaluates; j = 2 raises once the suite reads the second corner
+    report = tmp_path / "report.json"
+    code = main(["check", "thm51", "--builtin", "diag", "--alphas", expr,
+                 "--L", "4", "--output", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and not report.exists()
+    assert f"sequence rule {expr!r} at j=2: " in err and detail in err
+
+
 # -- examples ---------------------------------------------------------------
 
 def test_thm51_singular_corner_fails_naming_level(capsys):
@@ -280,6 +313,8 @@ def test_thm51_singular_corner_fails_naming_level(capsys):
     ("rn", "--builtin", "ex53", "--kappa", "-1"),
     ("rn", "--builtin", "ex53", "--kappa", "2", "--power", "0", "--box", "1"),
     ("rn", "--builtin", "ex53", "--kappa", "2", "--power", "-1", "--box", "1"),
+    ("rn", "--builtin", "ex53", "--box", "0"),
+    ("rn", "--builtin", "ex53", "--box", "-1"),
     ("example", "diag", "--k", "0"),
     ("example", "diag", "--k", "-1"),
     ("example", "diag", "--k", "nan"),
@@ -287,7 +322,7 @@ def test_thm51_singular_corner_fails_naming_level(capsys):
 ], ids=["prop52-L0", "thm51-L0", "thm51-n0-r0", "prop52-n0-r0",
         "thm51-n-1", "prop52-n-1", "diag-L2", "banded-L1", "singular-N0",
         "singular-N1", "rn-kappa0", "rn-kappa-1", "rn-power0", "rn-power-1",
-        "diag-k0", "diag-k-1", "diag-k-nan", "diag-k-inf"])
+        "rn-box0", "rn-box-1", "diag-k0", "diag-k-1", "diag-k-nan", "diag-k-inf"])
 def test_degenerate_sizes_are_bad_input(capsys, argv):
     # each of these used to pass on an empty check or crash
     code = main(list(argv))
@@ -303,6 +338,10 @@ def test_degenerate_sizes_are_bad_input(capsys, argv):
     (("check", "thm51", "--builtin", "ex59", "--boxes", "1,inf"), "--boxes"),
     (("rn", "--builtin", "ex53", "--power", "0", "--box", "1"), "--power"),
     (("rn", "--builtin", "ex53", "--power", "-1", "--box", "1"), "--power"),
+    (("rn", "--builtin", "ex59", "--q", "0.5", "--kappa", "5", "--box", "1",
+      "--box-dims", "6"), "--box-dims"),
+    (("rn", "--builtin", "ex53", "--box", "1", "--box-dims", "-1"),
+     "--box-dims"),
 ])
 def test_bad_size_error_names_the_flag(capsys, argv, flag):
     # not numpy's "negative dimensions" or a bare "math domain error"
