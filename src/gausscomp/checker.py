@@ -35,6 +35,7 @@ from .banded import (
 from .gaussmeas import (
     Box,
     DivergenceError,
+    _adjoint_power,
     chi_norm_sq,
     perturbation_bound_check,
 )
@@ -236,14 +237,15 @@ def _power_pair_grams(A, model: HermiteModel, max_power: int,
                       order: int | None = None):
     """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>, each the
     exact `hermite._power_pair_gram`; `order` only raises the exact
-    Gauss-Hermite rule order."""
+    Gauss-Hermite rule order.  Each power A^-d is built once."""
     A = np.asarray(A, dtype=float)
     if A.shape[0] != model.kappa:
         raise ValueError("symbol dimension does not match the model")
+    adj = [_adjoint_power(A, d) for d in range(max_power + 1)]
     grams = {}
     for a in range(max_power + 1):
         for b in range(a, max_power + 1):
-            G = _power_pair_gram(A, a, model, b, model, order)
+            G = _power_pair_gram(adj, a, model, b, model, order)
             grams[(a, b)] = G
             if a != b:
                 grams[(b, a)] = G.T

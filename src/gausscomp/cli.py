@@ -45,10 +45,13 @@ from .gaussmeas import (
     Box,
     DivergenceError,
     RnDerivative,
+    SingularScalingReport,
+    _p_limit_lower,
+    _singular_exponents,
+    _singular_trajectories,
     chi_norm_sq,
     diag_closed_form,
     rn_eval,
-    singular_scaling_demo,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -400,19 +403,35 @@ def _example_banded(args):
 
 
 def _example_singular(args):
-    rep = singular_scaling_demo(args.alpha, args.N)
+    # streamed: the rows, the checks and the last values, no N-term array
+    beta, q_exp = _singular_exponents(args.alpha, args.N)
     stride = max(1, args.N // 100)
-    rows = [[n + 2, float(rep.p_trajectory[n]), float(rep.log_q_trajectory[n])]
-            for n in range(0, args.N, stride)]
-    ok = (rep.p_limit_lower > 0
-          and rep.log_q_trajectory[-1] < rep.log_q_trajectory[-2]
-          and bool(np.all(np.diff(rep.p_trajectory) <= 0)))
+    rows, at = [], 0
+    monotone, p_last, q_last2 = True, math.inf, ()
+    for p, log_q in _singular_trajectories(beta, q_exp, args.N):
+        rows += [[at + n + 2, float(p[n]), float(log_q[n])]
+                 for n in range(-at % stride, len(p), stride)]
+        monotone = monotone and bool(p[0] <= p_last
+                                     and np.all(np.diff(p) <= 0))
+        p_last, q_last2 = p[-1], (*q_last2, *log_q[-2:])[-2:]
+        at += len(p)
+    tail, p_limit_lower = _p_limit_lower(p_last, beta, args.N)
+    payload = {"p_limit_lower": p_limit_lower,
+               "final_log_q": float(q_last2[-1]), "beta": beta,
+               "note": SingularScalingReport.note}
+    if not (p_last > 0 and q_last2[-1] < q_last2[-2] and monotone):
+        verdict = "fail"
+    elif p_limit_lower > 0:
+        verdict = "pass"
+    else:  # beta > 1 makes lim P positive; only its certificate underflows
+        verdict = "evidence"
+        payload["detail"] = (
+            f"P_N = {float(p_last):.6g} > 0, but the certified lower limit "
+            f"P_N exp(-tail) underflows to 0 (tail sum bound {tail:.6g})")
     reports = [CheckReport(
         name="singular_scaling_dichotomy",
-        verdict="pass" if ok else "fail",
-        payload={"p_limit_lower": rep.p_limit_lower,
-                 "final_log_q": float(rep.log_q_trajectory[-1]),
-                 "beta": rep.beta, "note": rep.note},
+        verdict=verdict,
+        payload=payload,
         params={"alpha": args.alpha, "N": args.N},
     )]
     tables = {"trajectories": (["n", "P_n", "log_Q_n"], rows)}

@@ -413,6 +413,49 @@ class SingularScalingReport:
     )
 
 
+_CHUNK = 1 << 14  # terms per chunk of `_singular_trajectories`
+
+
+def _singular_exponents(alpha, N):
+    """(beta, 2 alpha^2 beta) of the singular scaling over N terms."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
+    return beta, 2.0 * alpha * alpha * beta
+
+
+def _singular_trajectories(beta, q_exp, N):
+    """Yield P_n = prod (1 - m^-beta) and log Q_n = sum log1p(-m^-q_exp),
+    m = 2..n, for n = 2..N+1 in chunks of at most `_CHUNK` terms.
+
+    Each chunk folds the running product and sum into its first element
+    and accumulates from there; accumulation is sequential, so the values
+    equal one cumprod / cumsum over all N terms bit for bit.
+    """
+    p_carry, q_carry = 1.0, 0.0
+    for start in range(2, N + 2, _CHUNK):
+        ns = np.arange(start, min(start + _CHUNK, N + 2), dtype=float)
+        p = 1.0 - ns ** (-beta)
+        log_q = np.log1p(-(ns ** (-q_exp)))
+        p[0] *= p_carry
+        np.multiply.accumulate(p, out=p)
+        log_q[0] += q_carry
+        np.add.accumulate(log_q, out=log_q)
+        p_carry, q_carry = p[-1], log_q[-1]
+        yield p, log_q
+
+
+def _p_limit_lower(p_last, beta, N):
+    """(tail, lower): the integral-test bound on the tail sum of n^-beta
+    past N + 1 and the certified lower bound it gives for lim P."""
+    # sum_{n > N+1} n^-beta <= (N+1)^(1-beta) / (beta-1)
+    tail = (N + 1.0) ** (1.0 - beta) / (beta - 1.0)
+    x_next = (N + 2.0) ** (-beta)
+    return tail, float(p_last * math.exp(-tail / (1.0 - x_next)))
+
+
 def singular_scaling_demo(alpha: float, N: int = 10_000) -> SingularScalingReport:
     """Contrast the two box-product trajectories under a singular scaling.
 
@@ -422,21 +465,13 @@ def singular_scaling_demo(alpha: float, N: int = 10_000) -> SingularScalingRepor
     1 - exp(-alpha^2 a_n^2) = 1 - x_n^(2 alpha^2) collapses to zero
     (exponent 2 alpha^2 beta < 1 is not summable).
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
-    q_exp = 2.0 * alpha * alpha * beta
-    ns = np.arange(2, N + 2, dtype=float)
-    x = ns ** (-beta)
-    xq = ns ** (-q_exp)
-    p_traj = np.cumprod(1.0 - x)
-    log_q_traj = np.cumsum(np.log1p(-xq))
-    # integral-test tail: sum_{n > N+1} n^-beta <= (N+1)^(1-beta) / (beta-1)
-    tail = (N + 1.0) ** (1.0 - beta) / (beta - 1.0)
-    x_next = (N + 2.0) ** (-beta)
-    p_limit_lower = float(p_traj[-1] * math.exp(-tail / (1.0 - x_next)))
+    beta, q_exp = _singular_exponents(alpha, N)
+    p_traj, log_q_traj = np.empty(N), np.empty(N)
+    at = 0
+    for p, log_q in _singular_trajectories(beta, q_exp, N):
+        p_traj[at:at + len(p)], log_q_traj[at:at + len(p)] = p, log_q
+        at += len(p)
+    tail, p_limit_lower = _p_limit_lower(p_traj[-1], beta, N)
     return SingularScalingReport(
         alpha=alpha,
         beta=beta,

@@ -188,9 +188,10 @@ def gaussian_gram(E, P, model_p, Q, model_q, log_scale=0.0, order=None):
     return Vp.T @ (W[:, None] * Vq)
 
 
-def _power_pair_gram(A, a, model_a, b, model_b, order=None):
+def _power_pair_gram(adj, a, model_a, b, model_b, order=None):
     """Exact Gram <S^a phi, S^b psi> for S the composition adjoint of A and
-    phi, psi the bases of `model_a`, `model_b`; `order` only raises the
+    phi, psi the bases of `model_a`, `model_b`; `adj[d]` is
+    `gaussmeas._adjoint_power(A, d)`, and `order` only raises the
     Gauss-Hermite rule order.
 
     The weighted-composition representation
@@ -204,9 +205,9 @@ def _power_pair_gram(A, a, model_a, b, model_b, order=None):
     exactly and the only error left is rounding.  DivergenceError is raised
     when E is not positive definite: the integral is infinite.
     """
-    B_a, M_a, ld_a = _adjoint_power(A, a)
-    B_b, M_b, ld_b = (B_a, M_a, ld_a) if b == a else _adjoint_power(A, b)
-    E = M_a + M_b - np.eye(len(A))
+    B_a, M_a, ld_a = adj[a]
+    B_b, M_b, ld_b = adj[b]
+    E = M_a + M_b - np.eye(len(M_a))
     lo = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
     if lo <= 1e-12:
         raise DivergenceError(
@@ -243,7 +244,8 @@ def _transfer_by_value(data, shape, kappa, degree_in, degree_out, adjoint):
         return (gaussian_gram(I, I, model_out, A, model_in),
                 gaussian_gram(I, A, model_in, A, model_in))
     return (gaussian_gram(I, A, model_out, I, model_in),
-            _power_pair_gram(A, 1, model_in, 1, model_in))
+            _power_pair_gram({1: _adjoint_power(A, 1)}, 1, model_in, 1,
+                             model_in))
 
 
 def _apply(A, f: CylFunction, target, adjoint, pad):

@@ -26,9 +26,9 @@ from gausscomp.checker import (
     snr_form_value,
     thm51_suite,
 )
-from gausscomp import gaussmeas
+from gausscomp import checker, gaussmeas
 from gausscomp.gaussmeas import Box, DivergenceError, chi_norm_sq
-from gausscomp.hermite import HermiteModel
+from gausscomp.hermite import HermiteModel, _power_pair_gram
 
 RNG = np.random.default_rng(2024)
 
@@ -237,6 +237,25 @@ def test_power_pair_grams_order_raise_is_rounding_only(kappa, degree, seed):
     for key, G in exact.items():
         assert np.max(np.abs(raised[key] - G)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(G))))
+
+
+def test_power_pair_grams_build_each_power_once(monkeypatch):
+    # P + 1 adjoint powers per call, not two per pair; same Grams bit for bit
+    A, model, P = random_contraction(2, 11), HermiteModel.get(2, 3), 3
+    built = []
+
+    def counting(A, d):
+        built.append(d)
+        return gaussmeas._adjoint_power(A, d)
+
+    monkeypatch.setattr(checker, "_adjoint_power", counting)
+    grams = _power_pair_grams(A, model, P)
+    assert sorted(built) == list(range(P + 1))
+    for (a, b), G in grams.items():
+        adj = {d: gaussmeas._adjoint_power(A, d) for d in (a, b)}
+        ref = (_power_pair_gram(adj, a, model, b, model) if a <= b
+               else _power_pair_gram(adj, b, model, a, model).T)
+        assert np.array_equal(G, ref)
 
 
 def test_power_pair_grams_diverging_pair_raises():

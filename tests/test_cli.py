@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import argparse
 
 import numpy as np
 import pytest
 
-from gausscomp import cli
+from gausscomp import cli, gaussmeas
 from gausscomp.checker import CheckReport
 from gausscomp.cli import (CliError, _alpha_expr, build_parser, load_partition,
                            load_symbol, main)
@@ -374,6 +375,70 @@ def test_example_singular_trajectories(capsys):
     rep = doc["body"]["reports"][0]
     assert rep["payload"]["p_limit_lower"] > 0
     assert rep["payload"]["final_log_q"] < -5
+
+
+_CHUNK = gaussmeas._CHUNK
+
+
+@pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK + 7])
+def test_example_singular_stream_matches_the_demo(capsys, N):
+    # the streamed rows and payload are those of the full trajectories
+    code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.7",
+                        "--N", str(N))
+    rep = gaussmeas.singular_scaling_demo(0.7, N)
+    stride = max(1, N // 100)
+    rows = [[n + 2, float(rep.p_trajectory[n]),
+             float(rep.log_q_trajectory[n])] for n in range(0, N, stride)]
+    assert code == 0
+    assert doc["body"]["tables"]["trajectories"]["rows"] == rows
+    assert doc["body"]["reports"][0]["payload"] == {
+        "p_limit_lower": rep.p_limit_lower,
+        "final_log_q": float(rep.log_q_trajectory[-1]),
+        "beta": rep.beta, "note": rep.note}
+
+
+def test_example_singular_rise_across_chunks_fails(capsys, monkeypatch):
+    # each chunk decreases, but P rises from the first chunk to the second
+    def stream(beta, q_exp, N):
+        yield np.array([0.5, 0.4]), np.array([-1.0, -2.0])
+        yield np.array([0.45, 0.3]), np.array([-3.0, -4.0])
+
+    monkeypatch.setattr(cli, "_singular_trajectories", stream)
+    code, doc = run_cli(capsys, "example", "singular", "--N", "4")
+    assert code == 1
+    assert doc["body"]["reports"][0]["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("alpha", ["0.999", "0.9999"])
+def test_example_singular_underflowing_certificate_is_evidence(capsys, alpha):
+    # beta > 1 and P_N > 0: only exp(-tail) underflows, which disproves nothing
+    code, doc = run_cli(capsys, "example", "singular", "--alpha", alpha)
+    rep = doc["body"]["reports"][0]
+    assert code == 2 and rep["verdict"] == "evidence"
+    assert rep["payload"]["p_limit_lower"] == 0.0
+    assert "underflows" in rep["payload"]["detail"]
+
+
+def test_example_singular_tiny_certificate_still_passes(capsys):
+    code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.99")
+    payload = doc["body"]["reports"][0]["payload"]
+    assert code == 0 and 0.0 < payload["p_limit_lower"] < 1e-170
+    assert "detail" not in payload
+
+
+def test_example_singular_holds_no_trajectory(tmp_path):
+    # the whole run allocates about one chunk, not N terms (the full
+    # trajectories of N = 10^6 take 8 MB each)
+    tracemalloc.start()
+    try:
+        code = main(["example", "singular", "--N", "1000000",
+                     "--output", str(tmp_path / "s.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
 
 
 def test_example_csv_output(tmp_path, capsys):

@@ -419,6 +419,27 @@ def test_singular_scaling_dichotomy():
     assert rep.log_q_trajectory[-1] < rep.log_q_trajectory[-2]
 
 
+_CHUNK = gaussmeas._CHUNK
+
+
+@pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK + 7])
+def test_singular_stream_matches_one_cumulative_pass(N):
+    # the carried chunks reproduce one cumprod / cumsum bit for bit
+    alpha = 0.5
+    beta, q = gaussmeas._singular_exponents(alpha, N)
+    chunks = list(gaussmeas._singular_trajectories(beta, q, N))
+    assert all(len(p) <= _CHUNK for p, _ in chunks)
+    ns = np.arange(2, N + 2, dtype=float)
+    ref_p = np.cumprod(1.0 - ns ** -beta)
+    ref_q = np.cumsum(np.log1p(-ns ** -q))
+    assert np.array_equal(np.concatenate([p for p, _ in chunks]), ref_p)
+    assert np.array_equal(np.concatenate([lq for _, lq in chunks]), ref_q)
+    rep = singular_scaling_demo(alpha, N)
+    assert np.array_equal(rep.p_trajectory, ref_p)
+    assert np.array_equal(rep.log_q_trajectory, ref_q)
+
+
 def test_singular_scaling_near_degenerate_flag():
     assert singular_scaling_demo(0.999, N=100).near_degenerate
     assert not singular_scaling_demo(0.5, N=100).near_degenerate
