@@ -7,10 +7,8 @@ suites with reproducible CLI reports.
 from .banded import (
     BandedSymbol,
     BlockPartition,
-    DecayCertificate,
     PerturbedIdentity,
     block,
-    decay_certificate_check,
     det_sequence,
     in_class_F,
     logdet_corners,
@@ -36,17 +34,14 @@ from .checker import (
 from .gaussmeas import (
     Box,
     DivergenceError,
-    GaussianSpace,
     RnDerivative,
     chi_norm_sq,
     diag_closed_form,
-    ell2p_norm_sq,
     gaussian_box_mass,
     h_normalization,
     infinite_product,
     perturbation_bound_check,
     poisson_bounds,
-    rn_eval,
     rn_power_factorization_check,
     singular_scaling_demo,
 )
@@ -55,8 +50,6 @@ from .hermite import (
     HermiteModel,
     adjoint_apply,
     composition_apply,
-    gram,
-    hermite_values,
 )
 
 __version__ = "0.1.0"

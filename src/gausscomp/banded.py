@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "DecayCertificate",
     "BandedSymbol",
     "BlockPartition",
     "PerturbedIdentity",
@@ -28,36 +27,20 @@ __all__ = [
     "logdet_corners",
     "power",
     "power_entry_bound",
-    "decay_certificate_check",
 ]
 
 _RANK_TOL = 1e-10  # in_class_F: relative singular-value floor of a rank
-
-
-@dataclass(frozen=True)
-class DecayCertificate:
-    """Asserted entry decay |a_ij| <= C * lam**|i-j|."""
-
-    C: float
-    lam: float
-
-    def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("decay constant C must be positive")
-        if not 0 < self.lam < 1:
-            raise ValueError("decay rate lam must lie in (0, 1)")
 
 
 class BandedSymbol:
     """Infinite real matrix with finite bandwidth; `band(lo, hi)` returns
     columns lo..hi in the "ab" layout, or a stored band's first of them."""
 
-    def __init__(self, eta, band, decay=None):
+    def __init__(self, eta, band):
         if eta < 0:
             raise ValueError("bandwidth must be nonnegative")
         self.eta = int(eta)
         self._band = band
-        self.decay = decay
 
     # -- constructors -----------------------------------------------------
 
@@ -66,7 +49,7 @@ class BandedSymbol:
         return cls.diagonal(lambda j: 1.0)
 
     @classmethod
-    def diagonal(cls, alpha, decay=None):
+    def diagonal(cls, alpha):
         """Diagonal symbol with entries alpha(j) or a finite sequence."""
         if not callable(alpha):
             seq = [float(v) for v in alpha]
@@ -77,8 +60,7 @@ class BandedSymbol:
                                      f"{len(seq)}, index {j} requested")
                 return seq[j - 1]
 
-        return cls(0, lambda lo, hi: [[alpha(j) for j in range(lo, hi + 1)]],
-                   decay=decay)
+        return cls(0, lambda lo, hi: [[alpha(j) for j in range(lo, hi + 1)]])
 
     @classmethod
     def geometric_tridiagonal(cls, q, diag=1.0):
@@ -93,12 +75,10 @@ class BandedSymbol:
             pw = [q ** j if j else 0.0 for j in range(lo - 1, hi + 1)]
             return [pw[:-1], [diag] * (hi - lo + 1), pw[1:]]
 
-        decay = (DecayCertificate(C=max(1.0, abs(diag)), lam=abs(q))
-                 if 0 < abs(q) < 1 else None)
-        return cls(1, band, decay=decay)
+        return cls(1, band)
 
     @classmethod
-    def from_entries(cls, eta, entries, decay=None):
+    def from_entries(cls, eta, entries):
         """Explicit symbol from a map (i, j) -> value, zero elsewhere."""
         # a negative eta admits no entry and is refused by the constructor
         ab = np.zeros((2 * max(eta, 0) + 1, max(
@@ -111,17 +91,17 @@ class BandedSymbol:
             elif v != 0.0:
                 raise ValueError(f"entry ({i}, {j}) lies outside the "
                                  f"declared band eta={eta}")
-        return cls(eta, lambda lo, hi: ab[:, lo - 1:hi], decay=decay)
+        return cls(eta, lambda lo, hi: ab[:, lo - 1:hi])
 
     @classmethod
-    def from_dense(cls, mat, eta=None, decay=None):
+    def from_dense(cls, mat, eta=None):
         mat = np.asarray(mat, dtype=float)
         rows, cols = np.nonzero(mat)
         if eta is None:
             eta = int(np.max(np.abs(rows - cols), initial=0))
         entries = {(i + 1, j + 1): mat[i, j]
                    for i, j in zip(rows.tolist(), cols.tolist())}
-        return cls.from_entries(eta, entries, decay=decay)
+        return cls.from_entries(eta, entries)
 
     # -- access -----------------------------------------------------------
 
@@ -413,12 +393,3 @@ def power_entry_bound(b: PerturbedIdentity, k: int, window: int):
         [b.alpha(i) for i in range(1, window + 1)])
     worst = float(np.max(np.max(np.abs(pw), axis=1) / bounds))
     return worst <= 1.0 + 1e-12, worst
-
-
-def decay_certificate_check(a: BandedSymbol, window: int) -> bool:
-    """Verify |a_ij| <= C * lam**|i-j| on the leading window."""
-    if a.decay is None:
-        raise ValueError("symbol carries no decay certificate")
-    C, lam = a.decay.C, a.decay.lam
-    return not any(np.any(np.abs(v) > C * lam ** abs(d) * (1 + 1e-12))
-                   for d, _, v in _band_rows(a.bands(1, window), a.eta, window))

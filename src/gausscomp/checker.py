@@ -76,32 +76,15 @@ class CheckReport:
     seed: int | None = None
 
     def to_dict(self):
+        """The fields as they are; `cli` turns numpy leaves into JSON."""
         return {
             "name": self.name,
             "verdict": self.verdict,
-            "payload": _plain(self.payload),
-            "params": _plain(self.params),
-            "tolerances": _plain(self.tolerances),
+            "payload": self.payload,
+            "params": self.params,
+            "tolerances": self.tolerances,
             "seed": self.seed,
         }
-
-
-def _leaf(obj):
-    """A numpy array or scalar as Python values; json.dumps' `default`."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for serialization."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return _leaf(obj) if isinstance(obj, (np.ndarray, np.generic)) else obj
 
 
 # ---------------------------------------------------------------------------

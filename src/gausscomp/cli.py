@@ -14,8 +14,11 @@ failure but at least one evidence-only verdict, 3 bad input or usage.
 Symbol file format (text): first line `kind eta` (the kind is a label
 that is not read), then either a line
 `rule <name> <params...>` or explicit entries `i j value` one per line
-(1-based, zero extension outside).  Partition files hold whitespace-
-separated strictly increasing positive integers.
+(1-based, zero extension outside).  A `diag` or `ex53` sequence is the
+rest of the rule line; `identity`, `ex59 [q]` and `geometric_tridiagonal q
+[diag]` take no other parameters.  Entries and parameters must be finite.
+Partition files hold whitespace-separated strictly increasing positive
+integers.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .gaussmeas import (
     _singular_trajectories,
     chi_norm_sq,
     diag_closed_form,
-    rn_eval,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -114,7 +116,10 @@ def _alpha_expr(expr):
 
     def fn(j):
         try:
-            return float(eval(code, env, {"j": j}))
+            value = float(eval(code, env, {"j": j}))
+            if not math.isfinite(value):
+                raise ValueError(f"{value} is not finite")
+            return value
         except (ArithmeticError, TypeError, ValueError) as exc:
             # a CliError: a suite would file a ValueError as over budget
             raise CliError(f"cannot evaluate sequence rule {expr!r} at "
@@ -129,11 +134,38 @@ def _builtin_symbol(name, args):
         return BandedSymbol.identity()
     if name == "diag":
         if not args.alphas:
-            raise CliError("builtin diag needs --alphas")
+            raise CliError("diag needs a sequence: --alphas or the rest of "
+                           "its rule line")
         return BandedSymbol.diagonal(_alpha_expr(args.alphas))
     if name == "ex53":
         return BandedSymbol.diagonal(_alpha_expr(args.alphas or "1-2^-j"))
     return PerturbedIdentity.geometric(args.q)
+
+
+# rule name -> (required, allowed) numeric parameters
+_RULE_ARITY = {"identity": (0, 0), "ex59": (0, 1),
+               "geometric_tridiagonal": (1, 2)}
+
+
+def _rule_symbol(name, params):
+    """The symbol of a line `rule <name> <params...>`; ValueError or
+    CliError for bad input."""
+    if name in ("diag", "ex53"):  # the sequence is the rest of the line
+        alphas = " ".join(params)
+        return _builtin_symbol(name, argparse.Namespace(alphas=alphas))
+    if name not in _RULE_ARITY:
+        raise ValueError(f"unknown rule {name!r}")
+    lo, hi = _RULE_ARITY[name]
+    if not lo <= len(params) <= hi:
+        raise ValueError(f"rule {name} takes {lo} to {hi} parameters")
+    vals = [float(p.removeprefix("q=") if name == "ex59" else p)
+            for p in params]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("a parameter is not finite")
+    if name == "geometric_tridiagonal":
+        return BandedSymbol.geometric_tridiagonal(*vals)
+    return _builtin_symbol(name, argparse.Namespace(
+        q=vals[0] if vals else 0.5))
 
 
 def load_symbol(path):
@@ -148,34 +180,23 @@ def load_symbol(path):
                        "with an unsigned integer eta")
     eta = int(head[1])
     if len(lines) >= 2 and lines[1].startswith("rule"):
+        name, *params = lines[1].split()[1:] or [""]
         try:
-            parts = lines[1].split()
-            name, params = parts[1], parts[2:]
-            if name in ("identity", "diag", "ex53"):
-                # diag has no default sequence: params[0] raises, reported below
-                expr = params[0] if params or name == "diag" else "1-2^-j"
-                return _builtin_symbol(
-                    name, argparse.Namespace(alphas=expr, q=None))
-            if name == "ex59":
-                q = float(params[0].split("=")[-1]) if params else 0.5
-                return _builtin_symbol(
-                    "ex59", argparse.Namespace(alphas=None, q=q))
-            if name == "geometric_tridiagonal":
-                q = float(params[0])
-                diag = float(params[1]) if len(params) > 1 else 1.0
-                return BandedSymbol.geometric_tridiagonal(q, diag)
-        except IndexError:
-            raise CliError(f"{path}: rule line {lines[1]!r} lacks the rule "
-                           "name or a required parameter") from None
-        raise CliError(f"{path}: unknown rule {name!r}")
+            return _rule_symbol(name, params)
+        except (CliError, ValueError) as exc:
+            raise CliError(f"{path}: rule line {lines[1]!r}: {exc}") from None
     entries = {}
     for ln in lines[1:]:
         try:
             i, j, v = ln.split()
-            entries[(int(i), int(j))] = float(v)
+            key, value = (int(i), int(j)), float(v)
         except ValueError:
             raise CliError(f"{path}: entry line {ln!r} must be 'i j value' "
                            "with integer i, j") from None
+        if not math.isfinite(value):
+            raise CliError(f"{path}: entry line {ln!r} has a non-finite "
+                           "value")
+        entries[key] = value
     try:
         return BandedSymbol.from_entries(eta, entries)
     except ValueError as exc:
@@ -207,6 +228,15 @@ def _resolve_symbol(args):
 # report plumbing
 
 
+def _leaf(obj):
+    """A numpy array or scalar as Python values; json.dumps' `default`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _exit_code(reports):
     verdicts = [r.verdict for r in reports]
     if any(v == "fail" for v in verdicts):
@@ -233,7 +263,7 @@ def _emit(args, command, config, reports, tables=None):
     }
     # numpy leaves go through the hook; a non-finite number: ValueError, exit 3
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                      default=checker._leaf)
+                      default=_leaf)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -275,7 +305,7 @@ def cmd_rn(args):
             raise CliError(f"point {raw!r} is not finite")
         if len(x) != args.kappa:
             raise CliError(f"point {raw!r} has wrong dimension")
-        values.append([raw, rn_eval(d, x)])
+        values.append([raw, d(x)])
     norms = []
     for raw in args.box or []:
         hw = float(raw)

@@ -28,10 +28,8 @@ from .banded import PerturbedIdentity, power
 
 __all__ = [
     "DivergenceError",
-    "GaussianSpace",
     "RnDerivative",
     "Box",
-    "rn_eval",
     "rn_power_factorization_check",
     "chi_norm_sq",
     "h_normalization",
@@ -42,7 +40,6 @@ __all__ = [
     "poisson_bounds",
     "singular_scaling_demo",
     "SingularScalingReport",
-    "ell2p_norm_sq",
     "perturbation_bound_check",
     "PerturbationCheck",
     "proof_constant",
@@ -55,20 +52,6 @@ _SUP_WINDOW = 200  # proof_constant: coordinates of its sups
 class DivergenceError(ArithmeticError):
     """Raised when the Gaussian-weighted quadratic form fails to decay in an
     unrestricted coordinate, so the integral is infinite."""
-
-
-@dataclass(frozen=True)
-class GaussianSpace:
-    """Standard Gaussian product measure on R^kappa."""
-
-    kappa: int
-
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * float(x @ x) - 0.5 * self.kappa * math.log(2.0 * math.pi)
-
-    def density(self, x):
-        return math.exp(self.log_density(x))
 
 
 class RnDerivative:
@@ -108,10 +91,6 @@ class RnDerivative:
             return math.exp(self.log_eval(x))
         except OverflowError:
             raise ValueError("density is outside the float range") from None
-
-
-def rn_eval(d: RnDerivative, x) -> float:
-    return d(x)
 
 
 def rn_power_factorization_check(A, n: int, points) -> float:
@@ -487,21 +466,7 @@ def singular_scaling_demo(alpha: float, N: int = 10_000) -> SingularScalingRepor
 
 
 # ---------------------------------------------------------------------------
-# weighted sequence norms and the perturbation inequality
-
-
-def ell2p_norm_sq(x, p) -> float:
-    """Weighted squared norm sum x_j^2 p_j."""
-    x = np.asarray(x, dtype=float)
-    if callable(p):
-        w = np.array([p(j) for j in range(1, len(x) + 1)])
-    else:
-        w = np.asarray(p, dtype=float)
-        if len(w) != len(x):
-            raise ValueError("weights and sequence length mismatch")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    return float(np.sum(x * x * w))
+# the perturbation inequality
 
 
 def proof_constant(b: PerturbedIdentity, k: int) -> float:

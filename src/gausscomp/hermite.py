@@ -2,10 +2,11 @@
 
 The basis is the probabilists' Hermite family, normalized to be orthonormal
 under the standard Gaussian measure, tensorized over coordinates and
-truncated by total degree.  Linear-symbol composition and its adjoint act
-on coefficient vectors through cached projection matrices, and every
-application reports its truncation leakage (the squared norm that falls
-outside the target degree).
+truncated by total degree.  The checker's forms read exact Grams of
+adjoint powers (`_power_pair_gram`).  Linear-symbol composition and its
+adjoint also act on coefficient vectors through cached projection
+matrices, each application with its truncation leakage (the squared norm
+outside the target degree); no verdict reads that layer.
 
 Every entry of those matrices is a Gaussian moment of a polynomial, the
 integral of phi_a(P x) phi_b(Q x) exp(-x^T E x / 2).  `gaussian_gram`
@@ -37,8 +38,6 @@ __all__ = [
     "CylFunction",
     "adjoint_apply",
     "composition_apply",
-    "gram",
-    "hermite_values",
 ]
 
 
@@ -57,14 +56,6 @@ def _hermite_rows(x, max_degree):
         out[n + 1] = x * out[n] - n * out[n - 1]
     out /= _SQRT_FACTORIAL[:max_degree + 1].reshape((-1,) + (1,) * x.ndim)
     return out
-
-
-def hermite_values(points, max_degree):
-    """Orthonormal probabilists' Hermite values He_n(x)/sqrt(n!).
-
-    Returns an array of shape (len(points), max_degree + 1).
-    """
-    return _hermite_rows(np.asarray(points, dtype=float), max_degree).T
 
 
 class HermiteModel:
@@ -94,7 +85,7 @@ class HermiteModel:
     @functools.lru_cache(maxsize=256)
     def get(cls, kappa, degree, /):
         """Cached model: equal (kappa, degree), passed by position, give the
-        same object, as `gram` and `CylFunction.embed` compare by identity."""
+        same object, so `gaussian_gram` reuses one basis for both sides."""
         return cls(kappa, degree)
 
     @property
@@ -136,17 +127,6 @@ class CylFunction:
 
     def eval(self, points):
         return self.model.basis_matrix(points) @ self.coef
-
-    def embed(self, target: HermiteModel):
-        """Inject coefficients into a model of larger degree, same kappa."""
-        if target is self.model:
-            return self
-        if target.kappa != self.model.kappa or target.degree < self.model.degree:
-            raise ValueError("target model must extend the source model")
-        coef = np.zeros(target.dim, dtype=self.coef.dtype)
-        for b, idx in enumerate(self.model.indices):
-            coef[target._index_pos[idx]] = self.coef[b]
-        return CylFunction(target, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +259,3 @@ def composition_apply(A, f: CylFunction, target: HermiteModel | None = None,
     target of the same degree the leakage vanishes up to rounding.
     """
     return _apply(A, f, target, adjoint=False, pad=pad)
-
-
-def gram(fs, gs):
-    """Matrix of inner products <f_i, g_j> by coefficient dot products."""
-    if not fs or not gs:
-        return np.zeros((len(fs), len(gs)))
-    model = fs[0].model
-    for h in list(fs) + list(gs):
-        if h.model is not model:
-            raise ValueError("all functions must share one model")
-    F = np.stack([f.coef for f in fs])
-    G = np.stack([g.coef for g in gs])
-    return F @ np.conj(G).T

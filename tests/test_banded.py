@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from gausscomp.banded import (
     BandedSymbol,
     BlockPartition,
-    DecayCertificate,
     PerturbedIdentity,
     block,
-    decay_certificate_check,
     det_sequence,
     in_class_F,
     logdet_corners,
@@ -270,27 +268,6 @@ def test_power_entry_bound_geometric():
         assert ok and worst <= 1.0 + 1e-12
 
 
-# -- decay certificates ----------------------------------------------------
-
-def test_decay_certificate_geometric():
-    a = BandedSymbol.geometric_tridiagonal(0.5)
-    assert a.decay is not None
-    assert decay_certificate_check(a, 24)
-
-
-def test_decay_certificate_violation():
-    a = BandedSymbol.from_entries(
-        3, {(1, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0},
-        decay=DecayCertificate(1.0, 0.5))
-    assert not decay_certificate_check(a, 4)
-
-
-def test_decay_certificate_missing():
-    a = BandedSymbol.diagonal([1.0, 1.0])
-    with pytest.raises(ValueError):
-        decay_certificate_check(a, 2)
-
-
 # -- perturbed identity ----------------------------------------------------
 
 def test_perturbed_identity_preconditions():
@@ -454,26 +431,23 @@ def walk_minors(f, eta, n):
 
 @st.composite
 def rule_symbols(draw):
-    """(symbol, its entry formula f(i, j) on the band, eta, n, decay)."""
+    """(symbol, its entry formula f(i, j) on the band, eta, n)."""
     n = draw(st.integers(1, 40))
     q = draw(st.floats(min_value=0.01, max_value=0.99))
     kind = draw(st.sampled_from(["identity", "diagonal", "sequence",
                                  "geometric", "entries"]))
-    decay = None
     if kind == "identity":
         a, eta = BandedSymbol.identity(), 0
         f = lambda i, j: 1.0 if i == j else 0.0
     elif kind in ("diagonal", "sequence"):
-        decay = DecayCertificate(draw(st.sampled_from([0.5, 1.0, 2.0])), q)
         rule = lambda j: 1.0 - q ** j
         alpha = rule if kind == "diagonal" else [rule(j) for j in
                                                  range(1, n + 1)]
-        a, eta = BandedSymbol.diagonal(alpha, decay=decay), 0
+        a, eta = BandedSymbol.diagonal(alpha), 0
         f = lambda i, j: rule(i) if i == j else 0.0
     elif kind == "geometric":
         diag = draw(st.sampled_from([1.0, 0.0, -2.5]))
         a, eta = BandedSymbol.geometric_tridiagonal(q, diag), 1
-        decay = a.decay
 
         def f(i, j):
             if i == j:
@@ -486,30 +460,29 @@ def rule_symbols(draw):
         values = st.sampled_from([0.0, -0.0, 1.0, -0.5, q, -q ** 3, 7.25])
         table = draw(st.dictionaries(st.sampled_from(cells), values,
                                      max_size=len(cells)))
-        decay = DecayCertificate(draw(st.sampled_from([0.5, 1.0, 8.0])), q)
-        a = BandedSymbol.from_entries(eta, table, decay=decay)
+        a = BandedSymbol.from_entries(eta, table)
         f = lambda i, j: table.get((i, j), 0.0)
     chain = draw(st.sampled_from(["none", "scaled", "plus_identity",
                                   "from_dense"]))
     if chain == "scaled":
         c = draw(st.sampled_from([-1.5, 0.3, 2.0]))
-        a, g, decay = a.scaled(c), f, None
+        a, g = a.scaled(c), f
         f = lambda i, j: c * g(i, j)
     elif chain == "plus_identity":
-        a, g, decay = a.plus_identity(), f, None
+        a, g = a.plus_identity(), f
         f = lambda i, j: g(i, j) + (1.0 if i == j else 0.0)
     elif chain == "from_dense":
         # a dense corner stores its nonzero entries only: -0.0 reads 0.0
-        a, g, decay = BandedSymbol.from_dense(a.window(n)), f, None
+        a, g = BandedSymbol.from_dense(a.window(n)), f
         f = lambda i, j: (g(i, j) or 0.0) if max(i, j) <= n else 0.0
-    return a, f, eta, n, decay
+    return a, f, eta, n
 
 
 @seed(13)
 @settings(max_examples=300, deadline=None)
 @given(rule_symbols(), st.data())
 def test_every_view_reads_the_rule_bit_for_bit(case, data):
-    a, f, eta, n, decay = case
+    a, f, eta, n = case
     # a from_dense chain infers its own, possibly smaller, bandwidth
     assert a.eta <= eta
     W = walk_window(f, eta, n)
@@ -542,13 +515,6 @@ def test_every_view_reads_the_rule_bit_for_bit(case, data):
         minors = walk_minors(f, eta, n)
         assert_same_bits(det_sequence(a, s, K),
                          [minors[s.cut(p)] for p in range(1, K + 1)])
-    if decay is not None:
-        want = not any(
-            abs(W[i - 1, j - 1]) > decay.C * decay.lam ** abs(i - j)
-            * (1 + 1e-12)
-            for i in range(1, n + 1)
-            for j in range(max(1, i - eta), min(n, i + eta) + 1))
-        assert decay_certificate_check(a, n) == want
 
 
 def first_violation_by_rows(base, alpha, w, n):

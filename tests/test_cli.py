@@ -271,7 +271,8 @@ def test_alpha_expr_rejects_outside_grammar(capsys, expr):
     ("1/(j-2)", "division by zero"),
     ("exp(j*400)", "math range error"),
     ("(1-j)^0.5+1", "complex"),
-], ids=["zero-division", "overflow", "complex"])
+    ("0.5+0*(1e308*10)^(j-1)", "nan is not finite"),
+], ids=["zero-division", "overflow", "complex", "nonfinite"])
 def test_sequence_rule_failing_past_j1_is_bad_input(tmp_path, capsys, expr,
                                                      detail):
     # j = 1 evaluates; j = 2 raises once the suite reads the second corner
@@ -553,6 +554,33 @@ def test_empty_partition_file_is_bad_input(tmp_path, capsys, suite, text,
     pytest.param("banded 1\n0 1 0.5\n", "indices are 1-based",
                  id="entry-zero-index"),
     pytest.param("diagonal 0\nrule diag\n", "'rule diag'", id="rule-diag"),
+] + [
+    # a rule or entry line with a bad or non-finite value: quoted, with why
+    pytest.param(f"banded 1\n{line}\n", f"{line!r}{reason}", id=name)
+    for name, line, reason in [
+        ("rule-non-numeric", "rule geometric_tridiagonal abc",
+         ": could not convert string to float: 'abc'"),
+        ("rule-ex59-q-outside", "rule ex59 q=2", ": q must lie in (0, 1)"),
+        ("rule-identity-surplus", "rule identity 1",
+         ": rule identity takes 0 to 0 parameters"),
+        ("rule-ex59-surplus", "rule ex59 0.5 0.6",
+         ": rule ex59 takes 0 to 1 parameters"),
+        ("rule-geometric-surplus", "rule geometric_tridiagonal 0.5 1 2",
+         ": rule geometric_tridiagonal takes 1 to 2 parameters"),
+        ("rule-nan", "rule geometric_tridiagonal nan",
+         ": a parameter is not finite"),
+        ("rule-inf-diag", "rule geometric_tridiagonal 0.5 inf",
+         ": a parameter is not finite"),
+        ("rule-ex59-nan", "rule ex59 q=nan", ": a parameter is not finite"),
+        ("rule-ex59-other-name", "rule ex59 r=0.3",
+         ": could not convert string to float: 'r=0.3'"),
+        ("rule-diag-inf", "rule diag 1e308*10+0*j",
+         ": cannot evaluate sequence rule '1e308*10+0*j' at j=1: inf is "
+         "not finite"),
+        ("entry-nan", "1 1 nan", " has a non-finite value"),
+        ("entry-inf", "1 1 inf", " has a non-finite value"),
+        ("entry-overflow", "2 1 -1e400", " has a non-finite value"),
+    ]
 ])
 def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
                                                   message):
@@ -573,6 +601,34 @@ def test_check_with_symbol_file(tmp_path, capsys):
     p.write_text("diagonal 0\nrule diag 1-2^-j\n")
     code, doc = run_cli(capsys, "check", "prop52", "--file", str(p))
     assert code == 0
+
+
+@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+def test_spaced_diag_rule_reads_the_whole_line(tmp_path, capsys, suite):
+    # the sequence is the rest of the line, not its first token "1"
+    p = tmp_path / "sym.txt"
+    p.write_text("diagonal 0\nrule diag 1 - 2^-j\n")
+    argv = ("check", suite, "--L", "4")
+    code, doc = run_cli(capsys, *argv, "--file", str(p))
+    twin_code, twin = run_cli(capsys, *argv, "--builtin", "ex53")
+    assert code == twin_code
+    assert doc["body"]["reports"] == twin["body"]["reports"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "thm51", "--builtin", "diag", "--L", "4"),
+    ("check", "prop52", "--builtin", "diag", "--L", "4"),
+    ("example", "diag"),
+    ("rn", "--builtin", "diag", "--kappa", "2"),
+], ids=["thm51", "prop52", "example", "rn"])
+def test_nonfinite_sequence_rule_exits_three(tmp_path, capsys, argv):
+    # inf at j = 1: rejected when the rule is built, before any report
+    report = tmp_path / "report.json"
+    expr = "1e308*10+0*j"
+    code = main([*argv, "--alphas", expr, "--output", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and not report.exists()
+    assert f"sequence rule {expr!r} at j=1: inf is not finite" in err
 
 
 def test_missing_file_exits_three(capsys):
@@ -646,7 +702,8 @@ def test_numpy_leaves_are_written_as_python_values(tmp_path):
 
 
 def test_numpy_nan_in_a_table_exits_three(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rn_eval", lambda d, x: np.array([1.0, np.nan]))
+    monkeypatch.setattr(gaussmeas.RnDerivative, "__call__",
+                        lambda d, x: np.array([1.0, np.nan]))
     out = tmp_path / "rn.json"
     code = main(["rn", "--builtin", "ex53", "--kappa", "1", "--point", "0",
                  "--output", str(out)])

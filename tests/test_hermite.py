@@ -16,8 +16,6 @@ from gausscomp.hermite import (
     adjoint_apply,
     composition_apply,
     gaussian_gram,
-    gram,
-    hermite_values,
 )
 
 RNG = np.random.default_rng(7)
@@ -35,7 +33,7 @@ def gauss_hermite_rule(kappa, order):
 
 def test_hermite_values_low_degrees():
     x = np.array([0.0, 1.0, -2.0])
-    vals = hermite_values(x, 3)
+    vals = HermiteModel(1, 3).basis_matrix(x[:, None])
     np.testing.assert_allclose(vals[:, 0], 1.0)
     np.testing.assert_allclose(vals[:, 1], x)
     np.testing.assert_allclose(vals[:, 2], (x**2 - 1.0) / math.sqrt(2.0))
@@ -44,7 +42,7 @@ def test_hermite_values_low_degrees():
 
 def test_hermite_values_match_hermeval_to_degree_20():
     x = np.linspace(-6.0, 6.0, 49)
-    vals = hermite_values(x, 20)
+    vals = HermiteModel(1, 20).basis_matrix(x[:, None])
     assert vals.shape == (49, 21)
     for n in range(21):
         ref = hermeval(x, np.eye(n + 1)[n]) / math.sqrt(math.factorial(n))
@@ -73,8 +71,9 @@ def test_basis_is_the_column_recurrence_bit_for_bit(kappa, degree):
         expected *= column_hermite_values(X[:, c], degree)[
             :, model._index_array[:, c]]
     np.testing.assert_array_equal(model.basis_matrix(X), expected)
-    np.testing.assert_array_equal(hermite_values(X[:, 0], degree),
-                                  column_hermite_values(X[:, 0], degree))
+    np.testing.assert_array_equal(
+        HermiteModel(1, degree).basis_matrix(X[:, :1]),
+        column_hermite_values(X[:, 0], degree))
 
 
 @pytest.mark.parametrize("kappa,degree", [(1, 8), (2, 6), (3, 4)])
@@ -93,7 +92,7 @@ def test_model_dim_binomial():
 
 
 def test_model_lookup_is_cached_by_value():
-    # `gram` and `CylFunction.embed` compare models by identity
+    # `gaussian_gram` reuses one basis when both models are one object
     assert HermiteModel.get(2, 5) is HermiteModel.get(2, 5)
     assert HermiteModel.get(2, 5) is not HermiteModel.get(2, 4)
     assert HermiteModel.get.cache_info().maxsize == 256
@@ -139,12 +138,17 @@ def test_cyl_function_norm_parseval():
 
 
 def test_embed_preserves_coefficients():
+    # graded order lists a coarse model's indices first in a finer one, so
+    # zero padding embeds a function unchanged
     small = HermiteModel.get(2, 3)
     big = HermiteModel.get(2, 6)
+    assert big.indices[:small.dim] == small.indices
     f = small.basis_function((1, 2))
-    g = f.embed(big)
+    g = big.function(np.pad(f.coef, (0, big.dim - small.dim)))
     assert g.norm_sq == pytest.approx(1.0)
     assert g.coef[big._index_pos[(1, 2)]] == 1.0
+    X = np.array([[0.3, -1.2], [1.5, 0.7], [-2.0, 0.1]])
+    np.testing.assert_allclose(g.eval(X), f.eval(X), rtol=1e-13)
 
 
 # -- operators --------------------------------------------------------------
@@ -209,7 +213,8 @@ def test_adjointness_quadrature_both_sides():
         caf, _ = composition_apply(A, f, target=model)
         lhs = float(caf.coef @ g.coef)
         sg, _ = adjoint_apply(A, g, target=fine)
-        rhs = float(f.embed(fine).coef @ sg.coef)
+        # graded order puts the coarse indices first
+        rhs = float(f.coef @ sg.coef[:model.dim])
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -224,19 +229,11 @@ def test_adjoint_norm_bound_contracting():
         assert math.sqrt(caf.norm_sq) <= bound * math.sqrt(f.norm_sq) + 1e-12
 
 
-def test_gram_identity_and_mismatch():
-    model = HermiteModel.get(2, 3)
-    basis = [model.basis_function(idx) for idx in model.indices[:4]]
-    np.testing.assert_allclose(gram(basis, basis), np.eye(4), atol=1e-14)
-    other = HermiteModel.get(2, 4)
-    with pytest.raises(ValueError):
-        gram(basis, [other.basis_function((0, 0))])
-
-
 def test_gram_matches_quadrature():
+    # the basis is orthonormal: inner products are coefficient dot products
     model = HermiteModel.get(2, 5)
     fs = [model.function(RNG.standard_normal(model.dim)) for _ in range(3)]
-    G = gram(fs, fs)
+    G = np.array([[f.coef @ g.coef for g in fs] for f in fs])
     X, W = gauss_hermite_rule(2, model.degree + 2)
     for i in range(3):
         for j in range(3):
