@@ -1,12 +1,15 @@
 """Command-line front end: density evaluation, hypothesis-suite checks and
 turnkey reproductions of the worked families, with deterministic reports.
 
+Each command (`rn`, `check thm51|prop52|prop56`, `example
+diag|banded|singular`) takes exactly the flags it reads; any other flag is
+a usage error.
+
 Reports are JSON documents with two top-level keys: `header` (carries the
 timestamp and the schema version; the only non-deterministic part) and
 `body` (configuration, per-check records and tables; byte-identical across
-runs with the same arguments; `--seed` is only recorded).  Tables are
-additionally emitted as CSV files when an output directory is given (flag
-`--outdir` or environment variable GAUSSCOMP_OUTDIR).
+runs with the same arguments; `check --seed` is only recorded).  `rn` and
+`example` also write their tables as CSV files into `--outdir` if given.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
@@ -56,7 +59,7 @@ from .gaussmeas import (
     diag_closed_form,
 )
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -129,17 +132,18 @@ def _alpha_expr(expr):
     return fn
 
 
-def _builtin_symbol(name, args):
+def _builtin_symbol(name, alphas, q):
     if name == "identity":
         return BandedSymbol.identity()
     if name == "diag":
-        if not args.alphas:
+        if alphas is None:
             raise CliError("diag needs a sequence: --alphas or the rest of "
                            "its rule line")
-        return BandedSymbol.diagonal(_alpha_expr(args.alphas))
+        return BandedSymbol.diagonal(_alpha_expr(alphas))
     if name == "ex53":
-        return BandedSymbol.diagonal(_alpha_expr(args.alphas or "1-2^-j"))
-    return PerturbedIdentity.geometric(args.q)
+        return BandedSymbol.diagonal(_alpha_expr(
+            "1-2^-j" if alphas is None else alphas))
+    return PerturbedIdentity.geometric(q)
 
 
 # rule name -> (required, allowed) numeric parameters
@@ -147,12 +151,11 @@ _RULE_ARITY = {"identity": (0, 0), "ex59": (0, 1),
                "geometric_tridiagonal": (1, 2)}
 
 
-def _rule_symbol(name, params):
+def _rule_symbol(name, params, where):
     """The symbol of a line `rule <name> <params...>`; ValueError or
-    CliError for bad input."""
+    CliError for bad input.  `where` names the line in a later error."""
     if name in ("diag", "ex53"):  # the sequence is the rest of the line
-        alphas = " ".join(params)
-        return _builtin_symbol(name, argparse.Namespace(alphas=alphas))
+        return _builtin_symbol(name, " ".join(params) or None, None)
     if name not in _RULE_ARITY:
         raise ValueError(f"unknown rule {name!r}")
     lo, hi = _RULE_ARITY[name]
@@ -162,10 +165,17 @@ def _rule_symbol(name, params):
             for p in params]
     if not all(map(math.isfinite, vals)):
         raise ValueError("a parameter is not finite")
-    if name == "geometric_tridiagonal":
-        return BandedSymbol.geometric_tridiagonal(*vals)
-    return _builtin_symbol(name, argparse.Namespace(
-        q=vals[0] if vals else 0.5))
+    if name != "geometric_tridiagonal":
+        return _builtin_symbol(name, None, vals[0] if vals else 0.5)
+    band = BandedSymbol.geometric_tridiagonal(*vals).bands
+
+    def checked(lo, hi):  # a suite would file a ValueError as over budget
+        try:
+            return band(lo, hi)
+        except OverflowError as exc:  # |q| > 1: q**j leaves the float range
+            raise CliError(f"{where}: columns {lo}..{hi}: {exc}") from None
+
+    return BandedSymbol(1, checked)
 
 
 def load_symbol(path):
@@ -181,10 +191,11 @@ def load_symbol(path):
     eta = int(head[1])
     if len(lines) >= 2 and lines[1].startswith("rule"):
         name, *params = lines[1].split()[1:] or [""]
+        where = f"{path}: rule line {lines[1]!r}"
         try:
-            return _rule_symbol(name, params)
+            return _rule_symbol(name, params, where)
         except (CliError, ValueError) as exc:
-            raise CliError(f"{path}: rule line {lines[1]!r}: {exc}") from None
+            raise CliError(f"{where}: {exc}") from None
     entries = {}
     for ln in lines[1:]:
         try:
@@ -221,7 +232,7 @@ def load_partition(path):
 def _resolve_symbol(args):
     if args.file:
         return load_symbol(args.file)
-    return _builtin_symbol(args.builtin, args)
+    return _builtin_symbol(args.builtin, args.alphas, args.q)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +280,10 @@ def _emit(args, command, config, reports, tables=None):
             fh.write(text + "\n")
     else:
         print(text)
-    outdir = args.outdir or os.environ.get("GAUSSCOMP_OUTDIR")
-    if outdir and tables:
-        os.makedirs(outdir, exist_ok=True)
+    if tables and args.outdir:  # check writes none and has no --outdir
+        os.makedirs(args.outdir, exist_ok=True)
         for name, (cols, rows) in tables.items():
-            with open(os.path.join(outdir, f"{command}_{name}.csv"), "w",
+            with open(os.path.join(args.outdir, f"{command}_{name}.csv"), "w",
                       newline="") as fh:
                 csv.writer(fh, lineterminator="\n").writerows([cols, *rows])
     return _exit_code(reports)
@@ -336,53 +346,45 @@ def cmd_rn(args):
 
 
 def cmd_check(args):
+    prop56 = args.suite == "prop56"
     if args.L < 1 or min(args.n, args.r) < 0 or (
-            args.suite != "prop56" and args.n + args.r < 1):
+            not prop56 and args.n + args.r < 1):
         raise CliError("check needs --L >= 1, --n, --r >= 0 and, for thm51 "
                        "and prop52, --n + --r >= 1")
-    if args.rho is not None and args.suite != "prop56":
-        raise CliError(f"--rho is read only by prop56, not by {args.suite}")
-    if args.rho is not None and not 0 < args.rho < math.inf:
+    if prop56 and args.rho is not None and not 0 < args.rho < math.inf:
         raise CliError(f"--rho {args.rho} must be positive and finite")
     sym = _resolve_symbol(args)
-    boxes = [Box(args.n + args.r, float(h))
-             for h in (args.boxes.split(",") if args.boxes else ["1"])]
-    if not all(math.isfinite(b.halfwidth) for b in boxes):
-        raise CliError(f"--boxes {args.boxes!r} has a non-finite halfwidth")
-    s = args.partition
-    if s is None:
-        s = BlockPartition.unit(max(args.L + 2, 8))
-    elif len(s) < args.L and args.suite != "prop56":
-        raise CliError(f"--partition-file has {len(s)} cut points; "
-                       f"--L {args.L} needs at least {args.L}")
-    if args.suite == "prop56":
+    s = (load_partition(args.partition_file) if args.partition_file
+         else BlockPartition.unit(max(args.L + 2, 8)))
+    config = {"suite": args.suite, "symbol": args.builtin or args.file,
+              "q": args.q, "alphas": args.alphas, "n": args.n, "r": args.r,
+              "L": args.L, "seed": args.seed}
+    if prop56:
         if not isinstance(sym, PerturbedIdentity):
             raise CliError("prop56 needs a perturbed-identity symbol "
                            "(builtin ex59)")
         rho = args.rho if args.rho is not None else sym.det_floor
         reports = checker.prop56_suite(sym, s, args.n, args.r, rho, L=args.L)
     else:
+        boxes = [Box(args.n + args.r, float(h)) for h in args.boxes.split(",")]
+        if not all(math.isfinite(b.halfwidth) for b in boxes):
+            raise CliError(f"--boxes {args.boxes!r} has a non-finite "
+                           "halfwidth")
+        if len(s) < args.L:
+            raise CliError(f"--partition-file has {len(s)} cut points; "
+                           f"--L {args.L} needs at least {args.L}")
         if isinstance(sym, PerturbedIdentity):
             sym = sym.symbol
         suite = (checker.prop52_suite if args.suite == "prop52"
                  else checker.thm51_suite)
         reports = suite(sym, s, args.n, args.r, args.L, boxes,
                         dim_cap=args.dim_cap)
-    config = {"suite": args.suite, "symbol": args.builtin or args.file,
-              "q": args.q, "alphas": args.alphas, "n": args.n, "r": args.r,
-              "L": args.L, "boxes": [b.halfwidth for b in boxes],
-              "seed": args.seed}
+        config["boxes"] = [b.halfwidth for b in boxes]
     return _emit(args, f"check_{args.suite}", config, reports)
 
 
-def cmd_example(args):
-    return {"diag": _example_diag, "banded": _example_banded,
-            "singular": _example_singular}[args.which](args)
-
-
 def _example_diag(args):
-    expr = args.alphas or "1-2^-j"
-    alpha = _alpha_expr(expr)
+    alpha = _alpha_expr(args.alphas)
     n_plus_r = 2
     if args.L <= n_plus_r or not 0 < args.k < math.inf:
         raise CliError(f"example diag needs --L > {n_plus_r} and a positive, "
@@ -397,18 +399,17 @@ def _example_diag(args):
             rel = abs(closed - quad) / closed
             worst = max(worst, rel)
             rows.append([i, l, closed, quad, rel])
-    ok = worst < 1e-8
+    config = {"alphas": args.alphas, "k": args.k, "L": args.L}
     reports = [CheckReport(
         name="closed_form_vs_quadrature",
-        verdict="pass" if ok else "fail",
+        verdict="pass" if worst < 1e-8 else "fail",
         payload={"max_rel_diff": worst},
-        params={"alphas": expr, "k": args.k, "L": args.L},
+        params=config,
         tolerances={"rel": 1e-8},
     )]
     tables = {"norms": (["i", "l", "closed_form", "quadrature", "rel_diff"],
                         rows)}
-    return _emit(args, "example_diag",
-                 {"alphas": expr, "k": args.k, "L": args.L}, reports, tables)
+    return _emit(args, "example_diag", config, reports, tables)
 
 
 def _example_banded(args):
@@ -417,7 +418,6 @@ def _example_banded(args):
     b = PerturbedIdentity.geometric(args.q)
     s = BlockPartition.unit(args.L)
     dets = det_sequence(b.symbol, s, args.L)
-    q = args.q
     floor = b.det_floor
     rows = [[l + 1, float(d), floor, 1.0] for l, d in enumerate(dets)]
     inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
@@ -425,10 +425,10 @@ def _example_banded(args):
         name="determinant_envelope",
         verdict="pass" if inside else "fail",
         payload={"min_det": float(np.min(dets)), "floor": floor},
-        params={"q": q, "L": args.L},
+        params={"q": args.q, "L": args.L},
     )]
     tables = {"determinants": (["l", "det", "lower", "upper"], rows)}
-    return _emit(args, "example_banded", {"q": q, "L": args.L},
+    return _emit(args, "example_banded", {"q": args.q, "L": args.L},
                  reports, tables)
 
 
@@ -482,63 +482,69 @@ def _add_symbol_args(p):
     p.add_argument("--alphas", help="diagonal rule, expression in j")
     p.add_argument("--q", type=float, default=0.5,
                    help="off-diagonal ratio for builtin ex59")
-    p.add_argument("--partition-file", dest="partition_file")
 
 
-def _add_common_args(p):
+def _command(sub, name, fn, help=None, tables=True):
+    """A leaf parser: its handler, --output and, with tables, --outdir."""
+    # no abbreviations: `example diag --alpha` is unread, not --alphas
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--outdir", help="directory for CSV tables "
-                   "(default: env GAUSSCOMP_OUTDIR)")
-    p.add_argument("--seed", type=int, default=0)
+    if tables:
+        p.add_argument("--outdir", help="directory for CSV tables")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
-    """A fresh parser; `main` builds one per process and reuses it."""
+    """A fresh parser; `main` builds one per process and reuses it.  Each
+    command declares exactly the flags it reads."""
     parser = _Parser(prog="gausscomp",
                      description="Numerical checks for composition operators "
                                  "with banded matrix symbols over Gaussian "
                                  "measure")
-    sub = parser.add_subparsers(dest="cmd", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("rn",
-                       help="evaluate densities and box norms")
+    p = _command(sub, "rn", cmd_rn, "evaluate densities and box norms")
     _add_symbol_args(p)
-    _add_common_args(p)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--kappa", type=int, default=2)
     p.add_argument("--point", action="append",
                    help="comma-separated coordinates; repeatable")
     p.add_argument("--box", action="append",
                    help="box halfwidth; repeatable")
-    p.add_argument("--box-dims", type=int, dest="box_dims")
-    p.set_defaults(fn=cmd_rn)
+    p.add_argument("--box-dims", type=int)
 
-    p = sub.add_parser("check",
-                       help="run a hypothesis suite")
-    p.add_argument("suite", choices=["thm51", "prop52", "prop56"])
-    _add_symbol_args(p)
-    _add_common_args(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--boxes", help="comma-separated halfwidths")
-    p.add_argument("--dim-cap", type=int, default=4, dest="dim_cap")
-    p.set_defaults(fn=cmd_check)
+    suites = sub.add_parser("check", help="run a hypothesis suite"
+                            ).add_subparsers(dest="suite", required=True)
+    for suite in ("thm51", "prop52", "prop56"):
+        p = _command(suites, suite, cmd_check, tables=False)
+        _add_symbol_args(p)
+        p.add_argument("--partition-file")
+        p.add_argument("--seed", type=int, default=0, help="only recorded")
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--r", type=int, default=1)
+        p.add_argument("--L", type=int, default=64 if suite == "prop56" else 6)
+        if suite == "prop56":
+            p.add_argument("--rho", type=float)
+        else:
+            p.add_argument("--boxes", default="1",
+                           help="comma-separated halfwidths")
+            p.add_argument("--dim-cap", type=int, default=4)
 
-    p = sub.add_parser("example",
-                       help="scripted reproduction of a worked family")
-    p.add_argument("which", choices=["diag", "banded", "singular"])
-    _add_common_args(p)
-    p.add_argument("--alphas", help="diagonal rule for example diag")
+    examples = sub.add_parser(
+        "example", help="scripted reproduction of a worked family"
+    ).add_subparsers(dest="which", required=True)
+    p = _command(examples, "diag", _example_diag)
+    p.add_argument("--alphas", default="1-2^-j",
+                   help="diagonal rule, expression in j")
+    p.add_argument("--k", type=float, default=1.0, help="box halfwidth")
+    p.add_argument("--L", type=int, default=6)
+    p = _command(examples, "banded", _example_banded)
     p.add_argument("--q", type=float, default=0.5)
+    p.add_argument("--L", type=int, default=64)
+    p = _command(examples, "singular", _example_singular)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--k", type=float, default=1.0,
-                   help="box halfwidth for example diag")
-    p.set_defaults(fn=cmd_example)
     return parser
 
 
@@ -548,13 +554,6 @@ _main_parser = functools.cache(build_parser)
 def main(argv=None):
     try:
         args = _main_parser().parse_args(argv)
-        if args.cmd == "check":
-            args.L = args.L if args.L is not None else (
-                64 if args.suite == "prop56" else 6)
-            args.partition = (load_partition(args.partition_file)
-                              if args.partition_file else None)
-        if args.cmd == "example" and args.L is None:
-            args.L = 64 if args.which == "banded" else 6
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

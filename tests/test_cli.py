@@ -123,15 +123,54 @@ def test_prop56_rho_must_be_positive_and_finite(tmp_path, capsys, rho):
     assert re.search(r"--rho\b", err)
 
 
-@pytest.mark.parametrize("suite", ["thm51", "prop52"])
-def test_rho_is_bad_input_outside_prop56(tmp_path, capsys, suite):
-    # it was accepted and ignored: --rho 0.5 and --rho 7 wrote one body
+@pytest.mark.parametrize("argv,flag", [
+    (("rn", "--builtin", "ex53", "--seed", "1"), "--seed"),
+    (("rn", "--builtin", "ex53", "--partition-file", "p"), "--partition-file"),
+    (("check", "prop56", "--builtin", "ex59", "--boxes", "2"), "--boxes"),
+    (("check", "prop56", "--builtin", "ex59", "--dim-cap", "9"), "--dim-cap"),
+    # check writes no table
+    (("check", "thm51", "--builtin", "ex53", "--outdir", "d"), "--outdir"),
+    (("example", "diag", "--N", "5"), "--N"),
+    (("example", "banded", "--k", "2"), "--k"),
+    (("example", "singular", "--L", "5"), "--L"),
+    (("example", "banded", "--seed", "1"), "--seed"),
+    # not an abbreviation of diag's --alphas
+    (("example", "diag", "--alpha", "0.5"), "--alpha"),
+    (("check", "thm51", "--builtin", "ex53", "--L", "4", "--rho", "0.5"),
+     "--rho"),
+    (("check", "prop52", "--builtin", "ex53", "--L", "4", "--rho", "0.5"),
+     "--rho"),
+], ids=["rn-seed", "rn-partition-file", "prop56-boxes", "prop56-dim-cap",
+        "thm51-outdir", "diag-N", "banded-k", "singular-L", "banded-seed",
+        "diag-alpha", "thm51-rho", "prop52-rho"])
+def test_unread_flag_is_bad_input(tmp_path, capsys, argv, flag):
+    # each was accepted and ignored; the parser now names it
     out = tmp_path / "report.json"
-    code = main(["check", suite, "--builtin", "ex53", "--L", "4",
-                 "--rho", "0.5", "--output", str(out)])
+    code = main([*argv, "--output", str(out)])
     stdout, err = capsys.readouterr()
     assert code == 3 and stdout == "" and not out.exists()
-    assert re.search(r"--rho\b", err) and "prop56" in err
+    assert re.search(rf"{flag}\b", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "thm51", "--builtin", "ex53", "--boxes", ""),
+    ("check", "prop52", "--builtin", "ex53", "--alphas", ""),
+    ("example", "diag", "--alphas", ""),
+], ids=["thm51-boxes", "prop52-alphas", "diag-alphas"])
+def test_empty_value_is_bad_input(tmp_path, capsys, argv):
+    # not the default: box 1.0 or the sequence 1-2^-j
+    out = tmp_path / "report.json"
+    code = main([*argv, "--output", str(out)])
+    stdout, _ = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+
+
+def test_outdir_is_read_only_from_the_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GAUSSCOMP_OUTDIR", str(tmp_path / "env"))
+    code = main(["example", "banded", "--L", "8",
+                 "--output", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    assert code == 0 and not (tmp_path / "env").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,6 +633,28 @@ def test_symbol_file_incomplete_rule_is_bad_input(tmp_path, capsys, text,
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert str(p) in err and message in err
+
+
+def test_bare_ex53_rule_is_the_default_sequence(tmp_path, capsys):
+    p = tmp_path / "sym.txt"
+    p.write_text("diagonal 0\nrule ex53\n")
+    argv = ("check", "prop52", "--L", "4")
+    code, doc = run_cli(capsys, *argv, "--file", str(p))
+    twin_code, twin = run_cli(capsys, *argv, "--builtin", "ex53")
+    assert code == twin_code == 0
+    assert doc["body"]["reports"] == twin["body"]["reports"]
+
+
+def test_overflowing_rule_is_bad_input(tmp_path, capsys):
+    # 2**j leaves the float range past column 1023
+    p = tmp_path / "geo2.txt"
+    p.write_text("banded 1\nrule geometric_tridiagonal 2\n")
+    out = tmp_path / "report.json"
+    code = main(["check", "prop52", "--file", str(p), "--L", "1100",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert str(p) in err and "'rule geometric_tridiagonal 2'" in err
 
 
 def test_check_with_symbol_file(tmp_path, capsys):
