@@ -29,7 +29,7 @@ __all__ = [
     "power_entry_bound",
 ]
 
-_RANK_TOL = 1e-10  # in_class_F: relative singular-value floor of a rank
+_RANK_TOL = 1e-10  # in_class_F, prop52_suite: relative floor of a rank
 
 
 class BandedSymbol:

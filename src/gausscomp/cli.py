@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import csv
 import functools
 import json
@@ -59,7 +60,7 @@ from .gaussmeas import (
     diag_closed_form,
 )
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -151,9 +152,8 @@ _RULE_ARITY = {"identity": (0, 0), "ex59": (0, 1),
                "geometric_tridiagonal": (1, 2)}
 
 
-def _rule_symbol(name, params, where):
-    """The symbol of a line `rule <name> <params...>`; ValueError or
-    CliError for bad input.  `where` names the line in a later error."""
+def _rule_symbol(name, params):
+    """The symbol of a rule line; ValueError or CliError for bad input."""
     if name in ("diag", "ex53"):  # the sequence is the rest of the line
         return _builtin_symbol(name, " ".join(params) or None, None)
     if name not in _RULE_ARITY:
@@ -167,15 +167,7 @@ def _rule_symbol(name, params, where):
         raise ValueError("a parameter is not finite")
     if name != "geometric_tridiagonal":
         return _builtin_symbol(name, None, vals[0] if vals else 0.5)
-    band = BandedSymbol.geometric_tridiagonal(*vals).bands
-
-    def checked(lo, hi):  # a suite would file a ValueError as over budget
-        try:
-            return band(lo, hi)
-        except OverflowError as exc:  # |q| > 1: q**j leaves the float range
-            raise CliError(f"{where}: columns {lo}..{hi}: {exc}") from None
-
-    return BandedSymbol(1, checked)
+    return BandedSymbol.geometric_tridiagonal(*vals)
 
 
 def load_symbol(path):
@@ -193,9 +185,18 @@ def load_symbol(path):
         name, *params = lines[1].split()[1:] or [""]
         where = f"{path}: rule line {lines[1]!r}"
         try:
-            return _rule_symbol(name, params, where)
+            sym = _rule_symbol(name, params)
         except (CliError, ValueError) as exc:
             raise CliError(f"{where}: {exc}") from None
+
+        def checked(lo, hi):  # a suite would file a ValueError as over budget
+            try:  # a sequence failing past j = 1, or q**j past the float range
+                return sym.bands(lo, hi)
+            except (CliError, OverflowError) as exc:
+                raise CliError(f"{where}: columns {lo}..{hi}: {exc}") from None
+
+        return (sym if isinstance(sym, PerturbedIdentity)  # ex59: q in (0, 1)
+                else BandedSymbol(sym.eta, checked))
     entries = {}
     for ln in lines[1:]:
         try:
@@ -227,6 +228,15 @@ def load_partition(path):
         return BlockPartition([int(v) for v in vals])
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
+
+
+def _finite_floats(flag, raw, count=None):
+    """The finite numbers of the comma list `raw`, `count` of them if given."""
+    with contextlib.suppress(ValueError):
+        vals = [float(v) for v in raw.split(",")]
+        if count in (None, len(vals)) and all(map(math.isfinite, vals)):
+            return vals
+    raise CliError(f"{flag} {raw!r}: needs {count or 'only'} finite numbers")
 
 
 def _resolve_symbol(args):
@@ -308,19 +318,11 @@ def cmd_rn(args):
     Ai = np.linalg.matrix_power(A, args.power)
     d = RnDerivative(Ai)
     reports = []
-    values = []
-    for raw in args.point or []:
-        x = np.array([float(v) for v in raw.split(",")])
-        if not np.all(np.isfinite(x)):
-            raise CliError(f"point {raw!r} is not finite")
-        if len(x) != args.kappa:
-            raise CliError(f"point {raw!r} has wrong dimension")
-        values.append([raw, d(x)])
+    values = [[raw, d(np.array(_finite_floats("--point", raw, args.kappa)))]
+              for raw in args.point or []]
     norms = []
     for raw in args.box or []:
-        hw = float(raw)
-        if not math.isfinite(hw):
-            raise CliError(f"box halfwidth {raw!r} is not finite")
+        hw, = _finite_floats("--box", raw, 1)
         dims = args.box_dims if args.box_dims is not None else args.kappa
         box = Box(dims, hw)  # a non-positive halfwidth is bad input
         try:
@@ -366,10 +368,8 @@ def cmd_check(args):
         rho = args.rho if args.rho is not None else sym.det_floor
         reports = checker.prop56_suite(sym, s, args.n, args.r, rho, L=args.L)
     else:
-        boxes = [Box(args.n + args.r, float(h)) for h in args.boxes.split(",")]
-        if not all(math.isfinite(b.halfwidth) for b in boxes):
-            raise CliError(f"--boxes {args.boxes!r} has a non-finite "
-                           "halfwidth")
+        boxes = [Box(args.n + args.r, h)
+                 for h in _finite_floats("--boxes", args.boxes)]
         if len(s) < args.L:
             raise CliError(f"--partition-file has {len(s)} cut points; "
                            f"--L {args.L} needs at least {args.L}")

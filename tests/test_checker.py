@@ -451,6 +451,97 @@ def test_prop52_rank_break_fails_structurally():
     assert by_name["inverse_in_block_class"] == "fail"
 
 
+def block_class(a, s, K):
+    """The `inverse_in_block_class` report of `prop52_suite` to depth K."""
+    return next(r for r in prop52_suite(a, s, 0, 0, K, [])
+                if r.name == "inverse_in_block_class")
+
+
+def block_class_of_inverse(inv, s, K, tol):
+    """The first cut p whose inverse is not zero between blocks <= p and
+    >= p + 2, as (p, p + 2), else the rank of every block (p, p + 1); an
+    entry or singular value counts when above `tol` times max |inv|."""
+    floor = tol * np.max(np.abs(inv))
+    for p in range(1, K):
+        lo, hi = s.cut(p), s.cut(p + 1)
+        if max(np.abs(inv[:lo, hi:]).max(), np.abs(inv[hi:, :lo]).max()) > floor:
+            return (p, p + 2), []
+    ranks = []
+    for p in range(1, K):
+        sv = np.linalg.svd(inv[s.cut(p - 1):s.cut(p), s.cut(p):s.cut(p + 1)],
+                           compute_uv=False)
+        ranks.append((p, int(np.sum(sv > floor)), s.cut(p) - s.cut(p - 1)))
+    return None, ranks
+
+
+@st.composite
+def dominant_banded_symbols(draw):
+    """A sparse band with entries +-1, 0.5 and the diagonal 1 + the row's
+    absolute sum, so every corner is well conditioned, with K and at least
+    four more blocks."""
+    eta = draw(st.integers(0, 3))
+    s = BlockPartition(np.cumsum(draw(st.lists(st.integers(1, 3), min_size=5,
+                                               max_size=9))))
+    K = draw(st.integers(1, len(s) - 4))
+    n = s.cut(len(s))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if 0 < abs(i - j) <= eta]
+    entries = draw(st.dictionaries(st.sampled_from(cells),
+                                   st.sampled_from([1.0, -1.0, 0.5]),
+                                   max_size=len(cells) // 2)) if cells else {}
+    for i in range(1, n + 1):
+        entries[(i, i)] = 1.0 + sum(abs(v) for (r, _), v in entries.items()
+                                    if r == i)
+    return BandedSymbol.from_entries(eta, entries), s, K
+
+
+@seed(19)
+@settings(max_examples=300, deadline=None)
+@given(dominant_banded_symbols())
+def test_inverse_block_class_matches_dense_inverse(case):
+    # the dense inverse of the first corner two or more blocks past K that
+    # holds A's band past s(K), read at a relative floor
+    a, s, K = case
+    N = next(s.cut(m) for m in range(K + 2, len(s) + 1)
+             if s.cut(m) >= s.cut(K) + a.eta)
+    violation, ranks = block_class_of_inverse(
+        np.linalg.inv(a.window(N)), s, K, 1e-12)
+    rep = block_class(a, s, K)
+    assert rep.payload == {"structural_violation": violation,
+                           "block_ranks": ranks}
+    assert rep.verdict == ("pass" if violation is None and all(
+        r in (0, full) for _, r, full in ranks) else "fail")
+
+
+def test_inverse_block_rank_of_an_ill_conditioned_symbol_matches_mpmath():
+    """cond(A) is about 1e13.  A's boundary corner a_34 at cut 2 is an
+    exact zero, so block (2, 3) of the inverse has rank 0; in floating
+    point that block is roundoff far below every true entry of A^-1."""
+    import mpmath as mp
+    a = BandedSymbol.from_entries(1, {
+        (1, 1): 1e-6, (1, 2): 1e-6, (2, 2): 1e-6, (3, 2): 3.0, (3, 3): -1.0,
+        (4, 3): 1.0, (4, 4): 1e-6, (5, 5): 3.0, (5, 6): 1.0, (6, 5): 1e-6,
+        (6, 6): 3.0})
+    s = BlockPartition((1, 3, 4, 5))
+    W = a.window(6)
+    with mp.workdps(40):
+        exact = np.array((mp.matrix(W.tolist()) ** -1).tolist(), dtype=float)
+    violation, ranks = block_class_of_inverse(exact, s, 4, 1e-25)
+    assert ranks[1] == (2, 0, 2)
+    rep = block_class(a, s, 4)
+    assert rep.payload == {"structural_violation": violation,
+                           "block_ranks": ranks}
+    inv = np.linalg.inv(W)
+    assert np.abs(inv[1:3, 3:4]).max() < 1e-12 * np.abs(inv).max()
+
+
+def test_inverse_block_class_at_depth_one_tests_no_cut():
+    # the L-corner of one block has no cut inside it
+    rep = block_class(ex53_symbol(), BlockPartition.unit(8), 1)
+    assert rep.verdict == "pass"
+    assert rep.payload == {"structural_violation": None, "block_ranks": []}
+
+
 def test_thm51_diagonal_family():
     s = BlockPartition.unit(8)
     reports = thm51_suite(ex53_symbol(), s, 1, 1, 6, [Box(2, 1.0)])

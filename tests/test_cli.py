@@ -657,6 +657,56 @@ def test_overflowing_rule_is_bad_input(tmp_path, capsys):
     assert str(p) in err and "'rule geometric_tridiagonal 2'" in err
 
 
+def test_sequence_rule_failing_in_a_suite_names_the_file(tmp_path, capsys):
+    # j = 1 builds the symbol; j = 2 fails only once a suite reads column 2
+    p = tmp_path / "seq.txt"
+    p.write_text("diagonal 0\nrule diag 1/(j-2)\n")
+    out = tmp_path / "report.json"
+    code = main(["check", "thm51", "--file", str(p), "--L", "4",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert f"{p}: rule line 'rule diag 1/(j-2)'" in err
+    assert "at j=2: division by zero" in err
+
+
+def scale_file(tmp_path, c):
+    """12 x 12 tridiagonal: diagonal c, off-diagonals c * 1e-4."""
+    p = tmp_path / f"scale{c}.txt"
+    p.write_text("banded 1\n" + "".join(
+        f"{i} {j} {c if i == j else c * 1e-4!r}\n" for i in range(1, 13)
+        for j in range(max(1, i - 1), min(12, i + 1) + 1)))
+    return p
+
+
+def test_inverse_block_class_does_not_depend_on_the_scale(tmp_path, capsys):
+    # scaling A scales A^-1 and keeps its zero pattern: the inverse entry
+    # (1, 3) is c^-1 * 1e-8, never zero
+    for c in (1e-7, 1.0, 1e7):
+        code, doc = run_cli(capsys, "check", "prop52", "--file",
+                            str(scale_file(tmp_path, c)), "--L", "8",
+                            "--dim-cap", "1")
+        block = next(r for r in doc["body"]["reports"]
+                     if r["name"] == "inverse_in_block_class")
+        assert code == 1 and block["verdict"] == "fail"
+        assert block["payload"] == {"structural_violation": [1, 3],
+                                    "block_ranks": []}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("check", "thm51", "--builtin", "ex53", "--boxes", "1,x"), "--boxes"),
+    (("rn", "--builtin", "ex53", "--box="), "--box"),
+    (("rn", "--builtin", "ex53", "--point=0.1,y"), "--point"),
+], ids=["boxes", "box", "point"])
+def test_unparsable_number_names_the_flag(tmp_path, capsys, argv, flag):
+    # not a bare "could not convert string to float"
+    out = tmp_path / "report.json"
+    code = main([*argv, "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.search(rf"{flag}\b", err) and "could not convert" not in err
+
+
 def test_check_with_symbol_file(tmp_path, capsys):
     p = tmp_path / "sym.txt"
     p.write_text("diagonal 0\nrule diag 1-2^-j\n")
