@@ -465,8 +465,7 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     norms and consistency of their trajectory.
     """
     reports = []
-    K, eta = min(L, len(s)), a.eta
-    W = a.window(s.cut(K) + eta)
+    eta, W = a.eta, a.window(s.cut(L) + a.eta)
     # (a) invertibility of the truncations
     bad = _first_singular_level(a, s, L)
     reports.append(CheckReport(
@@ -478,27 +477,27 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     if bad is not None:
         return reports
     inv_L = np.linalg.inv(W[:s.cut(L), :s.cut(L)])
-    # (b) block class of A^-1 from A's band at any scale, by the nullity
-    # theorem (Strang & Nguyen, SIAM Rev. 46, 2004): A^-1 is exactly 0 between
-    # blocks <= p and >= p + 2 iff the first two slices below have rank h - m,
-    # and its block (p, p + 1) then has the rank of the third
-    subs, b = [], np.diff(s.s[:K], prepend=0)
-    for p in range(1, K):
+    # (b) block class of A^-1 from A's band, by the nullity theorem (Strang &
+    # Nguyen, SIAM Rev. 46, 2004): with invertible corners the first two slices
+    # have rank >= h - m, A^-1 is 0 between blocks <= p and >= p + 2 iff both
+    # equal it, and its block (p, p + 1) then has the rank of the third
+    subs, b = [], np.diff(s.s[:L], prepend=0)
+    for p in range(1, L):
         t, m, h = max(0, s.cut(p) - eta), s.cut(p), s.cut(p + 1)
         subs += [W[t:h, m:h + eta], W[m:h + eta, t:h], W[t:m, m:m + eta]]
     stack = np.zeros((len(subs), eta + max(b), eta + max(b)))
     for x, sub in zip(stack, subs):  # zero padding keeps every rank
         x[:sub.shape[0], :sub.shape[1]] = sub
-    up, low, ranks = np.linalg.matrix_rank(
-        stack, _RANK_TOL * np.abs(W).max()).reshape(-1, 3).T
-    far = np.flatnonzero((up != b[1:]) | (low != b[1:])) + 1
+    sv = np.linalg.svd(stack, compute_uv=False)  # each slice at its own scale
+    up, low, ranks = (sv > _RANK_TOL * sv[:, :1]).sum(1).reshape(-1, 3).T
+    far = np.flatnonzero((up > b[1:]) | (low > b[1:])) + 1
     reports.append(CheckReport(
         name="inverse_in_block_class",
         verdict="fail" if far.size or any((ranks != 0) & (ranks != b[:-1]))
         else "pass",
         payload={"structural_violation": (far[0], far[0] + 2) if far.size
                  else None, "block_ranks": [] if far.size else list(zip(
-                     range(1, K), ranks.tolist(), b.tolist()))},
+                     range(1, L), ranks.tolist(), b.tolist()))},
         tolerances={"rank_tol": _RANK_TOL},
     ))
     # (d) normality of the inverse corners

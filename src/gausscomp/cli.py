@@ -236,7 +236,8 @@ def _finite_floats(flag, raw, count=None):
         vals = [float(v) for v in raw.split(",")]
         if count in (None, len(vals)) and all(map(math.isfinite, vals)):
             return vals
-    raise CliError(f"{flag} {raw!r}: needs {count or 'only'} finite numbers")
+    want = "a comma list of" if count is None else count
+    raise CliError(f"{flag} {raw!r}: needs {want} finite number(s)")
 
 
 def _resolve_symbol(args):

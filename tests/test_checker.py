@@ -535,6 +535,32 @@ def test_inverse_block_rank_of_an_ill_conditioned_symbol_matches_mpmath():
     assert np.abs(inv[1:3, 3:4]).max() < 1e-12 * np.abs(inv).max()
 
 
+@pytest.mark.parametrize("base,K", [(10.0, 12), (2.0, 40)])
+def test_inverse_block_class_of_a_graded_diagonal_passes(base, K):
+    # alpha_j = base^-j: the inverse is exactly diagonal, although the last
+    # entries lie far below 1e-10 of the largest
+    rep = block_class(BandedSymbol.diagonal(lambda j: base ** -j),
+                      BlockPartition.unit(K + 2), K)
+    assert rep.verdict == "pass"
+    assert rep.payload == {"structural_violation": None,
+                           "block_ranks": [(p, 0, 1) for p in range(1, K)]}
+
+
+def test_inverse_block_class_finds_a_deep_coupling_of_a_graded_band():
+    # a_jj = 10^-j, and rows 10-12 coupled at their own scale: the inverse
+    # is nonzero at (10, 12), whose band entries are all below 1e-10 of a_11
+    entries = {(j, j): 10.0 ** -j for j in range(1, 15)}
+    entries.update({(10, 11): 1e-11, (11, 10): 1e-11, (11, 12): 1e-12,
+                    (12, 11): 1e-12})
+    rep = block_class(BandedSymbol.from_entries(1, entries),
+                      BlockPartition.unit(14), 12)
+    inv = np.linalg.inv(BandedSymbol.from_entries(1, entries).window(12))
+    assert inv[9, 11] != 0.0 and np.count_nonzero(inv[:10, 11:]) == 1
+    assert rep.verdict == "fail"
+    assert rep.payload == {"structural_violation": (10, 12),
+                           "block_ranks": []}
+
+
 def test_inverse_block_class_at_depth_one_tests_no_cut():
     # the L-corner of one block has no cut inside it
     rep = block_class(ex53_symbol(), BlockPartition.unit(8), 1)
