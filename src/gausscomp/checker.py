@@ -29,13 +29,12 @@ from .banded import (
     det_sequence,
     logdet_corners,
     power_entry_bound,
-    truncate,
 )
 from .gaussmeas import (
     Box,
     DivergenceError,
     _adjoint_power,
-    chi_norm_sq,
+    _chi_norm_band,
     perturbation_bound_check,
 )
 from .hermite import HermiteModel, _power_pair_gram
@@ -347,8 +346,9 @@ def hyponormality_consequence(A, model_degree: int = 6,
 
 def _trajectory_verdict(traj, skip, consistent_verdict):
     """`consistent_verdict` for finite values whose increments shrink
-    (Cauchy-looking), "fail" for a non-finite value or a growing increment,
-    and "evidence" for fewer than two increments, too few to judge.
+    (Cauchy-looking), "fail" for a non-finite value, and "evidence" for a
+    growing increment (a convergent trajectory can rise before it levels
+    off) or fewer than two increments, too few to judge.
 
     The first `skip` levels are ignored: while the truncation is smaller
     than the box the restricted box grows with the level and increments are
@@ -361,21 +361,22 @@ def _trajectory_verdict(traj, skip, consistent_verdict):
     if len(incs) < 2:
         return "evidence"
     shrink = all(b <= a + 1e-12 or a < 1e-12 for a, b in zip(incs, incs[1:]))
-    return consistent_verdict if shrink else "fail"
+    return consistent_verdict if shrink else "evidence"
 
 
-def _first_singular_level(a, s, L):
-    """First level p <= L whose corner a_p is singular, or None."""
-    signs, logabs = logdet_corners(a, s, L)
-    singular = np.flatnonzero((signs == 0) | ~np.isfinite(logabs))
-    return int(singular[0]) + 1 if singular.size else None
+def _suite_band(a, s, L, boxes, dim_cap):
+    """(band, levels): per box the levels l <= L with s(l) within
+    `dim_cap` (None: no cap) or the box, and the one band read they share."""
+    levels = [L if dim_cap is None else int(np.searchsorted(
+        s.s[:L], max(dim_cap, box.dims), "right")) for box in boxes]
+    return a.bands(1, s.cut(max(levels, default=0) or 1)), levels
 
 
-def _box_norm_reports(a, s, i, bi, box, L, dim_cap, finite_name,
+def _box_norm_reports(ab, eta, s, levels, L, i, bi, box, finite_name,
                       traj_name, consistent_verdict, detailed):
     """Finiteness and trajectory reports for the box-restricted norms of the
-    i-th power over the truncations of `a` at levels 1..L, stopping before
-    the first level whose size s(l) exceeds both `dim_cap` and the box.
+    i-th power over the truncations at levels 1..`levels` (of L) of the
+    symbol whose band, from column 1 and of bandwidth eta, is `ab`.
 
     A divergent integral and a singular corner (named by its level) are a
     "fail"; a quadrature that does not converge is "evidence" that names the
@@ -390,16 +391,14 @@ def _box_norm_reports(a, s, i, bi, box, L, dim_cap, finite_name,
     params = {"i": i, "box_halfwidth": box.halfwidth}
     traj = []
     try:
-        for l in range(1, L + 1):
-            if s.cut(l) > max(dim_cap, box.dims):
-                break
-            traj.append(chi_norm_sq(truncate(a, s, l), i, Box(
+        for l in range(1, levels + 1):
+            traj.append(_chi_norm_band(ab[:, :s.cut(l)], eta, i, Box(
                 min(box.dims, s.cut(l)), box.halfwidth)))
     except (DivergenceError, ValueError) as exc:
         if isinstance(exc, np.linalg.LinAlgError):
             verdict, payload = "fail", {
                 "detail": "singular truncation corner",
-                "first_singular_level": _first_singular_level(a, s, L)}
+                "first_singular_level": l}
         elif isinstance(exc, DivergenceError):
             verdict, payload = "fail", {"detail": str(exc)}
         else:
@@ -430,7 +429,7 @@ def _box_norm_reports(a, s, i, bi, box, L, dim_cap, finite_name,
 
 
 def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
-                boxes, dim_cap: int = 6) -> list:
+                boxes, dim_cap: int | None = None) -> list:
     """Numeric checks for the general inductive-limit criterion.
 
     Per power i and box: finiteness of the truncation norm (iii), the
@@ -440,10 +439,11 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     banded symbols.
     """
     reports = []
+    ab, levels = _suite_band(a, s, L, boxes, dim_cap)
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                a, s, i, bi, box, L, dim_cap, "finiteness",
+                ab, a.eta, s, levels[bi], L, i, bi, box, "finiteness",
                 "norm_trajectory", "evidence", detailed=True)
         reports.append(CheckReport(
             name=f"coordinate_stability[i={i}]",
@@ -456,7 +456,7 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
 
 
 def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
-                 boxes, dim_cap: int = 6) -> list:
+                 boxes, dim_cap: int | None = None) -> list:
     """Hypothesis suite for the block-3-diagonal inverse-symbol criterion.
 
     Checks, on truncations up to depth L: invertibility of the corners,
@@ -467,7 +467,9 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     reports = []
     eta, W = a.eta, a.window(s.cut(L) + a.eta)
     # (a) invertibility of the truncations
-    bad = _first_singular_level(a, s, L)
+    signs, logabs = logdet_corners(a, s, L)
+    singular = np.flatnonzero((signs == 0) | ~np.isfinite(logabs))
+    bad = int(singular[0]) + 1 if singular.size else None
     reports.append(CheckReport(
         name="invertible_truncations",
         verdict="pass" if bad is None else "fail",
@@ -514,10 +516,11 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
         tolerances={"tol": 1e-8},
     ))
     # (c) + (e): finiteness and trajectory of the box-restricted norms
+    ab, levels = _suite_band(a, s, L, boxes, dim_cap)
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                a, s, i, bi, box, L, dim_cap, "box_norm_finite",
+                ab, eta, s, levels[bi], L, i, bi, box, "box_norm_finite",
                 "norm_trajectory_consistent", "pass", detailed=False)
     return reports
 

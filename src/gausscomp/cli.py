@@ -5,11 +5,12 @@ Each command (`rn`, `check thm51|prop52|prop56`, `example
 diag|banded|singular`) takes exactly the flags it reads; any other flag is
 a usage error.
 
-Reports are JSON documents with two top-level keys: `header` (carries the
-timestamp and the schema version; the only non-deterministic part) and
-`body` (configuration, per-check records and tables; byte-identical across
-runs with the same arguments; `check --seed` is only recorded).  `rn` and
-`example` also write their tables as CSV files into `--outdir` if given.
+Reports are one-line JSON documents with sorted keys and two top-level
+keys: `header` (carries the timestamp and the schema version; the only
+non-deterministic part) and `body` (configuration, per-check records and
+tables; byte-identical across runs with the same arguments; `check --seed`
+is only recorded).  `rn` and `example` also write their tables as CSV
+files into `--outdir` if given.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
@@ -45,7 +46,6 @@ from .banded import (
     BlockPartition,
     PerturbedIdentity,
     det_sequence,
-    truncate,
 )
 from .checker import CheckReport
 from .gaussmeas import (
@@ -60,7 +60,7 @@ from .gaussmeas import (
     diag_closed_form,
 )
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -240,6 +240,11 @@ def _finite_floats(flag, raw, count=None):
     raise CliError(f"{flag} {raw!r}: needs {want} finite number(s)")
 
 
+def _dim_cap(raw):
+    """`--dim-cap`: an integer, or `none` for no cap."""
+    return None if raw == "none" else int(raw)
+
+
 def _resolve_symbol(args):
     if args.file:
         return load_symbol(args.file)
@@ -283,9 +288,9 @@ def _emit(args, command, config, reports, tables=None):
         },
         "body": body,
     }
-    # numpy leaves go through the hook; a non-finite number: ValueError, exit 3
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                      default=_leaf)
+    # one line through json's C encoder; numpy leaves go through the hook; a
+    # non-finite number: ValueError, exit 3
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, default=_leaf)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -530,7 +535,8 @@ def build_parser():
         else:
             p.add_argument("--boxes", default="1",
                            help="comma-separated halfwidths")
-            p.add_argument("--dim-cap", type=int, default=4)
+            p.add_argument("--dim-cap", type=_dim_cap, default=None,
+                           help="largest truncation size; default none")
 
     examples = sub.add_parser(
         "example", help="scripted reproduction of a worked family"

@@ -3,15 +3,15 @@ weighted-norm computations.
 
 Everything is assembled in log space: the densities involved span hundreds
 of orders of magnitude already in moderate dimension.  Box-restricted
-Gaussian integrals are exact on the unrestricted coordinates: a Cholesky
-factor of their block gives the determinant factor and the Schur complement
-left on the box coordinates.  A decoupled box then factors into closed-form
-erf (or, for negative curvature, erfi through Dawson's function) terms.  A
-coupled box integrates one coordinate of positive curvature in closed form
-(a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
-doubles from `_FIRST_ORDER` until two successive values agree to `_TARGET`;
-a refinement that would pass `_MAX_ORDER` per coordinate or `_MAX_POINTS`
-points raises instead of returning.
+Gaussian integrals are exact on the unrestricted coordinates, through
+banded factorizations of the symbol's band (`_chi_norm_band`).  A decoupled
+box then factors into closed-form erf (or, for negative curvature, erfi
+through Dawson's function) terms.  A coupled box integrates one coordinate
+of positive curvature in closed form (a shifted erf) and the others by a
+tensor Gauss-Legendre rule whose order doubles from `_FIRST_ORDER` until
+two successive values agree to `_TARGET`; a refinement that would pass
+`_MAX_ORDER` per coordinate or `_MAX_POINTS` points raises instead of
+returning.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, erf, log_ndtr
 
-from .banded import PerturbedIdentity, power
+from .banded import BandedSymbol, PerturbedIdentity, power
 
 __all__ = [
     "DivergenceError",
@@ -146,45 +146,26 @@ def _log_box_factor(s, k):
     return math.log(2.0 * dawsn(a)) + a * a - 0.5 * math.log(math.pi * t)
 
 
-def _gauss_box_integral(E, box: Box, log_scale=0.0):
-    """exp(log_scale) (2 pi)^{-kappa/2} times the integral of
-    exp(-x^T E x / 2) over box x R^rest.
+def _gauss_box_integral(S, box: Box, log_scale=0.0):
+    """exp(log_scale) (2 pi)^{-d/2} times the integral of exp(-x^T S x / 2)
+    over the box [-k, k]^d, d = box.dims, S a d x d form.
 
-    The unrestricted coordinates f integrate in closed form: they contribute
-    det(E_ff)^{-1/2} and leave the Schur complement
-    S = E_bb - E_bf E_ff^{-1} E_fb on the box coordinates b.  A diagonal S
-    factors into exact one-dimensional erf (or erfi) box factors.  A coupled
-    S is integrated in closed form in its coordinate of largest positive
-    diagonal entry (none if no entry is positive), and in the others by a
-    single-panel tensor Gauss-Legendre rule whose order doubles until two
-    successive values agree to the relative `_TARGET`.  ValueError is raised
-    when `_MAX_POINTS` or `_MAX_ORDER` stops the refinement first.
+    A diagonal S factors into exact one-dimensional erf (or erfi) box
+    factors.  A coupled S is integrated in closed form in its coordinate of
+    largest positive diagonal entry (none if no entry is positive), and in
+    the others by a single-panel tensor Gauss-Legendre rule whose order
+    doubles until two successive values agree to the relative `_TARGET`.
+    ValueError is raised when `_MAX_POINTS` or `_MAX_ORDER` stops the
+    refinement first.
     """
-    E = np.asarray(E, dtype=float)
-    E = 0.5 * (E + E.T)
-    kappa = E.shape[0]
-    d = box.dims if box is not None else 0
-    if d > kappa:
-        raise ValueError("box dimensions exceed ambient dimension")
-    S = E[:d, :d]
-    if d < kappa:
-        free = E[d:, d:]
-        lo = np.linalg.eigvalsh(free)[0]
-        if lo <= 1e-12:
-            raise DivergenceError(
-                "quadratic form fails positive-definiteness on unrestricted "
-                f"coordinates (min eigenvalue {lo:.3e})"
-            )
-        chol = np.linalg.cholesky(free)
-        log_scale -= float(np.sum(np.log(np.diag(chol))))
-        W = np.linalg.solve(chol, E[d:, :d])
-        S = S - W.T @ W
+    S = 0.5 * (S + S.T)
+    d = box.dims
     if d == 0:
         return math.exp(log_scale)
 
-    diag = np.diag(S)
-    off = np.max(np.abs(S - np.diag(diag)))
-    if off <= 1e-13 * max(1.0, np.max(np.abs(diag))):
+    diag = S.diagonal()
+    off = np.abs(S - np.diag(diag)).max()
+    if off <= 1e-13 * max(1.0, np.abs(diag).max()):
         return math.exp(log_scale + math.fsum(
             _log_box_factor(float(s), box.halfwidth) for s in diag))
 
@@ -232,32 +213,101 @@ def _adjoint_power(A, d):
     return B, B.T @ B, np.linalg.slogdet(B)[1]
 
 
+def _chi_norm_band(ab, eta, i, box: Box) -> float:
+    """`chi_norm_sq` of the n x n matrix A of "ab" band `ab` (n columns,
+    bandwidth eta; entries outside A are ignored), in O(n (i eta)^2).
+
+    With P = A^i and K = 2I - P^T P, E = P^-T K P^-1: the box coordinates
+    (the first d) keep T^-1, T = (E^-1)_bb = P_b K^-1 P_b^T, at log scale
+    -log|det P| - (log|det K| + log|det T|) / 2.  E_ff is positive definite
+    iff T is nonsingular with as many negative eigenvalues as K (Sylvester,
+    then Haynsworth's inertia additivity on E^-1), else DivergenceError.
+    Entries past 1 are scaled to 1, so P^T P overflows no sooner than A^-i.
+    """
+    # scipy.linalg takes tens of ms to import, and only box norms need it
+    from scipy.linalg import eigvals_banded, lapack
+
+    n, d = ab.shape[1], box.dims
+    if d > n:
+        raise ValueError("box dimensions exceed ambient dimension")
+    e = min(eta, n - 1)
+    band = np.zeros((3 * e + 1, n))  # dgbtrf's layout: e rows of fill on top
+    band[e:] = ab[eta - e:eta + e + 1, :n]
+    a = band[e:]
+    for k in range(e):  # entries of rows above the first or past the last
+        a[k, :e - k] = a[2 * e - k, n - e + k:] = 0.0
+    c = max(1.0, float(np.abs(a).max()))  # c^-2i cannot overflow
+    a /= c
+    lu, _, info = lapack.dgbtrf(band, e, e)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    log_scale = -i * (np.log(np.abs(lu[2 * e])).sum() + 2 * n * math.log(c))
+    p = a
+    for t in range(1, i):  # P A from the bands: (P A)_rj += p_r,j+u a_j+u,j
+        q = np.zeros((2 * (t + 1) * e + 1, n))
+        for u in range(-e, e + 1):
+            lo, hi = max(0, -u), min(n, n - u)
+            q[e + u:e + u + 2 * t * e + 1, lo:hi] += (p[:, lo + u:hi + u]
+                                                     * a[e + u, lo:hi])
+        p = q
+    w, g = i * e, min(2 * i * e, n - 1)
+    k = np.zeros((3 * g + 1, n))  # K / c^2i under g rows of dgbtrf fill
+    for t in range(g + 1):  # (P^T P)_{j-t, j} = (P^T P)_{j, j-t}
+        k[2 * g - t, t:] = k[2 * g + t, :n - t] = -(
+            p[:2 * w + 1 - t, t:] * p[t:, :n - t]).sum(0)
+    k[2 * g] += 2.0 * c ** (-2.0 * i)
+    upper = k[g:2 * g + 1]  # a Cholesky factor proves K has no eigenvalue <= 0
+    neg = 0 if d == n or not lapack.dpbtrf(upper)[1] else len(eigvals_banded(
+        upper, select="v", select_range=(-np.inf, 0.0)))
+    lu, piv, info = lapack.dgbtrf(k, g, g)
+    if info > 0:
+        raise DivergenceError("quadratic form fails positive-definiteness "
+                              "on unrestricted coordinates (singular)")
+    m = min(n, d + w)
+    pb = np.zeros((n, d))  # P_b^T, nonzero on its first m rows
+    for r in range(d):
+        j = np.arange(max(0, r - w), min(m, r + w + 1))
+        pb[j, r] = p[w + r - j, j]
+    lam, V, _ = lapack.dsyevd(
+        pb[:m].T @ lapack.dgbtrs(lu, g, g, pb, piv)[0][:m])
+    lams = lam.tolist()
+    neg_t = sum(x < 0 for x in lams)
+    if d < n and (neg != neg_t or 0.0 in lams):
+        raise DivergenceError(
+            "quadratic form fails positive-definiteness on unrestricted "
+            f"coordinates ({neg - neg_t} negative eigenvalues"
+            + (", singular)" if 0.0 in lams else ")"))
+    log_scale -= 0.5 * (np.log(np.abs(lu[2 * g])).sum()
+                        + math.fsum(math.log(abs(x)) for x in lams))
+    return _gauss_box_integral((V / lam) @ V.T, box, float(log_scale))
+
+
 def chi_norm_sq(A, i: int, box: Box | None) -> float:
     """Squared L2 norm of the box-restricted density of A^i.
 
     Integrates the squared Radon-Nikodym density of the i-th power of the
     linear symbol over box x R^rest against the Gaussian measure.  The
-    unrestricted coordinates are integrated exactly (Schur complement), a
-    decoupled box exactly (erf factors), and a coupled box exactly in one
-    coordinate and by tensor Gauss-Legendre quadrature in the others.
-    Raises DivergenceError when the integral is infinite and ValueError
-    when the box quadrature does not converge within its fixed budget.
+    unrestricted coordinates are integrated exactly from the band of A
+    (`_chi_norm_band`), a decoupled box exactly (erf factors), and a
+    coupled box exactly in one coordinate and by tensor Gauss-Legendre
+    quadrature in the others.  Raises DivergenceError when the integral is
+    infinite and ValueError when the box quadrature does not converge
+    within its fixed budget.
     """
-    A = np.asarray(A, dtype=float)
-    _, M, ld = _adjoint_power(A, i)
-    return _gauss_box_integral(M + M - np.eye(len(A)),
-                               Box(0, 1.0) if box is None else box, ld + ld)
+    sym = BandedSymbol.from_dense(A)
+    return _chi_norm_band(sym.bands(1, len(A)), sym.eta, i,
+                          Box(0, 1.0) if box is None else box)
 
 
 def h_normalization(A) -> float:
     """Integral of the density of A against the Gaussian measure.
 
     Measure transport makes this exactly 1 for every invertible A; it is
-    evaluated in closed form as |det A^-1| * det(A^-T A^-1)^{-1/2}, so the
-    value checks the density's normalization to rounding.
+    evaluated in closed form as |det B| * det(B^T B)^{-1/2}, B = A^-1, so
+    the value checks the density's normalization to rounding.
     """
     _, M, ld = _adjoint_power(np.asarray(A, dtype=float), 1)
-    return _gauss_box_integral(M, Box(0, 1.0), ld)
+    return math.exp(ld - 0.5 * np.linalg.slogdet(M)[1])
 
 
 def gaussian_box_mass(a: float) -> float:

@@ -612,6 +612,30 @@ def test_ex59_trajectory_computable_with_default_budget():
     assert all(math.isfinite(v) for r in traj for v in r.payload["trajectory"])
 
 
+@pytest.mark.parametrize("traj,verdict", [
+    ([0.1, 0.5, 0.6, 0.65], "pass"),      # shrinking increments
+    ([0.1, 0.2, 0.4, 0.45], "evidence"),  # a growing increment disproves nothing
+    ([0.1, math.inf, 0.2, 0.25], "fail"),  # a non-finite value does
+    ([0.1, 0.2, 0.3], "pass"),            # equal increments
+    ([0.1, 0.2], "evidence"),             # one increment: too short
+], ids=["shrinking", "growing", "nonfinite", "equal", "short"])
+def test_trajectory_verdict_fails_only_a_nonfinite_value(traj, verdict):
+    assert checker._trajectory_verdict(traj, 0, "pass") == verdict
+
+
+def test_default_suites_reach_every_level():
+    # no dim cap by default: every level 1..L is computed
+    reports = thm51_suite(ex53_symbol(), BlockPartition.unit(40), 1, 1, 40,
+                          [Box(2, 1.0)])
+    finite = [r for r in reports if r.name.startswith("finiteness")]
+    assert all(r.params["levels"] == 40 and not r.params["dim_capped"]
+               for r in finite)
+    capped = thm51_suite(ex53_symbol(), BlockPartition.unit(40), 1, 1, 40,
+                         [Box(2, 1.0)], dim_cap=4)
+    assert all(r.params["levels"] == 4 and r.params["dim_capped"]
+               for r in capped if r.name.startswith("finiteness"))
+
+
 def test_thm51_singular_corner_is_a_fail_naming_the_level():
     a = BandedSymbol.diagonal([0.9, 0.8, 0.0, 0.7, 0.6, 0.5])
     reports = thm51_suite(a, BlockPartition.unit(6), 1, 0, 6, [Box(1, 1.0)])

@@ -82,6 +82,37 @@ def test_prop52_too_short_trajectory_exits_two(capsys, L):
     assert len(traj) == 2 and all(r["verdict"] == "evidence" for r in traj)
 
 
+def test_prop52_default_reaches_every_level(capsys):
+    # --dim-cap defaults to none: all 128 levels of every trajectory
+    code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex53",
+                        "--L", "128")
+    assert code == 0
+    reports = doc["body"]["reports"]
+    traj = [r for r in reports
+            if r["name"].startswith("norm_trajectory_consistent")]
+    assert len(traj) == 2 and all(len(r["payload"]["trajectory"]) == 128
+                                  for r in traj)
+    assert all(r["payload"]["dim_capped"] is False for r in reports
+               if r["name"].startswith("box_norm_finite"))
+    code_none, doc_none = run_cli(capsys, "check", "prop52", "--builtin",
+                                  "ex53", "--L", "128", "--dim-cap", "none")
+    assert code_none == code and doc_none["body"] == doc["body"]
+
+
+def test_growing_increments_are_evidence_not_fail(capsys):
+    # ex59's box norms rise before they level off: no disproof
+    code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex59",
+                        "--q", "0.5", "--L", "8")
+    traj = [r for r in doc["body"]["reports"]
+            if r["name"].startswith("norm_trajectory_consistent")]
+    incs = np.abs(np.diff(traj[1]["payload"]["trajectory"][1:]))
+    assert incs[1] > incs[0]  # a growing increment past the box
+    assert all(r["verdict"] == "evidence" for r in traj)
+    fails = [r["name"] for r in doc["body"]["reports"]
+             if r["verdict"] == "fail"]
+    assert code == 1 and fails == ["inverse_in_block_class"]
+
+
 def test_thm51_ex59_three_dim_box_is_computable(capsys):
     # n + r = 3 on a coupled symbol: every power is computed
     code, doc = run_cli(capsys, "check", "thm51", "--builtin", "ex59",
@@ -790,7 +821,7 @@ def test_output_is_indented_sorted_json(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(out)]) in (0, 2)
     capsys.readouterr()
     text = out.read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def _emitted(tmp_path, name, payload, rows):
@@ -799,7 +830,7 @@ def _emitted(tmp_path, name, payload, rows):
     report = CheckReport(name="r", verdict="pass", payload=payload)
     assert cli._emit(args, "t", {"x": rows[0][0]}, [report],
                      {"tab": (["a", "b", "c", "d", "e"], rows)}) == 0
-    return [ln for ln in out.read_text().splitlines() if "timestamp" not in ln]
+    return re.sub(r'"timestamp": "[^"]*"', "", out.read_text())
 
 
 def test_numpy_leaves_are_written_as_python_values(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -306,6 +306,61 @@ def test_chi_norm_coupled_high_dims_within_default_budget(monkeypatch, l, d):
     monkeypatch.setattr(gaussmeas, "_TARGET", 1e-12)
     tight = chi_norm_sq(A, 2, Box(d, 1.0))
     assert math.isfinite(val) and val == pytest.approx(tight, rel=1e-9)
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_banded_kernel_matches_dense_schur_complement(eta, i, d, extra, s):
+    # diagonal entries above 1 in modulus: K = 2I - P^T P is mostly
+    # indefinite, so the inertia count decides divergence
+    n = max(1, d + extra)
+    rng = np.random.default_rng(s)
+    A = np.diag(rng.uniform(1.0, 1.6, n) * rng.choice([-1.0, 1.0], n))
+    for u in range(1, min(eta, n - 1) + 1):
+        A += np.diag(rng.uniform(-0.4, 0.4, n - u), u)
+        A += np.diag(rng.uniform(-0.4, 0.4, n - u), -u)
+    k = float(rng.uniform(0.5, 2.0))
+    B = np.linalg.matrix_power(np.linalg.inv(A), i)
+    E = 2.0 * B.T @ B - np.eye(n)
+    lo = np.linalg.eigvalsh(E[d:, d:])[0] if d < n else math.inf
+    assume(abs(lo) > 1e-9)  # the dense path's floor decides inside it
+    if lo < 0:
+        with pytest.raises(DivergenceError):
+            chi_norm_sq(A, i, Box(d, k))
+        return
+    S, log_scale = _box_form(A, i, d)
+    ref = gaussmeas._gauss_box_integral(S, Box(d, k), log_scale)
+    assert chi_norm_sq(A, i, Box(d, k)) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("l,value", [(8, 5.21170320412731),
+                                     (9, 5.268974375766756),
+                                     (10, 5.295940886548679),
+                                     (11, 5.308723038599891),
+                                     (12, 5.314796527297599)])
+def test_banded_kernel_pins_ex59_q069(l, value):
+    # q = 0.69 < sqrt(2)/2: K is indefinite at every level; the first power
+    # keeps a positive definite free block, the second does not (dense
+    # lambda_min(E_ff) = -0.258).  Values are the dense path's.
+    A = PerturbedIdentity.geometric(0.69).symbol.window(l)
+    assert chi_norm_sq(A, 1, Box(2, 1.0)) == pytest.approx(value, rel=1e-12)
+    with pytest.raises(DivergenceError, match="1 negative eigenvalues"):
+        chi_norm_sq(A, 2, Box(2, 1.0))
+
+
+def test_banded_kernel_reads_the_band_of_a_corner():
+    # entries of the band outside the n x n corner are ignored, and a
+    # singular corner raises LinAlgError
+    sym = PerturbedIdentity.geometric(0.5).symbol
+    ab = sym.bands(1, 9)
+    for n in (1, 2, 5, 9):
+        assert gaussmeas._chi_norm_band(ab[:, :n], 1, 2, Box(min(n, 2), 1.0)) \
+            == pytest.approx(chi_norm_sq(sym.window(n), 2, Box(min(n, 2), 1.0)),
+                             rel=1e-13)
+    with pytest.raises(np.linalg.LinAlgError):
+        chi_norm_sq(np.diag([1.0, 0.0, 2.0]), 1, Box(1, 1.0))
 
 
 def test_chi_norm_nan_regression_alpha_1_4():
