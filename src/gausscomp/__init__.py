@@ -11,7 +11,6 @@ from .banded import (
     block,
     det_sequence,
     in_class_F,
-    logdet_corners,
     power,
     power_entry_bound,
     truncate,
@@ -24,7 +23,6 @@ from .checker import (
     form_positivity_evidence,
     gram_construct,
     hyponormality_consequence,
-    normality_test,
     prop52_suite,
     prop56_suite,
     snr_form_matrix,

@@ -24,7 +24,6 @@ __all__ = [
     "in_class_F",
     "ClassFReport",
     "det_sequence",
-    "logdet_corners",
     "power",
     "power_entry_bound",
 ]
@@ -149,6 +148,25 @@ def _band_rows(ab, eta, n):
         yield k - eta, c, row[c]
 
 
+def _entries(ab, eta, i, j):
+    """a_ij at the 0-based index arrays i, j (broadcast together) of the
+    leading corner whose band from column 1 is `ab`: zero off the band and
+    outside the corner."""
+    w = ab.shape[1]
+    keep = (abs(i - j) <= eta) & (i >= 0) & (j >= 0) & (i < w) & (j < w)
+    return np.where(keep, ab[np.clip(eta + i - j, 0, 2 * eta),
+                             np.clip(j, 0, w - 1)], 0.0)
+
+
+def _band_blocks(ab, eta, r0, r1, c0, c1, size):
+    """`_entries` of the blocks [r0:r1, c0:c1] (0-based; one per entry of
+    the index arrays), each at the top left of a size x size zero block."""
+    x = np.arange(size)
+    i = np.where(x < np.subtract(r1, r0)[:, None], np.add.outer(r0, x), -1)
+    j = np.where(x < np.subtract(c1, c0)[:, None], np.add.outer(c0, x), -1)
+    return _entries(ab, eta, i[:, :, None], j[:, None, :])
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Strictly increasing cut points s(1) < s(2) < ..., with s(0) = 0."""
@@ -232,41 +250,104 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
                         ranks)
 
 
-def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
-    """Determinants of the leading corners a_p, p = 1..K.
-
-    Tridiagonal symbols use the three-term minor recursion
-    D_n = a_nn D_{n-1} - a_{n,n-1} a_{n-1,n} D_{n-2}; anything wider falls
-    back to a pivoted factorization via logdet_corners.
-    """
-    if a.eta <= 1:
-        n = s.cut(K)
-        ab = np.zeros((3, n))  # rows a_{j-1,j}, a_jj, a_{j+1,j}
-        ab[1 - a.eta:2 + a.eta] = a.bands(1, n)
-        up, diag, low = ab.tolist()
-        minors = [1.0, *diag[:1]]
-        for i in range(1, n):
-            minors.append(diag[i] * minors[i]
-                          - low[i - 1] * up[i] * minors[i - 1])
-        return np.array([minors[s.cut(p)] for p in range(1, K + 1)])
-    signs, logabs = logdet_corners(a, s, K)
-    return signs * np.exp(logabs)
-
-
-def logdet_corners(a: BandedSymbol, s: BlockPartition, K: int):
-    """(sign, log|det|) of the corners a_p via pivoted LU.
-
-    The corner a_K is materialized once; every a_p is its leading s(p) x s(p)
-    slice.  An exactly singular corner is reported as (0.0, -inf), not an
-    error.
-    """
-    corner = truncate(a, s, K)
-    signs = np.empty(K)
-    logabs = np.empty(K)
-    for p in range(1, K + 1):
-        n = s.cut(p)
-        signs[p - 1], logabs[p - 1] = np.linalg.slogdet(corner[:n, :n])
+def _cut_logdets(ab, eta, cuts):
+    """(sign, log|det|) arrays of the leading corners of sizes `cuts` of the
+    matrix whose band from column 1 is `ab`, by one Gaussian elimination on
+    the band.  A row exchange never crosses a cut still to be recorded, so
+    it changes that corner's determinant, and every later one's, in sign
+    only; unit cuts exchange no row.  A pending cut where column j has no
+    nonzero candidate pivot is exactly singular, (0, -inf), and the search
+    widens to the next cut, so later corners stay exact."""
+    n, w, last = cuts[-1], 3 * eta + 1, len(cuts)
+    # rows[i][t] = a_{i, i - eta + t} (0-based), then eta columns for the
+    # fill of row exchanges; the eta rows past n are scratch
+    r, rows = np.arange(n)[:, None], np.zeros((n + eta, w))
+    rows[:n, :2 * eta + 1] = _entries(ab[:, :n], eta, r,
+                                      r + np.arange(-eta, eta + 1))
+    rows, piv, dead, k, cut = rows.tolist(), [], [], 0, cuts[0]
+    # the fill columns stay zero until the first exchange
+    push, offs, ts = piv.append, range(1, eta + 1), range(eta + 1, 2 * eta + 1)
+    for j in range(n):
+        p, x = j, rows[j][eta]
+        while x == 0.0 or cut > j + 1:  # candidates: rows j..cut - 1
+            for i in range(j + 1, min(j + eta + 1, cut)):
+                if abs(rows[i][j - i + eta]) > abs(x):
+                    p, x = i, rows[i][j - i + eta]
+            if x != 0.0:
+                break
+            dead.append(k)  # its first j + 1 columns lie in j rows
+            k += 1
+            if k == last:
+                break
+            cut = cuts[k]
+        if x == 0.0:  # every cut is recorded
+            break
+        if p > j:  # swap rows j and p, each re-offset to its new position
+            sh, ts = p - j, range(eta + 1, w)
+            rows[j], rows[p] = ([0.0] * sh + rows[p][:w - sh],
+                                rows[j][sh:] + [0.0] * sh)
+            push(-x)  # an exchange flips the sign
+        else:
+            push(x)
+        top = rows[j]
+        for off in offs:
+            row = rows[j + off]
+            y = row[eta - off]
+            if y != 0.0:
+                m = y / x
+                for t in ts:
+                    row[t - off] -= m * top[t]
+        if j + 1 == cut:
+            k += 1
+            cut = cuts[k] if k < last else 0
+    piv += [0.0] * (n - len(piv))
+    ends = np.asarray(cuts) - 1
+    with np.errstate(divide="ignore"):
+        logabs = np.cumsum(np.log(np.abs(piv)))[ends]
+    signs = np.cumprod(np.sign(piv))[ends]
+    signs[dead], logabs[dead] = 0.0, -np.inf
     return signs, logabs
+
+
+def _corner_commutators(ab, eta, cuts):
+    """(|A_n A_n^T - A_n^T A_n|_F, |A_n|_F^2) arrays over the leading n x n
+    corners, n in `cuts`, of A, whose band from column 1 to cuts[-1] + eta
+    is `ab`.  The corner's commutator is the infinite C = A A^T - A^T A but
+    on its trailing eta x eta block, where A's entries past the corner
+    reach.  So its squared norm is a prefix sum of C's squares with
+    max(i, j) < n - eta plus its own last eta rows, from the corner's last
+    3 eta rows: sums of squares, no term cancels another."""
+    w, n, i = ab.shape[1], np.asarray(cuts), np.arange(ab.shape[1])
+    abt = _entries(ab, eta, i, i + np.arange(-eta, eta + 1)[:, None])  # A^T's
+    cab = np.zeros((4 * eta + 1, w))  # the band of C
+    for e in range(min(2 * eta, w - 1) + 1):  # C_{i, i + e}
+        g = [(x[e:, :w - e] * x[:2 * eta + 1 - e, e:]).sum(0)
+             for x in (abt, ab)]
+        cab[2 * eta - e, e:] = cab[2 * eta + e, :w - e] = g[0] - g[1]
+    # rows n - 3 eta..n - 1 of A_n and A_n^T from column n - 4 eta; the
+    # corner's last eta rows of C_n on columns n - 3 eta..n - 1 from them
+    x, xt = (_band_blocks(y, eta, n - 3 * eta, n, n - 4 * eta, n, 4 * eta)
+             for y in (ab, abt))
+    c = (x[:, 2 * eta:3 * eta] @ x.transpose(0, 2, 1)
+         - xt[:, 2 * eta:3 * eta] @ xt.transpose(0, 2, 1)) ** 2
+
+    def prefix(x, b):  # [m]: the sum of the squares with max(i, j) < m
+        key = np.arange(w) + np.maximum(np.arange(2 * b + 1) - b, 0)[:, None]
+        return np.concatenate(([0.0], np.cumsum(np.bincount(
+            key.ravel(), (x * x).ravel(), minlength=w + 2 * b))))
+
+    # C_n is symmetric, so the strip beside its trailing block counts twice
+    sq = (prefix(cab, 2 * eta)[np.maximum(n - eta, 0)]
+          + (c * np.repeat([2.0, 1.0], [2 * eta, 2 * eta])).sum((1, 2)))
+    return np.sqrt(sq), prefix(ab, eta)[n]
+
+
+def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
+    """Determinants of the leading corners a_p, p = 1..K: sign times
+    exp(log|det|) from `_cut_logdets`.  A singular corner gives 0.0, and
+    the corners past it are still their own determinants, not zero."""
+    signs, logabs = _cut_logdets(a.bands(1, s.cut(K)), a.eta, s.s[:K])
+    return signs * np.exp(logabs)
 
 
 def power(a: BandedSymbol, k: int, window: int) -> BandedSymbol:

@@ -2,9 +2,9 @@
 
 The module hosts the coefficient-tensor layer (effective degree, the
 positivity form over complex lambda, Gram-constructed admissible tensors),
-the bilinear form for powers of the composition adjoint, the matrix
-normality test, and the hypothesis suites for the three criteria on banded
-symbols.
+the bilinear form for powers of the composition adjoint, and the
+hypothesis suites for the three criteria on banded symbols; `prop52` reads
+the symbol's band once and takes every check from it.
 
 A sampled check of a universally quantified positivity statement can only
 disprove it or accumulate evidence, never prove it; verdicts are therefore
@@ -26,8 +26,10 @@ from .banded import (
     BandedSymbol,
     BlockPartition,
     PerturbedIdentity,
+    _band_blocks,
+    _corner_commutators,
+    _cut_logdets,
     det_sequence,
-    logdet_corners,
     power_entry_bound,
 )
 from .gaussmeas import (
@@ -49,7 +51,6 @@ __all__ = [
     "snr_form_matrix",
     "snr_form_value",
     "SnrFormResult",
-    "normality_test",
     "hyponormality_consequence",
     "thm51_suite",
     "prop52_suite",
@@ -292,25 +293,6 @@ def snr_form_value(A, c: CoefficientTensor, r: int, testfns,
     )
 
 
-# ---------------------------------------------------------------------------
-# matrix-level tests
-
-
-def normality_test(A, tol: float = 1e-10) -> CheckReport:
-    """Frobenius-norm commutator test |A A^T - A^T A| <= tol |A|_F^2."""
-    A = np.asarray(A, dtype=float)
-    comm = A @ A.T - A.T @ A
-    scale = float(np.linalg.norm(A)) ** 2
-    resid = float(np.linalg.norm(comm))
-    ok = resid <= tol * max(scale, 1e-300)
-    return CheckReport(
-        name="normality",
-        verdict="pass" if ok else "fail",
-        payload={"commutator_frobenius": resid, "scale": scale},
-        tolerances={"tol": tol},
-    )
-
-
 def hyponormality_consequence(A, model_degree: int = 6,
                               seed: int = 0) -> CheckReport:
     """Consequence of membership in the first weak class, exact over the
@@ -364,37 +346,40 @@ def _trajectory_verdict(traj, skip, consistent_verdict):
     return consistent_verdict if shrink else "evidence"
 
 
-def _suite_band(a, s, L, boxes, dim_cap):
-    """(band, levels): per box the levels l <= L with s(l) within
-    `dim_cap` (None: no cap) or the box, and the one band read they share."""
-    levels = [L if dim_cap is None else int(np.searchsorted(
+def _suite_levels(s, L, boxes, dim_cap):
+    """Per box the levels l <= L with s(l) within `dim_cap` (None: no cap)
+    or the box."""
+    return [L if dim_cap is None else int(np.searchsorted(
         s.s[:L], max(dim_cap, box.dims), "right")) for box in boxes]
-    return a.bands(1, s.cut(max(levels, default=0) or 1)), levels
 
 
-def _box_norm_reports(ab, eta, s, levels, L, i, bi, box, finite_name,
+def _box_norm_reports(ab, eta, s, L, dim_cap, i, bi, box, finite_name,
                       traj_name, consistent_verdict, detailed):
     """Finiteness and trajectory reports for the box-restricted norms of the
-    i-th power over the truncations at levels 1..`levels` (of L) of the
-    symbol whose band, from column 1 and of bandwidth eta, is `ab`.
+    i-th power over the truncations at the levels `_suite_levels` keeps of
+    1..L, of the symbol whose band, from column 1 and of bandwidth eta, is
+    `ab`.
 
     A divergent integral and a singular corner (named by its level) are a
-    "fail"; a quadrature that does not converge is "evidence" that names the
-    budget, never a "pass".  A consistent trajectory gets
-    `consistent_verdict`, one too short to judge "evidence".  The `detailed`
-    layout (thm51) keeps i and the halfwidth in the params of every
-    finiteness report, the level count in the params and a caveat note on
-    the trajectory; the other layout (prop52) carries `dim_capped` in the
-    finiteness payload.
+    "fail"; a quadrature that does not converge and a cap that no level
+    fits are "evidence" naming the budget or the cap, never a "pass".  A
+    consistent trajectory gets `consistent_verdict`, one too short to judge
+    "evidence".  The `detailed` layout (thm51) keeps i and the halfwidth in
+    the params of every finiteness report, the level count in the params
+    and a caveat note on the trajectory; the other layout (prop52) carries
+    `dim_capped` in the finiteness payload.
     """
     tag = f"[i={i},box={bi}]"
     params = {"i": i, "box_halfwidth": box.halfwidth}
-    traj = []
+    traj, verdict, payload = [], "evidence", {
+        "detail": f"no truncation level within dim_cap {dim_cap}: "
+                  f"s(1) = {s.cut(1)}"}
     try:
-        for l in range(1, levels + 1):
+        for l in range(1, _suite_levels(s, L, [box], dim_cap)[0] + 1):
             traj.append(_chi_norm_band(ab[:, :s.cut(l)], eta, i, Box(
                 min(box.dims, s.cut(l)), box.halfwidth)))
     except (DivergenceError, ValueError) as exc:
+        traj = []
         if isinstance(exc, np.linalg.LinAlgError):
             verdict, payload = "fail", {
                 "detail": "singular truncation corner",
@@ -402,13 +387,14 @@ def _box_norm_reports(ab, eta, s, levels, L, i, bi, box, finite_name,
         elif isinstance(exc, DivergenceError):
             verdict, payload = "fail", {"detail": str(exc)}
         else:
-            verdict, payload = "evidence", {
-                "detail": f"not computable within the quadrature budget: {exc}"}
+            payload = {"detail": "not computable within the quadrature "
+                                 f"budget: {exc}"}
+    if not traj:
         return [CheckReport(name=finite_name + tag, verdict=verdict,
                             payload=payload,
                             params=dict(params) if detailed else {})]
     capped = len(traj) < L
-    finite = {"largest_norm_sq": traj[-1] if traj else None}
+    finite = {"largest_norm_sq": traj[-1]}
     if detailed:
         finite_params = dict(params, levels=len(traj), dim_capped=capped)
     else:
@@ -439,11 +425,12 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     banded symbols.
     """
     reports = []
-    ab, levels = _suite_band(a, s, L, boxes, dim_cap)
+    levels = _suite_levels(s, L, boxes, dim_cap)  # the band they all read
+    ab = a.bands(1, s.cut(max(levels, default=0) or 1))
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                ab, a.eta, s, levels[bi], L, i, bi, box, "finiteness",
+                ab, a.eta, s, L, dim_cap, i, bi, box, "finiteness",
                 "norm_trajectory", "evidence", detailed=True)
         reports.append(CheckReport(
             name=f"coordinate_stability[i={i}]",
@@ -465,10 +452,10 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     norms and consistency of their trajectory.
     """
     reports = []
-    eta, W = a.eta, a.window(s.cut(L) + a.eta)
+    eta, cuts = a.eta, np.array(s.s[:L])
+    ab = a.bands(1, s.cut(L) + eta)  # the one read: A_L and its coupling
     # (a) invertibility of the truncations
-    signs, logabs = logdet_corners(a, s, L)
-    singular = np.flatnonzero((signs == 0) | ~np.isfinite(logabs))
+    singular = np.flatnonzero(_cut_logdets(ab, eta, s.s[:L])[0] == 0.0)
     bad = int(singular[0]) + 1 if singular.size else None
     reports.append(CheckReport(
         name="invertible_truncations",
@@ -478,18 +465,16 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     ))
     if bad is not None:
         return reports
-    inv_L = np.linalg.inv(W[:s.cut(L), :s.cut(L)])
     # (b) block class of A^-1 from A's band, by the nullity theorem (Strang &
     # Nguyen, SIAM Rev. 46, 2004): with invertible corners the first two slices
     # have rank >= h - m, A^-1 is 0 between blocks <= p and >= p + 2 iff both
-    # equal it, and its block (p, p + 1) then has the rank of the third
-    subs, b = [], np.diff(s.s[:L], prepend=0)
-    for p in range(1, L):
-        t, m, h = max(0, s.cut(p) - eta), s.cut(p), s.cut(p + 1)
-        subs += [W[t:h, m:h + eta], W[m:h + eta, t:h], W[t:m, m:m + eta]]
-    stack = np.zeros((len(subs), eta + max(b), eta + max(b)))
-    for x, sub in zip(stack, subs):  # zero padding keeps every rank
-        x[:sub.shape[0], :sub.shape[1]] = sub
+    # equal it, and its block (p, p + 1) then has the rank of the third; the
+    # slices are [t:h, m:h+eta], [m:h+eta, t:h] and [t:m, m:m+eta]
+    b, m, h = np.diff(cuts, prepend=0), cuts[:-1], cuts[1:]
+    t = np.maximum(0, m - eta)
+    stack = _band_blocks(ab, eta, *(np.stack(x, 1).ravel() for x in (
+        (t, m, t), (h, h + eta, m), (m, t, m), (h + eta, h, m + eta))),
+        eta + max(b))  # zero padding keeps every rank
     sv = np.linalg.svd(stack, compute_uv=False)  # each slice at its own scale
     up, low, ranks = (sv > _RANK_TOL * sv[:, :1]).sum(1).reshape(-1, 3).T
     far = np.flatnonzero((up > b[1:]) | (low > b[1:])) + 1
@@ -502,13 +487,10 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
                      range(1, L), ranks.tolist(), b.tolist()))},
         tolerances={"rank_tol": _RANK_TOL},
     ))
-    # (d) normality of the inverse corners
-    worst = 0.0
-    for k in range(1, L + 1):
-        sub = inv_L[: s.cut(k), : s.cut(k)]
-        rep_k = normality_test(sub, tol=1e-8)
-        worst = max(worst, rep_k.payload["commutator_frobenius"]
-                    / max(rep_k.payload["scale"], 1e-300))
+    # (d) the inverse corners are normal iff the corners are, since (a) has
+    # shown them invertible: |A_k A_k^T - A_k^T A_k|_F <= tol |A_k|_F^2
+    comm, scale = _corner_commutators(ab, eta, cuts)
+    worst = float(np.max(comm / np.maximum(scale, 1e-300)))
     reports.append(CheckReport(
         name="inverse_corners_normal",
         verdict="pass" if worst <= 1e-8 else "fail",
@@ -516,11 +498,10 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
         tolerances={"tol": 1e-8},
     ))
     # (c) + (e): finiteness and trajectory of the box-restricted norms
-    ab, levels = _suite_band(a, s, L, boxes, dim_cap)
     for i in range(1, n + r + 1):
         for bi, box in enumerate(boxes):
             reports += _box_norm_reports(
-                ab, eta, s, levels[bi], L, i, bi, box, "box_norm_finite",
+                ab, eta, s, L, dim_cap, i, bi, box, "box_norm_finite",
                 "norm_trajectory_consistent", "pass", detailed=False)
     return reports
 

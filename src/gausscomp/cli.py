@@ -60,7 +60,7 @@ from .gaussmeas import (
     diag_closed_form,
 )
 
-SCHEMA_VERSION = "1.3"
+SCHEMA_VERSION = "1.4"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -241,7 +241,9 @@ def _finite_floats(flag, raw, count=None):
 
 
 def _dim_cap(raw):
-    """`--dim-cap`: an integer, or `none` for no cap."""
+    """`--dim-cap`: a nonnegative integer, or `none` for no cap."""
+    if raw != "none" and int(raw) < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
     return None if raw == "none" else int(raw)
 
 
@@ -385,7 +387,8 @@ def cmd_check(args):
                  else checker.thm51_suite)
         reports = suite(sym, s, args.n, args.r, args.L, boxes,
                         dim_cap=args.dim_cap)
-        config["boxes"] = [b.halfwidth for b in boxes]
+        config.update(boxes=[b.halfwidth for b in boxes],
+                      dim_cap=args.dim_cap)
     return _emit(args, f"check_{args.suite}", config, reports)
 
 

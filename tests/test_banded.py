@@ -9,10 +9,11 @@ from gausscomp.banded import (
     BandedSymbol,
     BlockPartition,
     PerturbedIdentity,
+    _corner_commutators,
+    _cut_logdets,
     block,
     det_sequence,
     in_class_F,
-    logdet_corners,
     power,
     power_entry_bound,
     truncate,
@@ -183,10 +184,11 @@ def test_det_envelope_q_07():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.7))
 def test_det_recursion_matches_factorization(q):
-    s = BlockPartition.unit(32)
-    dets = det_sequence(geometric(q), s, 32)
-    signs, logabs = logdet_corners(geometric(q), s, 32)
-    np.testing.assert_allclose(dets, signs * np.exp(logabs), rtol=1e-12)
+    # the three-term minor recursion against the elimination on the band
+    a = geometric(q)
+    minors = walk_minors(a.entry, 1, 32)
+    np.testing.assert_allclose(det_sequence(a, BlockPartition.unit(32), 32),
+                               minors[1:], rtol=1e-12)
 
 
 def test_det_block_diagonal_product():
@@ -201,28 +203,102 @@ def test_det_block_diagonal_product():
     np.testing.assert_allclose(dets, [d1, d1 * d2], rtol=1e-12)
 
 
+def assert_dets_match_slogdet(a, s, K):
+    """det_sequence and _cut_logdets against dense slogdet of every corner,
+    to 1e-10 of the corner's Hadamard bound (prod of its row norms), with
+    the same sign wherever the dense determinant clears that band."""
+    signs, logabs = _cut_logdets(a.bands(1, s.cut(K)), a.eta, s.s[:K])
+    dets = det_sequence(a, s, K)
+    for p in range(1, K + 1):
+        corner = truncate(a, s, p)
+        sg, la = np.linalg.slogdet(corner)
+        band = 1e-10 * np.prod(np.linalg.norm(corner, axis=1))
+        assert dets[p - 1] == signs[p - 1] * np.exp(logabs[p - 1])
+        assert abs(dets[p - 1] - sg * math.exp(la)) <= band
+        if abs(sg * math.exp(la)) > band:
+            assert signs[p - 1] == sg
+            assert logabs[p - 1] == pytest.approx(la, abs=1e-12 * max(1, K))
+
+
 @seed(4)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.integers(0, 3), st.lists(st.integers(1, 3), min_size=1, max_size=8),
-       st.integers(0, 2**32 - 1))
-def test_logdet_corners_match_dense_slogdet(eta, widths, s_seed):
-    # each corner's slice of a_K against a_p rebuilt from the symbol
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(["normal", "zero", "sparse"]))
+def test_cut_logdets_match_dense_slogdet(eta, widths, s_seed, diag):
+    # random bands, a third with a zero diagonal and a third with half their
+    # entries zero, so exchanges and exactly singular cuts both occur
     n = sum(widths)
     rng = np.random.default_rng(s_seed)
     mat = rng.standard_normal((n, n))
     mat[np.abs(np.subtract.outer(range(n), range(n))) > eta] = 0.0
-    a = BandedSymbol.from_dense(mat, eta=eta)
+    if diag == "zero":
+        np.fill_diagonal(mat, 0.0)
+    elif diag == "sparse":
+        mat[rng.random((n, n)) < 0.5] = 0.0
+    assert_dets_match_slogdet(BandedSymbol.from_dense(mat, eta=eta),
+                              BlockPartition(np.cumsum(widths)), len(widths))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_dets_of_the_zero_diagonal_perturbation(q):
+    # bhat of ex59: the odd corners are exactly singular, D_2 = -q^2, and
+    # every later even corner is still exact
+    a = PerturbedIdentity.geometric(q).base
+    dets = det_sequence(a, BlockPartition.unit(12), 12)
+    assert np.all(dets[::2] == 0.0)
+    assert dets[1] == pytest.approx(-q * q, rel=1e-15)
+    assert_dets_match_slogdet(a, BlockPartition.unit(12), 12)
+
+
+def test_dets_of_a_permutation_symbol_exchange_within_a_block():
+    # blocks [[0, 1], [1, 0]]: every cut corner is invertible, although the
+    # first pivot of an unexchanged elimination is zero
+    a = BandedSymbol.from_dense(np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]]))
+    s = BlockPartition((2, 4, 6))
+    np.testing.assert_array_equal(det_sequence(a, s, 3), [-1.0, 1.0, -1.0])
+    assert_dets_match_slogdet(a, s, 3)
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 3), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1), st.sampled_from(["normal", "symmetric",
+                                                    "sparse"]))
+def test_band_commutator_matches_the_dense_corners(eta, widths, s_seed, kind):
+    # |A_n A_n^T - A_n^T A_n|_F and |A_n|_F^2 at every cut, against dense
+    # products of the corner; a symmetric band gives an exact zero
     s = BlockPartition(np.cumsum(widths))
-    signs, logabs = logdet_corners(a, s, len(widths))
-    for p in range(1, len(widths) + 1):
-        sg, la = np.linalg.slogdet(truncate(a, s, p))
-        assert signs[p - 1] == sg and logabs[p - 1] == la
+    n, rng = s.cut(len(s)), np.random.default_rng(s_seed)
+    mat = rng.standard_normal((n + 2 * eta, n + 2 * eta))
+    mat[np.abs(np.subtract.outer(*2 * [range(len(mat))])) > eta] = 0.0
+    if kind == "symmetric":
+        mat += mat.T
+    elif kind == "sparse":
+        mat[rng.random(mat.shape) < 0.5] = 0.0
+    a = BandedSymbol.from_dense(mat, eta=eta)
+    comm, scale = _corner_commutators(a.bands(1, n + eta), eta, s.s)
+    for p in range(1, len(s) + 1):
+        A = truncate(a, s, p)
+        band = 1e-13 * np.linalg.norm(a.window(s.cut(p) + eta)) ** 2
+        assert abs(comm[p - 1] - np.linalg.norm(A @ A.T - A.T @ A)) <= band
+        assert scale[p - 1] == pytest.approx(np.linalg.norm(A) ** 2,
+                                             rel=1e-13)
+        if kind == "symmetric":
+            assert comm[p - 1] == 0.0
 
 
 def test_det_singular_corner_reported():
-    a = BandedSymbol.diagonal([1.0, 0.0, 2.0])
-    signs, logabs = logdet_corners(a, BlockPartition.unit(3), 3)
+    # the corners past a singular one are their own determinants
+    a = BandedSymbol.from_entries(1, {(1, 1): 1.0, (2, 2): 0.0, (3, 3): 2.0,
+                                      (2, 3): 1.0, (3, 2): 1.0})
+    signs, logabs = _cut_logdets(a.bands(1, 3), 1, (1, 2, 3))
     assert signs[1] == 0.0 and logabs[1] == -math.inf
+    np.testing.assert_array_equal(det_sequence(a, BlockPartition.unit(3), 3),
+                                  [1.0, 0.0, -1.0])
+    dets = det_sequence(BandedSymbol.diagonal([1.0, 0.0, 2.0]),
+                        BlockPartition.unit(3), 3)
+    np.testing.assert_array_equal(dets, [1.0, 0.0, 0.0])
 
 
 # -- powers ----------------------------------------------------------------
@@ -512,9 +588,13 @@ def test_every_view_reads_the_rule_bit_for_bit(case, data):
                     else np.zeros((rhi - rlo + 1, chi - clo + 1)))
             assert_same_bits(block(a, s, p, q), want)
     if eta <= 1 and K:
+        # the elimination, not this walk, gives det_sequence: the same to
+        # 1e-12, and an exact zero wherever the walk gives one
         minors = walk_minors(f, eta, n)
-        assert_same_bits(det_sequence(a, s, K),
-                         [minors[s.cut(p)] for p in range(1, K + 1)])
+        want = np.array([minors[s.cut(p)] for p in range(1, K + 1)])
+        dets = det_sequence(a, s, K)
+        np.testing.assert_allclose(dets, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(dets == 0.0, want == 0.0)
 
 
 def first_violation_by_rows(base, alpha, w, n):

@@ -19,7 +19,6 @@ from gausscomp.checker import (
     form_positivity_evidence,
     gram_construct,
     hyponormality_consequence,
-    normality_test,
     prop52_suite,
     prop56_suite,
     snr_form_matrix,
@@ -318,29 +317,43 @@ def test_snr_form_matrix_is_the_form(kappa, degree, n, r, m, seed):
         lo[0], abs=1e-10 * scale)
 
 
-# -- normality --------------------------------------------------------------
+# -- normality ------------------------------------------------------------
+
+def corners_normal(mat, s, L):
+    """prop52's `inverse_corners_normal` report on the symbol of `mat`."""
+    return next(r for r in prop52_suite(BandedSymbol.from_dense(mat), s, 0,
+                                        0, L, [])
+                if r.name == "inverse_corners_normal")
+
 
 def test_normality_symmetric_passes():
     A = RNG.standard_normal((4, 4))
-    assert normality_test(A + A.T).verdict == "pass"
+    rep = corners_normal(A + A.T, BlockPartition.unit(4), 4)
+    assert rep.verdict == "pass"
+    assert rep.payload["worst_relative_commutator"] == 0.0
 
 
 def test_normality_shear_fails_with_exact_commutator():
-    rep = normality_test(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # |C|_F = sqrt(2) against |A|_F^2 = 3 at the 2-corner
+    rep = corners_normal(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                         BlockPartition.unit(2), 2)
     assert rep.verdict == "fail"
-    assert rep.payload["commutator_frobenius"] == pytest.approx(math.sqrt(2.0))
+    assert rep.payload["worst_relative_commutator"] == pytest.approx(
+        math.sqrt(2.0) / 3.0, rel=1e-15)
 
 
 def test_normality_rotation_passes():
     th = 0.7
     R = np.array([[math.cos(th), -math.sin(th)],
                   [math.sin(th), math.cos(th)]])
-    assert normality_test(R).verdict == "pass"
+    assert corners_normal(R, BlockPartition.unit(2), 2).verdict == "pass"
 
 
 def test_normality_transpose_agrees():
     A = RNG.standard_normal((3, 3))
-    assert normality_test(A).verdict == normality_test(A.T).verdict
+    reps = [corners_normal(x, BlockPartition.unit(3), 3) for x in (A, A.T)]
+    assert reps[0].verdict == reps[1].verdict
+    assert reps[0].payload == reps[1].payload
 
 
 # -- hyponormality consequence ----------------------------------------------
@@ -623,6 +636,20 @@ def test_trajectory_verdict_fails_only_a_nonfinite_value(traj, verdict):
     assert checker._trajectory_verdict(traj, 0, "pass") == verdict
 
 
+@pytest.mark.parametrize("suite,name", [(thm51_suite, "finiteness"),
+                                        (prop52_suite, "box_norm_finite")])
+def test_no_level_within_the_dim_cap_is_evidence(suite, name):
+    # s(1) = 3 exceeds both the cap and the box dims: an empty trajectory
+    # computes nothing and is no pass
+    reports = suite(ex53_symbol(), BlockPartition((3, 6, 9, 12, 15)), 1, 1, 4,
+                    [Box(2, 1.0)], dim_cap=1)
+    finite = [r for r in reports if r.name.startswith(name)]
+    assert len(finite) == 2 and all(r.verdict == "evidence" for r in finite)
+    assert all(r.payload == {"detail": "no truncation level within dim_cap 1: "
+                                       "s(1) = 3"} for r in finite)
+    assert not any("trajectory" in r.name for r in reports)
+
+
 def test_default_suites_reach_every_level():
     # no dim cap by default: every level 1..L is computed
     reports = thm51_suite(ex53_symbol(), BlockPartition.unit(40), 1, 1, 40,
@@ -695,9 +722,8 @@ def test_prop56_singular_corner_fails_the_floor():
 
 
 def test_report_serialization_plain_types():
-    rep = normality_test(np.eye(2))
-    d = rep.to_dict()
-    assert isinstance(d["payload"]["commutator_frobenius"], float)
+    d = corners_normal(np.eye(2), BlockPartition.unit(2), 2).to_dict()
+    assert type(d["payload"]["worst_relative_commutator"]) is float
     assert d["verdict"] == "pass"
 
 

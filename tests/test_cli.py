@@ -852,3 +852,40 @@ def test_numpy_nan_in_a_table_exits_three(tmp_path, capsys, monkeypatch):
     stdout, err = capsys.readouterr()
     assert code == 3 and stdout == "" and not out.exists()
     assert "NaN" not in err
+
+
+@pytest.mark.parametrize("suite,name", [("thm51", "finiteness"),
+                                        ("prop52", "box_norm_finite")])
+def test_no_level_within_the_dim_cap_is_evidence(tmp_path, capsys, suite,
+                                                 name):
+    # s(1) = 3 exceeds the cap 1 and the box dims 2: nothing is computed,
+    # which is not a pass
+    part = tmp_path / "part.txt"
+    part.write_text("3 6 9 12 15\n")
+    code, doc = run_cli(capsys, "check", suite, "--builtin", "ex53", "--L",
+                        "4", "--dim-cap", "1", "--partition-file", str(part))
+    assert code == 2
+    finite = [r for r in doc["body"]["reports"] if r["name"].startswith(name)]
+    assert len(finite) == 2 and all(r["verdict"] == "evidence" for r in finite)
+    assert all("dim_cap 1" in r["payload"]["detail"] for r in finite)
+    assert not any("trajectory" in r["name"] for r in doc["body"]["reports"])
+
+
+@pytest.mark.parametrize("cap", ["1", "none"])
+@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+def test_dim_cap_is_in_the_config(capsys, suite, cap):
+    # two runs with different caps write different configs
+    code, doc = run_cli(capsys, "check", suite, "--builtin", "ex53", "--L",
+                        "3", "--dim-cap", cap)
+    assert doc["body"]["config"]["dim_cap"] == (None if cap == "none" else 1)
+
+
+@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+def test_negative_dim_cap_is_bad_input(tmp_path, capsys, suite):
+    # it acted as a cap of 0
+    out = tmp_path / "report.json"
+    code = main(["check", suite, "--builtin", "ex53", "--dim-cap", "-5",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.search(r"--dim-cap\b", err) and "-5" in err
