@@ -3,8 +3,8 @@
 The module hosts the coefficient-tensor layer (effective degree, the
 positivity form over complex lambda, Gram-constructed admissible tensors),
 the bilinear form for powers of the composition adjoint, and the
-hypothesis suites for the three criteria on banded symbols; `prop52` reads
-the symbol's band once and takes every check from it.
+hypothesis suites for the three criteria on banded symbols: `thm51` and
+`prop52` share one box-norm path and layout, and `prop52` reads the band once.
 
 A sampled check of a universally quantified positivity statement can only
 disprove it or accumulate evidence, never prove it; verdicts are therefore
@@ -76,14 +76,7 @@ class CheckReport:
 
     def to_dict(self):
         """The fields as they are; `cli` turns numpy leaves into JSON."""
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "payload": self.payload,
-            "params": self.params,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +98,6 @@ class CoefficientTensor:
         self.n = a.shape[0] - 1
         self.m = a.shape[2]
         self.n_a = compute_n_a(self)
-
-    @classmethod
-    def zeros(cls, n, m):
-        return cls(np.zeros((n + 1, n + 1, m, m), dtype=complex))
 
     def scaled(self, z):
         return CoefficientTensor(self.a * z)
@@ -346,72 +335,66 @@ def _trajectory_verdict(traj, skip, consistent_verdict):
     return consistent_verdict if shrink else "evidence"
 
 
-def _suite_levels(s, L, boxes, dim_cap):
-    """Per box the levels l <= L with s(l) within `dim_cap` (None: no cap)
-    or the box."""
-    return [L if dim_cap is None else int(np.searchsorted(
-        s.s[:L], max(dim_cap, box.dims), "right")) for box in boxes]
+def _top_level(s, L, dim_cap, dims):
+    """The last level l <= L with s(l) <= max(dim_cap, dims); L if no cap."""
+    return L if dim_cap is None else int(np.searchsorted(
+        s.s[:L], max(dim_cap, dims), "right"))
 
 
-def _box_norm_reports(ab, eta, s, L, dim_cap, i, bi, box, finite_name,
-                      traj_name, consistent_verdict, detailed):
-    """Finiteness and trajectory reports for the box-restricted norms of the
-    i-th power over the truncations at the levels `_suite_levels` keeps of
-    1..L, of the symbol whose band, from column 1 and of bandwidth eta, is
-    `ab`.
+def _box_norm_failure(exc):
+    """The verdict and payload of a box norm that raised `exc`: "fail" for a
+    divergent integral, "evidence" for a quadrature past its budget."""
+    if isinstance(exc, DivergenceError):
+        return "fail", {"detail": str(exc)}
+    return "evidence", {"detail": "not computable within the quadrature "
+                                  f"budget: {exc}"}
 
-    A divergent integral and a singular corner (named by its level) are a
-    "fail"; a quadrature that does not converge and a cap that no level
-    fits are "evidence" naming the budget or the cap, never a "pass".  A
-    consistent trajectory gets `consistent_verdict`, one too short to judge
-    "evidence".  The `detailed` layout (thm51) keeps i and the halfwidth in
-    the params of every finiteness report, the level count in the params
-    and a caveat note on the trajectory; the other layout (prop52) carries
-    `dim_capped` in the finiteness payload.
-    """
-    tag = f"[i={i},box={bi}]"
-    params = {"i": i, "box_halfwidth": box.halfwidth}
-    traj, verdict, payload = [], "evidence", {
-        "detail": f"no truncation level within dim_cap {dim_cap}: "
-                  f"s(1) = {s.cut(1)}"}
-    try:
-        for l in range(1, _suite_levels(s, L, [box], dim_cap)[0] + 1):
-            traj.append(_chi_norm_band(ab[:, :s.cut(l)], eta, i, Box(
-                min(box.dims, s.cut(l)), box.halfwidth)))
-    except (DivergenceError, ValueError) as exc:
-        traj = []
-        if isinstance(exc, np.linalg.LinAlgError):
-            verdict, payload = "fail", {
-                "detail": "singular truncation corner",
-                "first_singular_level": l}
-        elif isinstance(exc, DivergenceError):
-            verdict, payload = "fail", {"detail": str(exc)}
-        else:
-            payload = {"detail": "not computable within the quadrature "
-                                 f"budget: {exc}"}
-    if not traj:
-        return [CheckReport(name=finite_name + tag, verdict=verdict,
-                            payload=payload,
-                            params=dict(params) if detailed else {})]
-    capped = len(traj) < L
-    finite = {"largest_norm_sq": traj[-1]}
-    if detailed:
-        finite_params = dict(params, levels=len(traj), dim_capped=capped)
-    else:
-        finite["dim_capped"] = capped
-        finite_params = dict(params)
-    skip = sum(1 for l in range(1, len(traj) + 1) if s.cut(l) < box.dims)
-    trajectory = {"trajectory": traj}
-    if detailed:
-        trajectory["note"] = ("limit behaviour consistent up to the "
-                              "reported truncation depth only")
-    return [
-        CheckReport(name=finite_name + tag, verdict="pass", payload=finite,
-                    params=finite_params),
-        CheckReport(name=traj_name + tag,
-                    verdict=_trajectory_verdict(traj, skip, consistent_verdict),
-                    payload=trajectory, params=dict(params)),
-    ]
+
+def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
+                      traj_name, consistent_verdict):
+    """Yield per power i = 1..powers the finiteness and trajectory reports
+    of each box's restricted norms of A^i (`ab`: A's band from column 1,
+    bandwidth eta) at the levels `_top_level` keeps.  A singular corner is a
+    "fail" naming its level, a cap that no level fits "evidence", any other
+    failure `_box_norm_failure`'s; a consistent trajectory gets
+    `consistent_verdict`.  Params carry i and the halfwidth, a computed
+    finiteness report's also the level count and `dim_capped`."""
+    for i in range(1, powers + 1):
+        reports = []
+        for bi, box in enumerate(boxes):
+            tag = f"[i={i},box={bi}]"
+            params = {"i": i, "box_halfwidth": box.halfwidth}
+            top = _top_level(s, L, dim_cap, box.dims)
+            traj, verdict, payload = [], "evidence", {
+                "detail": f"no truncation level within dim_cap {dim_cap}: "
+                          f"s(1) = {s.cut(1)}"}
+            try:
+                for l, cut in enumerate(s.s[:top], 1):
+                    traj.append(_chi_norm_band(ab[:, :cut], eta, i, Box(
+                        min(box.dims, cut), box.halfwidth)))
+            except np.linalg.LinAlgError:
+                traj, verdict, payload = [], "fail", {
+                    "detail": "singular truncation corner",
+                    "first_singular_level": l}
+            except (DivergenceError, ValueError) as exc:
+                traj, (verdict, payload) = [], _box_norm_failure(exc)
+            if traj:
+                verdict, payload = "pass", {"largest_norm_sq": traj[-1]}
+            reports.append(CheckReport(
+                name=finite_name + tag, verdict=verdict, payload=payload,
+                params=dict(params, levels=len(traj),
+                            dim_capped=len(traj) < L) if traj else params))
+            if not traj:
+                continue
+            skip = int(np.searchsorted(s.s[:len(traj)], box.dims))
+            reports.append(CheckReport(
+                name=traj_name + tag,
+                verdict=_trajectory_verdict(traj, skip, consistent_verdict),
+                payload={"trajectory": traj, "note": (
+                    "limit behaviour consistent up to the reported "
+                    "truncation depth only")},
+                params=params))
+        yield reports
 
 
 def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
@@ -424,21 +407,18 @@ def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     coordinate-stability conditions (vi)/(vii) which hold exactly for
     banded symbols.
     """
+    top = _top_level(s, L, dim_cap, max((b.dims for b in boxes), default=0))
     reports = []
-    levels = _suite_levels(s, L, boxes, dim_cap)  # the band they all read
-    ab = a.bands(1, s.cut(max(levels, default=0) or 1))
-    for i in range(1, n + r + 1):
-        for bi, box in enumerate(boxes):
-            reports += _box_norm_reports(
-                ab, a.eta, s, L, dim_cap, i, bi, box, "finiteness",
-                "norm_trajectory", "evidence", detailed=True)
-        reports.append(CheckReport(
+    for i, box_reports in enumerate(_box_norm_reports(
+            a.bands(1, s.cut(top or 1)), a.eta, s, L, n + r, boxes, dim_cap,
+            "finiteness", "norm_trajectory", "evidence"), 1):
+        reports += [*box_reports, CheckReport(
             name=f"coordinate_stability[i={i}]",
             verdict="pass",
             payload={"bandwidth": a.eta,
                      "stable_from": f"any p with s(p) >= m + {i * a.eta}"},
             params={"i": i},
-        ))
+        )]
     return reports
 
 
@@ -498,11 +478,10 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
         tolerances={"tol": 1e-8},
     ))
     # (c) + (e): finiteness and trajectory of the box-restricted norms
-    for i in range(1, n + r + 1):
-        for bi, box in enumerate(boxes):
-            reports += _box_norm_reports(
-                ab, eta, s, L, dim_cap, i, bi, box, "box_norm_finite",
-                "norm_trajectory_consistent", "pass", detailed=False)
+    for box_reports in _box_norm_reports(
+            ab, eta, s, L, n + r, boxes, dim_cap, "box_norm_finite",
+            "norm_trajectory_consistent", "pass"):
+        reports += box_reports
     return reports
 
 

@@ -60,7 +60,7 @@ from .gaussmeas import (
     diag_closed_form,
 )
 
-SCHEMA_VERSION = "1.4"
+SCHEMA_VERSION = "1.5"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -335,14 +335,10 @@ def cmd_rn(args):
         box = Box(dims, hw)  # a non-positive halfwidth is bad input
         try:
             norms.append([hw, dims, chi_norm_sq(A, args.power, box)])
-        except DivergenceError as exc:
-            reports.append(CheckReport(name=f"box_norm[{raw}]", verdict="fail",
-                                       payload={"detail": str(exc)}))
-        except ValueError as exc:
-            reports.append(CheckReport(
-                name=f"box_norm[{raw}]", verdict="evidence",
-                payload={"detail": "not computable within the quadrature "
-                                   f"budget: {exc}"}))
+        except (DivergenceError, ValueError) as exc:
+            verdict, payload = checker._box_norm_failure(exc)
+            reports.append(CheckReport(name=f"box_norm[{raw}]",
+                                       verdict=verdict, payload=payload))
     reports.append(CheckReport(
         name="density_evaluation", verdict="pass",
         payload={"points_evaluated": len(values), "boxes": len(norms)},

@@ -16,6 +16,7 @@ returning.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -146,6 +147,14 @@ def _log_box_factor(s, k):
     return math.log(2.0 * dawsn(a)) + a * a - 0.5 * math.log(math.pi * t)
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(order):
+    """Read-only Gauss-Legendre nodes and weights of `order` on [-1, 1]."""
+    t, w = leggauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _gauss_box_integral(S, box: Box, log_scale=0.0):
     """exp(log_scale) (2 pi)^{-d/2} times the integral of exp(-x^T S x / 2)
     over the box [-k, k]^d, d = box.dims, S a d x d form.
@@ -185,7 +194,7 @@ def _gauss_box_integral(S, box: Box, log_scale=0.0):
     m = Q.shape[0]
     order, prev = _FIRST_ORDER, None
     while order ** m <= _MAX_POINTS:
-        t, w = leggauss(order)
+        t, w = _legendre_rule(order)
         x = np.array(np.meshgrid(*[k * t] * m, indexing="ij")).reshape(m, -1)
         wts = np.prod(np.meshgrid(*[k * w] * m, indexing="ij"), 0).ravel()
         log_vals = -0.5 * np.einsum("in,ij,jn->n", x, Q, x)

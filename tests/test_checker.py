@@ -663,6 +663,48 @@ def test_default_suites_reach_every_level():
                for r in capped if r.name.startswith("finiteness"))
 
 
+@pytest.mark.parametrize("symbol,cuts,n,L,dim_cap,points", [
+    (ex53_symbol(), range(1, 9), 1, 6, None, None),  # every level computed
+    (ex53_symbol(), range(1, 9), 1, 6, 4, None),     # capped at level 4
+    (PerturbedIdentity.geometric(0.5).symbol, range(1, 9), 2, 4, None, 20),
+    (ex53_symbol(), (3, 6, 9, 12, 15), 1, 4, 1, None),  # no level fits
+], ids=["computed", "capped", "over-budget", "no-level"])
+def test_suites_share_the_box_norm_layout(monkeypatch, symbol, cuts, n, L,
+                                          dim_cap, points):
+    # thm51 and prop52 write their box-norm reports through one path: the
+    # same names, finiteness verdicts, params and payload keys, in order
+    if points is not None:
+        monkeypatch.setattr(gaussmeas, "_MAX_POINTS", points)
+    s = BlockPartition(cuts)
+    boxes = [Box(n + 1, 1.0), Box(n + 1, 0.5)]
+    kinds = {"finiteness": "finite", "box_norm_finite": "finite",
+             "norm_trajectory": "trajectory",
+             "norm_trajectory_consistent": "trajectory"}
+
+    def box_norms(suite):
+        out = []
+        for r in suite(symbol, s, n, 1, L, boxes, dim_cap=dim_cap):
+            name, _, tag = r.name.partition("[")
+            if name in kinds:
+                out.append((kinds[name], tag, r.params, sorted(r.payload),
+                            r.verdict if kinds[name] == "finite" else None))
+        return out
+
+    thm51, prop52 = box_norms(thm51_suite), box_norms(prop52_suite)
+    assert thm51 and thm51 == prop52
+    for kind, _, params, keys, verdict in thm51:
+        assert {"i", "box_halfwidth"} <= set(params)
+        if kind == "trajectory":
+            assert keys == ["note", "trajectory"]
+        elif verdict == "pass":
+            assert keys == ["largest_norm_sq"]
+            assert params["levels"] == (L if dim_cap is None else dim_cap)
+            assert params["dim_capped"] is (dim_cap is not None)
+        else:
+            assert keys == ["detail"] and set(params) == {"i",
+                                                          "box_halfwidth"}
+
+
 def test_thm51_singular_corner_is_a_fail_naming_the_level():
     a = BandedSymbol.diagonal([0.9, 0.8, 0.0, 0.7, 0.6, 0.5])
     reports = thm51_suite(a, BlockPartition.unit(6), 1, 0, 6, [Box(1, 1.0)])

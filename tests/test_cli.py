@@ -92,7 +92,7 @@ def test_prop52_default_reaches_every_level(capsys):
             if r["name"].startswith("norm_trajectory_consistent")]
     assert len(traj) == 2 and all(len(r["payload"]["trajectory"]) == 128
                                   for r in traj)
-    assert all(r["payload"]["dim_capped"] is False for r in reports
+    assert all(r["params"]["dim_capped"] is False for r in reports
                if r["name"].startswith("box_norm_finite"))
     code_none, doc_none = run_cli(capsys, "check", "prop52", "--builtin",
                                   "ex53", "--L", "128", "--dim-cap", "none")

@@ -335,6 +335,17 @@ def test_banded_kernel_matches_dense_schur_complement(eta, i, d, extra, s):
     assert chi_norm_sq(A, i, Box(d, k)) == pytest.approx(ref, rel=1e-10)
 
 
+def test_legendre_rule_is_cached_and_read_only():
+    t, w = gaussmeas._legendre_rule(16)
+    ref_t, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+    assert gaussmeas._legendre_rule(16)[0] is t
+    assert gaussmeas._legendre_rule.cache_info().maxsize is not None
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 @pytest.mark.parametrize("l,value", [(8, 5.21170320412731),
                                      (9, 5.268974375766756),
                                      (10, 5.295940886548679),
