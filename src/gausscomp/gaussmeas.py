@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, erf, log_ndtr
 
-from .banded import BandedSymbol, PerturbedIdentity, power
+from .banded import BandedSymbol, PerturbedIdentity, _band_power, power
 
 __all__ = [
     "DivergenceError",
@@ -251,14 +251,7 @@ def _chi_norm_band(ab, eta, i, box: Box) -> float:
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     log_scale = -i * (np.log(np.abs(lu[2 * e])).sum() + 2 * n * math.log(c))
-    p = a
-    for t in range(1, i):  # P A from the bands: (P A)_rj += p_r,j+u a_j+u,j
-        q = np.zeros((2 * (t + 1) * e + 1, n))
-        for u in range(-e, e + 1):
-            lo, hi = max(0, -u), min(n, n - u)
-            q[e + u:e + u + 2 * t * e + 1, lo:hi] += (p[:, lo + u:hi + u]
-                                                     * a[e + u, lo:hi])
-        p = q
+    p = _band_power(a, e, i)
     w, g = i * e, min(2 * i * e, n - 1)
     k = np.zeros((3 * g + 1, n))  # K / c^2i under g rows of dgbtrf fill
     for t in range(g + 1):  # (P^T P)_{j-t, j} = (P^T P)_{j, j-t}
