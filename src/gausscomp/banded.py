@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # _band_ranks: relative floor of a rank
+_MAX_MULTIPLIER = 1e4  # unpivoted eliminations: largest trusted multiplier
 
 
 class BandedSymbol:
@@ -125,11 +126,7 @@ class BandedSymbol:
 
     def window(self, n):
         """Dense leading n x n corner."""
-        out = np.zeros((n, n))
-        flat = out.reshape(-1)  # entry (j + d, j) at d * n + j * (n + 1)
-        for d, c, v in _band_rows(self.bands(1, n), self.eta, n):
-            flat[d * n + c.start * (n + 1)::n + 1][:len(v)] = v
-        return out
+        return _dense(self.bands(1, n), self.eta, n)
 
     def scaled(self, c):
         """The symbol c * a."""
@@ -147,6 +144,15 @@ def _band_rows(ab, eta, n):
     for k, row in enumerate(ab):
         c = slice(max(0, eta - k), max(0, min(n, n + eta - k)))
         yield k - eta, c, row[c]
+
+
+def _dense(ab, eta, n):
+    """The dense n x n corner of the band `ab` from its first column."""
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)  # entry (j + d, j) at d * n + j * (n + 1)
+    for d, c, v in _band_rows(ab, eta, n):
+        flat[d * n + c.start * (n + 1)::n + 1][:len(v)] = v
+    return out
 
 
 def _entries(ab, eta, i, j):
@@ -280,16 +286,17 @@ def _cut_logdets(ab, eta, cuts):
     it changes that corner's determinant, and every later one's, in sign
     only; unit cuts exchange no row.  A pending cut where column j has no
     nonzero candidate pivot is exactly singular, (0, -inf), and the search
-    widens to the next cut, so later corners stay exact.  Not backward
-    stable: at eta >= 2 a tiny but nonzero leading minor can put later
-    well-conditioned corners' log|det| off by 1e-4; at eta = 1 random
-    probes agreed with dense slogdet to 1e-12."""
-    n, w, last = cuts[-1], 3 * eta + 1, len(cuts)
+    widens to the next cut.  That is not backward stable past a tiny pivot,
+    so a multiplier past `_MAX_MULTIPLIER` at row j sends each corner that
+    holds a later row to its own call, whose one cut lets every column
+    pivot within the band."""
+    n, w, last, trip = cuts[-1], 3 * eta + 1, len(cuts), cuts[-1]
     # rows[i][t] = a_{i, i - eta + t} (0-based), then eta columns for the
     # fill of row exchanges; the eta rows past n are scratch
-    r, rows = np.arange(n)[:, None], np.zeros((n + eta, w))
-    rows[:n, :2 * eta + 1] = _entries(ab[:, :n], eta, r,
-                                      r + np.arange(-eta, eta + 1))
+    rows = np.zeros((n + eta, w))
+    for t in range(2 * eta + 1):  # a_{i, i - eta + t} = ab[2 eta - t, ...]
+        lo, hi = max(0, eta - t), max(0, eta - t, min(n, n + eta - t))
+        rows[lo:hi, t] = ab[2 * eta - t, lo - eta + t:hi - eta + t]
     rows, piv, dead, k, cut = rows.tolist(), [], [], 0, cuts[0]
     # the fill columns stay zero until the first exchange
     push, offs, ts = piv.append, range(1, eta + 1), range(eta + 1, 2 * eta + 1)
@@ -321,17 +328,20 @@ def _cut_logdets(ab, eta, cuts):
             y = row[eta - off]
             if y != 0.0:
                 m = y / x
+                if abs(m) > _MAX_MULTIPLIER and j < trip:
+                    trip = j
                 for t in ts:
                     row[t - off] -= m * top[t]
         if j + 1 == cut:
             k += 1
             cut = cuts[k] if k < last else 0
-    piv += [0.0] * (n - len(piv))
-    ends = np.asarray(cuts) - 1
-    with np.errstate(divide="ignore"):
-        logabs = np.cumsum(np.log(np.abs(piv)))[ends]
-    signs = np.cumprod(np.sign(piv))[ends]
+    piv = np.array(piv + [1.0] * (n - len(piv)))  # past the live cuts
+    ends = np.subtract(cuts, 1)
+    signs, logabs = (np.sign(piv).cumprod()[ends],
+                     np.log(np.abs(piv)).cumsum()[ends])
     signs[dead], logabs[dead] = 0.0, -np.inf
+    for k in np.flatnonzero(ends > trip):  # one cut never trips
+        (signs[k],), (logabs[k],) = _cut_logdets(ab, eta, cuts[k:k + 1])
     return signs, logabs
 
 
@@ -369,10 +379,9 @@ def _corner_commutators(ab, eta, cuts):
 
 
 def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
-    """Determinants of the leading corners a_p, p = 1..K: sign times
-    exp(log|det|) from `_cut_logdets`.  A singular corner gives 0.0, and
-    the corners past it are still their own determinants, not zero; at
-    eta >= 2, not always accurate past a tiny minor (see `_cut_logdets`)."""
+    """Determinants of the leading corners a_p, p = 1..K, from
+    `_cut_logdets`: a singular corner gives 0.0, and each corner past it,
+    or past a tiny minor, is still its own determinant."""
     signs, logabs = _cut_logdets(a.bands(1, s.cut(K)), a.eta, s.s[:K])
     return signs * np.exp(logabs)
 

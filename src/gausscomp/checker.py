@@ -36,7 +36,8 @@ from .gaussmeas import (
     Box,
     DivergenceError,
     _adjoint_power,
-    _chi_norm_band,
+    _box_forms,
+    _gauss_box_integral,
     perturbation_bound_check,
 )
 from .hermite import HermiteModel, _power_pair_gram
@@ -369,13 +370,14 @@ def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                 "detail": f"no truncation level within dim_cap {dim_cap}: "
                           f"s(1) = {s.cut(1)}"}
             try:
-                for l, cut in enumerate(s.s[:top], 1):
-                    traj.append(_chi_norm_band(ab[:, :cut], eta, i, Box(
-                        min(box.dims, cut), box.halfwidth)))
+                for S, log_scale, dims in _box_forms(
+                        ab, eta, i, box.dims, s.s[:top]) if top else ():
+                    traj.append(_gauss_box_integral(
+                        S, Box(dims, box.halfwidth), log_scale))
             except np.linalg.LinAlgError:
                 traj, verdict, payload = [], "fail", {
                     "detail": "singular truncation corner",
-                    "first_singular_level": l}
+                    "first_singular_level": len(traj) + 1}
             except (DivergenceError, ValueError) as exc:
                 traj, (verdict, payload) = [], _box_norm_failure(exc)
             if traj:

@@ -3,15 +3,15 @@ weighted-norm computations.
 
 Everything is assembled in log space: the densities involved span hundreds
 of orders of magnitude already in moderate dimension.  Box-restricted
-Gaussian integrals are exact on the unrestricted coordinates, through
-banded factorizations of the symbol's band (`_chi_norm_band`).  A decoupled
-box then factors into closed-form erf (or, for negative curvature, erfi
-through Dawson's function) terms.  A coupled box integrates one coordinate
-of positive curvature in closed form (a shifted erf) and the others by a
-tensor Gauss-Legendre rule whose order doubles from `_FIRST_ORDER` until
-two successive values agree to `_TARGET`; a refinement that would pass
-`_MAX_ORDER` per coordinate or `_MAX_POINTS` points raises instead of
-returning.
+Gaussian integrals are exact on the unrestricted coordinates, through one
+LDL^T sweep of the band of K = 2I - P^T P, P = A^i, for all nested
+corners (`_box_forms`).  A decoupled box then factors into closed-form erf
+(or, for negative curvature, erfi through Dawson's function) terms.  A
+coupled box integrates one coordinate of positive curvature in closed form
+(a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
+doubles from `_FIRST_ORDER` until two successive values agree to
+`_TARGET`; a refinement that would pass `_MAX_ORDER` per coordinate or
+`_MAX_POINTS` points raises instead of returning.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, erf, log_ndtr
 
-from .banded import BandedSymbol, PerturbedIdentity, _band_power, power
+from .banded import (_MAX_MULTIPLIER, BandedSymbol, PerturbedIdentity,
+                     _band_power, _cut_logdets, _dense, power)
 
 __all__ = [
     "DivergenceError",
@@ -48,6 +49,8 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SUP_WINDOW = 200  # proof_constant: coordinates of its sups
+_NOT_PD = ("quadratic form fails positive-definiteness on unrestricted "
+           "coordinates")  # DivergenceError: the message's stem
 
 
 class DivergenceError(ArithmeticError):
@@ -222,66 +225,82 @@ def _adjoint_power(A, d):
     return B, B.T @ B, np.linalg.slogdet(B)[1]
 
 
-def _chi_norm_band(ab, eta, i, box: Box) -> float:
-    """`chi_norm_sq` of the n x n matrix A of "ab" band `ab` (n columns,
-    bandwidth eta; entries outside A are ignored), in O(n (i eta)^2).
+def _box_forms(ab, eta, i, d, cuts):
+    """Yield (S, log_scale, dims) per leading corner A_n, n in the increasing
+    `cuts`, of the matrix with band `ab`: `chi_norm_sq` of A_n^i is
+    exp(log_scale) times S's integral on the box's dims = min(d, n) axes.
 
-    With P = A^i and K = 2I - P^T P, E = P^-T K P^-1: the box coordinates
-    (the first d) keep T^-1, T = (E^-1)_bb = P_b K^-1 P_b^T, at log scale
-    -log|det P| - (log|det K| + log|det T|) / 2.  E_ff is positive definite
-    iff T is nonsingular with as many negative eigenvalues as K (Sylvester,
-    then Haynsworth's inertia additivity on E^-1), else DivergenceError.
-    Entries past 1 are scaled to 1, so P^T P overflows no sooner than A^-i.
+    With P = A_n^i and K = 2I - P^T P, E = P^-T K P^-1: the box keeps T^-1,
+    T = P_b K^-1 P_b^T, at log scale -log|det P| - (log|det K| + log|det T|)
+    / 2; E_ff is positive definite iff T is nonsingular with as many
+    negative eigenvalues as K (Sylvester, then Haynsworth's inertia
+    additivity on E^-1), else DivergenceError.  K_n is K_N's corner, N =
+    cuts[-1], but in its last w = i eta rows, so one LDL^T sweep of K_N's
+    band (bandwidth g = 2w) serves every level for its rows below
+    m = n - w - g, and a dense Schur complement of K_n's last rows closes
+    it; a level with fewer rows to sweep than to close has m = 0, its whole
+    corner.  The sweep does not pivot: past a zero pivot or a multiplier past
+    `_MAX_MULTIPLIER`, levels close on their whole corner (m = 0), whose LU
+    finds a singular K.  A is scaled by a power of 2 to entries up to 1.
     """
-    # scipy.linalg takes tens of ms to import, and only box norms need it
-    from scipy.linalg import eigvals_banded, lapack
-
-    n, d = ab.shape[1], box.dims
-    if d > n:
-        raise ValueError("box dimensions exceed ambient dimension")
-    e = min(eta, n - 1)
-    band = np.zeros((3 * e + 1, n))  # dgbtrf's layout: e rows of fill on top
-    band[e:] = ab[eta - e:eta + e + 1, :n]
-    a = band[e:]
-    for k in range(e):  # entries of rows above the first or past the last
-        a[k, :e - k] = a[2 * e - k, n - e + k:] = 0.0
-    c = max(1.0, float(np.abs(a).max()))  # c^-2i cannot overflow
-    a /= c
-    lu, _, info = lapack.dgbtrf(band, e, e)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    log_scale = -i * (np.log(np.abs(lu[2 * e])).sum() + 2 * n * math.log(c))
-    p = _band_power(a, e, i)
-    w, g = i * e, min(2 * i * e, n - 1)
-    k = np.zeros((3 * g + 1, n))  # K / c^2i under g rows of dgbtrf fill
-    for t in range(g + 1):  # (P^T P)_{j-t, j} = (P^T P)_{j, j-t}
-        k[2 * g - t, t:] = k[2 * g + t, :n - t] = -(
-            p[:2 * w + 1 - t, t:] * p[t:, :n - t]).sum(0)
-    k[2 * g] += 2.0 * c ** (-2.0 * i)
-    upper = k[g:2 * g + 1]  # a Cholesky factor proves K has no eigenvalue <= 0
-    neg = 0 if d == n or not lapack.dpbtrf(upper)[1] else len(eigvals_banded(
-        upper, select="v", select_range=(-np.inf, 0.0)))
-    lu, piv, info = lapack.dgbtrf(k, g, g)
-    if info > 0:
-        raise DivergenceError("quadratic form fails positive-definiteness "
-                              "on unrestricted coordinates (singular)")
-    m = min(n, d + w)
-    pb = np.zeros((n, d))  # P_b^T, nonzero on its first m rows
-    for r in range(d):
-        j = np.arange(max(0, r - w), min(m, r + w + 1))
-        pb[j, r] = p[w + r - j, j]
-    lam, V, _ = lapack.dsyevd(
-        pb[:m].T @ lapack.dgbtrs(lu, g, g, pb, piv)[0][:m])
-    lams = lam.tolist()
-    neg_t = sum(x < 0 for x in lams)
-    if d < n and (neg != neg_t or 0.0 in lams):
-        raise DivergenceError(
-            "quadratic form fails positive-definiteness on unrestricted "
-            f"coordinates ({neg - neg_t} negative eigenvalues"
-            + (", singular)" if 0.0 in lams else ")"))
-    log_scale -= 0.5 * (np.log(np.abs(lu[2 * g])).sum()
-                        + math.fsum(math.log(abs(x)) for x in lams))
-    return _gauss_box_integral((V / lam) @ V.T, box, float(log_scale))
+    N, w, g = cuts[-1], i * eta, 2 * i * eta
+    signs, logdet_a = _cut_logdets(ab, eta, cuts)
+    c = 2.0 ** math.ceil(math.log2(max(1.0, np.abs(ab[:, :N]).max())))
+    a = ab[:, :N] / c
+    p, two = _band_power(a, eta, i), 2.0 * c ** (-2.0 * i)
+    kb, pbt = np.zeros((N, g + 1)), np.zeros((N, d))
+    if N >= 2 * (w + g):  # a level to sweep: kb[k, t] = K_{k + t, k}, P_b^T
+        for t in range(g + 1):
+            kb[:N - t, t] = (t == 0) * two - (
+                p[:2 * w + 1 - t, t:] * p[t:, :N - t]).sum(0)
+        nb = min(N, d + w)  # the rows of P_b^T that can be nonzero
+        pbt[:nb, :nb] = _dense(p, w, nb)[:d].T
+        tx, ty = np.array([(x, y) for x in range(g) for y in range(
+            x + 1)], dtype=int).reshape(-1, 2).T  # K_{k + 1 + x, k + 1 + y}
+    k, neg, logd, tpre, stop = 0, 0, 0.0, np.zeros((d, d)), False
+    for n, sign, ld_a in zip(cuts, signs, logdet_a.tolist()):
+        if sign == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        m = n - w - g if n >= 2 * (w + g) else 0  # if more than it closes
+        while k < m and not stop:  # eliminate row k into the prefix sums
+            D, col, z = kb[k, 0], kb[k, 1:], pbt[k]
+            stop = D == 0.0 or g and np.abs(col).max() > abs(
+                D) * _MAX_MULTIPLIER
+            if not stop:
+                tpre += np.outer(z / D, z)
+                logd, neg, k = logd + math.log(abs(D)), neg + (D < 0), k + 1
+            if g and not stop:
+                kb[k + ty, tx - ty] -= col[tx] * (col[ty] / D)
+                pbt[k:k + g] -= np.outer(col / D, z)
+        if k < m:  # the sweep stopped short of m: the whole corner
+            m = 0
+        dims = min(d, n)
+        T, ld_k, neg_k = (tpre[:dims, :dims], logd, neg) if m else (0, 0, 0)
+        if n > m:  # K_n's last rows; P_n is exact on rows past m - w
+            lo = max(0, m - 2 * w)
+            blk = np.linalg.matrix_power(_dense(a[:, lo:n], eta, n - lo), i)
+            q, W = blk[max(0, m - w) - lo:, m - lo:], np.zeros((n - m, dims))
+            S = -q.T @ q
+            S.flat[::n - m + 1] += two
+            W[:, lo:] = blk[:max(0, dims - lo), m - lo:].T
+            if m:  # the carried block and right-hand side
+                S[tx, ty] = S[ty, tx] = kb[m + ty, tx - ty]
+                W[:g] = pbt[m:m + g, :dims]
+            try:
+                T = T + W.T @ np.linalg.solve(S, W)
+            except np.linalg.LinAlgError:  # a zero pivot of S's LU
+                raise DivergenceError(f"{_NOT_PD} (singular)") from None
+            lam = np.linalg.eigvalsh(S).tolist()
+            ld_k += math.fsum(math.log(abs(x)) for x in lam)
+            neg_k += sum(x < 0 for x in lam)
+        lam, V = np.linalg.eigh(T)
+        lams = lam.tolist()
+        neg_t = sum(x < 0 for x in lams)
+        if dims < n and (neg_k != neg_t or 0.0 in lams):
+            raise DivergenceError(f"{_NOT_PD} ({neg_k - neg_t} negative eigen"
+                                  f"values{', singular' * (0.0 in lams)})")
+        yield (V / lam) @ V.T, -i * (ld_a + n * math.log(c)) - 0.5 * (
+            ld_k + math.fsum(math.log(abs(x)) for x in lams)), dims
 
 
 def chi_norm_sq(A, i: int, box: Box | None) -> float:
@@ -290,15 +309,18 @@ def chi_norm_sq(A, i: int, box: Box | None) -> float:
     Integrates the squared Radon-Nikodym density of the i-th power of the
     linear symbol over box x R^rest against the Gaussian measure.  The
     unrestricted coordinates are integrated exactly from the band of A
-    (`_chi_norm_band`), a decoupled box exactly (erf factors), and a
-    coupled box exactly in one coordinate and by tensor Gauss-Legendre
+    (`_box_forms` at one level), a decoupled box exactly (erf factors), and
+    a coupled box exactly in one coordinate and by tensor Gauss-Legendre
     quadrature in the others.  Raises DivergenceError when the integral is
     infinite and ValueError when the box quadrature does not converge
     within its fixed budget.
     """
-    sym = BandedSymbol.from_dense(A)
-    return _chi_norm_band(sym.bands(1, len(A)), sym.eta, i,
-                          Box(0, 1.0) if box is None else box)
+    box, sym = box or Box(0, 1.0), BandedSymbol.from_dense(A)
+    if box.dims > len(A):
+        raise ValueError("box dimensions exceed ambient dimension")
+    (S, log_scale, _), = _box_forms(sym.bands(1, len(A)), sym.eta, i,
+                                    box.dims, (len(A),))
+    return _gauss_box_integral(S, box, log_scale)
 
 
 def h_normalization(A) -> float:

@@ -303,9 +303,6 @@ def band_with_tiny_minor(eta, n, p, tiny, seed):
     return mat
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the elimination exchanges no row inside a unit cut, so it is not "
-    "backward stable: at eta >= 2 a tiny leading minor spoils later corners"))
 def test_cut_logdets_after_a_tiny_leading_minor_at_eta_2():
     # det A_2 = 1e-12 of its scale; A_4 has condition number about 3, and
     # the elimination through the tiny pivot misses its log|det| by ~1e-4

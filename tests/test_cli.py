@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import argparse
@@ -133,6 +136,21 @@ def test_deterministic_body(capsys):
         json.dumps(doc2["body"], sort_keys=True)
     assert "timestamp" in doc1["header"]
     assert doc1["header"]["schema_version"]
+
+
+def test_box_norms_do_not_import_scipy_linalg(tmp_path):
+    # a fresh interpreter: the box norms of a thm51 run use numpy's LAPACK
+    # only, so scipy.linalg stays unimported
+    code = ("import sys; from gausscomp import cli; code = cli.main(["
+            "'check', 'thm51', '--builtin', 'ex53', '--L', '3', '--output', "
+            f"{str(tmp_path / 'r.json')!r}]); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == ["2", "False"]
 
 
 def test_bad_input_exits_three(capsys):

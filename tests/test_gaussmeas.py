@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from gausscomp import gaussmeas
-from gausscomp.banded import PerturbedIdentity
+from gausscomp.banded import BandedSymbol, BlockPartition, PerturbedIdentity
+from gausscomp.checker import thm51_suite
 from gausscomp.gaussmeas import (
     Box,
     DivergenceError,
@@ -335,6 +336,128 @@ def test_banded_kernel_matches_dense_schur_complement(eta, i, d, extra, s):
     assert chi_norm_sq(A, i, Box(d, k)) == pytest.approx(ref, rel=1e-10)
 
 
+@seed(21)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3),
+       st.lists(st.integers(1, 3), min_size=1, max_size=12), st.booleans(),
+       st.sampled_from(["none", "zero row", "zero pivot"]),
+       st.integers(0, 2**32 - 1))
+def test_box_form_sweep_matches_dense_schur_complement_at_every_level(
+        eta, i, d, widths, unit, defect, s):
+    # one sweep over unit or wider cuts against the dense Schur complement
+    # of each corner, up to the first singular or divergent level, which
+    # must raise there; levels from 6 i eta on share swept rows.  A zero
+    # row makes every later corner singular, and a first column (1, 1)
+    # gives K a zero first pivot at i = 1 (the scale is a power of 2),
+    # which the sweep's guard hands to the whole corner
+    rng = np.random.default_rng(s)
+    cuts = np.cumsum(widths).tolist()
+    cuts = tuple(range(1, cuts[-1] + 1)) if unit else tuple(cuts)
+    N = cuts[-1] + eta  # band entries past the last corner are ignored
+    A = np.diag(rng.uniform(0.7, 1.2, N) * rng.choice([-1.0, 1.0], N))
+    for u in range(1, min(eta, N - 1) + 1):
+        A += np.diag(rng.uniform(-0.3, 0.3, N - u) / eta, u)
+        A += np.diag(rng.uniform(-0.3, 0.3, N - u) / eta, -u)
+    if defect == "zero row":
+        A[rng.integers(cuts[-1])] = 0.0
+    elif defect == "zero pivot" and eta:
+        A[:2, 0] = 1.0
+    k = float(rng.uniform(0.5, 2.0))
+    forms = gaussmeas._box_forms(BandedSymbol.from_dense(A, eta=eta).bands(
+        1, N), eta, i, d, cuts)
+    for n in cuts:
+        An, dims = A[:n, :n], min(d, n)
+        if not An.any(1).all():
+            with pytest.raises(np.linalg.LinAlgError):
+                next(forms)
+            return
+        assume(np.linalg.cond(An) < 1e6)
+        B = np.linalg.matrix_power(np.linalg.inv(An), i)
+        E = 2.0 * B.T @ B - np.eye(n)
+        lo = np.linalg.eigvalsh(E[dims:, dims:])[0] if dims < n else math.inf
+        assume(abs(lo) > 1e-9)  # the dense path's floor decides inside it
+        if lo < 0:
+            with pytest.raises(DivergenceError):
+                next(forms)
+            return
+        S, log_scale, got = next(forms)
+        S_ref, log_ref = _box_form(An, i, dims)
+        assert got == dims
+        assert gaussmeas._gauss_box_integral(S, Box(dims, k), log_scale) \
+            == pytest.approx(gaussmeas._gauss_box_integral(
+                S_ref, Box(dims, k), log_ref), rel=1e-10)
+
+
+def _dense_norms(A, i, d):
+    """chi_norm_sq of each leading corner of A on a box [-1, 1]^min(d, n)
+    by the dense Schur complement, None where the corner is ill-conditioned
+    (cond >= 1e6)."""
+    out = []
+    for n in range(1, len(A) + 1):
+        S, log_scale = _box_form(A[:n, :n], i, min(d, n))
+        out.append(None if np.linalg.cond(A[:n, :n]) >= 1e6 else
+                   gaussmeas._gauss_box_integral(S, Box(min(d, n), 1.0),
+                                                 log_scale))
+    return out
+
+
+def _thm51_trajectory(A, eta, d):
+    reports = thm51_suite(BandedSymbol.from_dense(A, eta=eta),
+                          BlockPartition.unit(len(A)), 1, 0, len(A),
+                          [Box(d, 1.0)])
+    return next(r for r in reports if r.name.startswith(
+        "norm_trajectory")).payload["trajectory"]
+
+
+def test_zero_first_pivot_of_K_goes_to_the_whole_corner():
+    # the first column (1, 1) makes K_00 = 2 - 1 - 1 = 0 exactly, while K
+    # is nonsingular: the sweep's guard stops at row 0, and every level
+    # with rows to sweep closes on its whole corner by a pivoted LU
+    rng = np.random.default_rng(0)
+    A = (np.diag(rng.uniform(0.6, 0.9, 8))
+         + np.diag(rng.uniform(-0.2, 0.2, 7), 1)
+         + np.diag(rng.uniform(-0.2, 0.2, 7), -1))
+    A[:2, 0] = 1.0
+    ref = _dense_norms(A, 1, 1)
+    assert all(v is not None for v in ref)
+    assert _thm51_trajectory(A, 1, 1) == pytest.approx(ref, rel=1e-12)
+    for n in (4, 8):  # a whole corner, and a sweep that stops at row 0
+        assert chi_norm_sq(A[:n, :n], 1, Box(1, 1.0)) == pytest.approx(
+            ref[n - 1], rel=1e-12)
+
+
+def test_singular_K_past_the_guard_is_a_singular_divergence():
+    # the leading block [[1, 1], [-1, 1]] has orthogonal columns of squared
+    # norm 2, so K = 2I - A^T A is singular from level 2 on; the sweep's
+    # zero first pivot hands each level to its whole corner, whose LU
+    # finds the zero pivot
+    A = np.diag([1.0, 1.0, 0.8, 0.7, 0.9, 0.6])
+    A[0, 1], A[1, 0], A[3, 2], A[2, 3] = 1.0, -1.0, 0.1, 0.2
+    for n in (2, 6):
+        with pytest.raises(DivergenceError, match=r"\(singular\)"):
+            chi_norm_sq(A[:n, :n], 1, Box(1, 1.0))
+    reports = thm51_suite(BandedSymbol.from_dense(A), BlockPartition.unit(6),
+                          1, 0, 6, [Box(1, 1.0)])
+    assert reports[0].verdict == "fail"
+    assert reports[0].payload["detail"].endswith("(singular)")
+
+
+def test_box_norms_past_a_tiny_leading_minor_at_eta_2():
+    # det A_2 is 1e-12 of its scale: a unit-cut elimination, which may not
+    # exchange rows, puts later log|det A_n| off by 1e-4 and the norms with
+    # them; its guard recomputes the later corners with partial pivoting
+    from test_banded import band_with_tiny_minor
+
+    A = 0.5 * band_with_tiny_minor(2, 8, 2, 1e-12, seed=0)
+    ref, traj = _dense_norms(A, 1, 1), _thm51_trajectory(A, 2, 1)
+    assert sum(v is not None for v in ref) >= 6
+    for n, (value, dense) in enumerate(zip(traj, ref), 1):
+        if dense is not None:
+            assert value == pytest.approx(dense, rel=1e-8)
+            assert chi_norm_sq(A[:n, :n], 1, Box(1, 1.0)) == pytest.approx(
+                dense, rel=1e-8)
+
+
 def test_legendre_rule_is_cached_and_read_only():
     t, w = gaussmeas._legendre_rule(16)
     ref_t, ref_w = np.polynomial.legendre.leggauss(16)
@@ -365,9 +488,10 @@ def test_banded_kernel_reads_the_band_of_a_corner():
     # entries of the band outside the n x n corner are ignored, and a
     # singular corner raises LinAlgError
     sym = PerturbedIdentity.geometric(0.5).symbol
-    ab = sym.bands(1, 9)
-    for n in (1, 2, 5, 9):
-        assert gaussmeas._chi_norm_band(ab[:, :n], 1, 2, Box(min(n, 2), 1.0)) \
+    ab, cuts = sym.bands(1, 9), (1, 2, 5, 9)
+    for n, (S, log_scale, dims) in zip(cuts, gaussmeas._box_forms(
+            ab, 1, 2, 2, cuts)):
+        assert gaussmeas._gauss_box_integral(S, Box(dims, 1.0), log_scale) \
             == pytest.approx(chi_norm_sq(sym.window(n), 2, Box(min(n, 2), 1.0)),
                              rel=1e-13)
     with pytest.raises(np.linalg.LinAlgError):
