@@ -33,11 +33,9 @@ from .banded import (
     power_entry_bound,
 )
 from .gaussmeas import (
-    Box,
     DivergenceError,
     _adjoint_power,
-    _box_forms,
-    _gauss_box_integral,
+    _box_norms,
     perturbation_bound_check,
 )
 from .hermite import HermiteModel, _power_pair_gram
@@ -344,9 +342,12 @@ def _top_level(s, L, dim_cap, dims):
 
 def _box_norm_failure(exc):
     """The verdict and payload of a box norm that raised `exc`: "fail" for a
-    divergent integral, "evidence" for a quadrature past its budget."""
+    divergent integral, "evidence" for a norm past the float range or a
+    quadrature past its budget."""
     if isinstance(exc, DivergenceError):
         return "fail", {"detail": str(exc)}
+    if isinstance(exc, OverflowError):
+        return "evidence", {"detail": f"not computable: {exc}"}
     return "evidence", {"detail": "not computable within the quadrature "
                                   f"budget: {exc}"}
 
@@ -370,15 +371,14 @@ def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                 "detail": f"no truncation level within dim_cap {dim_cap}: "
                           f"s(1) = {s.cut(1)}"}
             try:
-                for S, log_scale, dims in _box_forms(
-                        ab, eta, i, box.dims, s.s[:top]) if top else ():
-                    traj.append(_gauss_box_integral(
-                        S, Box(dims, box.halfwidth), log_scale))
+                norms = _box_norms(ab, eta, i, box, s.s[:top]) if top else ()
+                for norm in norms:  # the levels before a raise count
+                    traj.append(norm)
             except np.linalg.LinAlgError:
                 traj, verdict, payload = [], "fail", {
                     "detail": "singular truncation corner",
                     "first_singular_level": len(traj) + 1}
-            except (DivergenceError, ValueError) as exc:
+            except (DivergenceError, ValueError, OverflowError) as exc:
                 traj, (verdict, payload) = [], _box_norm_failure(exc)
             if traj:
                 verdict, payload = "pass", {"largest_norm_sq": traj[-1]}

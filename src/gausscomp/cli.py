@@ -53,6 +53,7 @@ from .gaussmeas import (
     DivergenceError,
     RnDerivative,
     SingularScalingReport,
+    _box_norms,
     _p_limit_lower,
     _singular_exponents,
     _singular_trajectories,
@@ -335,7 +336,7 @@ def cmd_rn(args):
         box = Box(dims, hw)  # a non-positive halfwidth is bad input
         try:
             norms.append([hw, dims, chi_norm_sq(A, args.power, box)])
-        except (DivergenceError, ValueError) as exc:
+        except (DivergenceError, ValueError, OverflowError) as exc:
             verdict, payload = checker._box_norm_failure(exc)
             reports.append(CheckReport(name=f"box_norm[{raw}]",
                                        verdict=verdict, payload=payload))
@@ -394,13 +395,13 @@ def _example_diag(args):
     if args.L <= n_plus_r or not 0 < args.k < math.inf:
         raise CliError(f"example diag needs --L > {n_plus_r} and a positive, "
                        "finite --k")
-    rows = []
-    worst = 0.0
-    for i in (1, 2):
-        for l in range(n_plus_r + 1, args.L + 1):
-            closed = diag_closed_form(alpha, i, n_plus_r, args.k, l)
-            A = np.diag([alpha(j) for j in range(1, l + 1)])
-            quad = chi_norm_sq(A, i, Box(n_plus_r, args.k))
+    rows, worst, levels = [], 0.0, range(n_plus_r + 1, args.L + 1)
+    ab = BandedSymbol.diagonal(alpha).bands(1, args.L)
+    for i in (1, 2):  # one trajectory per power
+        quads = _box_norms(ab, 0, i, Box(n_plus_r, args.k), levels)
+        for l in levels:  # the closed form first: it rejects a bad tail
+            closed = diag_closed_form(ab[0], i, n_plus_r, args.k, l)
+            quad = next(quads)
             rel = abs(closed - quad) / closed
             worst = max(worst, rel)
             rows.append([i, l, closed, quad, rel])

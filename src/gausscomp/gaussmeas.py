@@ -5,7 +5,7 @@ Everything is assembled in log space: the densities involved span hundreds
 of orders of magnitude already in moderate dimension.  Box-restricted
 Gaussian integrals are exact on the unrestricted coordinates, through one
 LDL^T sweep of the band of K = 2I - P^T P, P = A^i, for all nested
-corners (`_box_forms`).  A decoupled box then factors into closed-form erf
+corners (`_box_norms`).  A decoupled box then factors into closed-form erf
 (or, for negative curvature, erfi through Dawson's function) terms.  A
 coupled box integrates one coordinate of positive curvature in closed form
 (a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
@@ -207,7 +207,10 @@ def _gauss_box_integral(S, box: Box, log_scale=0.0):
             log_vals += upper + np.log(-np.expm1(log_ndtr(mu - h) - upper))
         cur = float(wts @ np.exp(log_vals)) / (2.0 * math.pi) ** (m / 2.0)
         if prev is not None and abs(cur - prev) <= _TARGET * abs(cur):
-            return math.exp(log_scale) * cur
+            try:  # the product is the more accurate inside the float range
+                return math.exp(log_scale) * cur
+            except OverflowError:  # exp(log_scale) alone is past it
+                return math.exp(log_scale + math.log(cur)) if cur else 0.0
         if 2 * order > _MAX_ORDER:
             break
         prev, order = cur, 2 * order
@@ -225,10 +228,10 @@ def _adjoint_power(A, d):
     return B, B.T @ B, np.linalg.slogdet(B)[1]
 
 
-def _box_forms(ab, eta, i, d, cuts):
-    """Yield (S, log_scale, dims) per leading corner A_n, n in the increasing
-    `cuts`, of the matrix with band `ab`: `chi_norm_sq` of A_n^i is
-    exp(log_scale) times S's integral on the box's dims = min(d, n) axes.
+def _box_norms(ab, eta, i, box: Box, cuts):
+    """Yield `chi_norm_sq` of A_n^i on `box` per leading corner A_n, n in the
+    increasing `cuts`, of the matrix with band `ab`: exp(log_scale) times
+    the integral of a form S on the box's dims = min(box.dims, n) axes.
 
     With P = A_n^i and K = 2I - P^T P, E = P^-T K P^-1: the box keeps T^-1,
     T = P_b K^-1 P_b^T, at log scale -log|det P| - (log|det K| + log|det T|)
@@ -241,22 +244,23 @@ def _box_forms(ab, eta, i, d, cuts):
     it; a level with fewer rows to sweep than to close has m = 0, its whole
     corner.  The sweep does not pivot: past a zero pivot or a multiplier past
     `_MAX_MULTIPLIER`, levels close on their whole corner (m = 0), whose LU
-    finds a singular K.  A is scaled by a power of 2 to entries up to 1.
+    finds a singular K.  A is scaled by a power of 2 to entries up to 1.  A
+    norm past the float range raises OverflowError naming its corner.
     """
-    N, w, g = cuts[-1], i * eta, 2 * i * eta
+    N, w, g, d = cuts[-1], i * eta, 2 * i * eta, box.dims
     signs, logdet_a = _cut_logdets(ab, eta, cuts)
     c = 2.0 ** math.ceil(math.log2(max(1.0, np.abs(ab[:, :N]).max())))
-    a = ab[:, :N] / c
-    p, two = _band_power(a, eta, i), 2.0 * c ** (-2.0 * i)
+    a, two = ab[:, :N] / c, 2.0 * c ** (-2.0 * i)
     kb, pbt = np.zeros((N, g + 1)), np.zeros((N, d))
     if N >= 2 * (w + g):  # a level to sweep: kb[k, t] = K_{k + t, k}, P_b^T
+        p = _band_power(a, eta, i)
+        # K_{k + 1 + x, k + 1 + y}, x >= y: np.tril_indices(g), at less cost
+        tx, ty = np.nonzero(np.tri(g, dtype=bool))
         for t in range(g + 1):
             kb[:N - t, t] = (t == 0) * two - (
                 p[:2 * w + 1 - t, t:] * p[t:, :N - t]).sum(0)
         nb = min(N, d + w)  # the rows of P_b^T that can be nonzero
         pbt[:nb, :nb] = _dense(p, w, nb)[:d].T
-        tx, ty = np.array([(x, y) for x in range(g) for y in range(
-            x + 1)], dtype=int).reshape(-1, 2).T  # K_{k + 1 + x, k + 1 + y}
     k, neg, logd, tpre, stop = 0, 0, 0.0, np.zeros((d, d)), False
     for n, sign, ld_a in zip(cuts, signs, logdet_a.tolist()):
         if sign == 0.0:
@@ -299,8 +303,14 @@ def _box_forms(ab, eta, i, d, cuts):
         if dims < n and (neg_k != neg_t or 0.0 in lams):
             raise DivergenceError(f"{_NOT_PD} ({neg_k - neg_t} negative eigen"
                                   f"values{', singular' * (0.0 in lams)})")
-        yield (V / lam) @ V.T, -i * (ld_a + n * math.log(c)) - 0.5 * (
-            ld_k + math.fsum(math.log(abs(x)) for x in lams)), dims
+        try:
+            norm = _gauss_box_integral((V / lam) @ V.T, Box(
+                dims, box.halfwidth), -i * (ld_a + n * math.log(c)) - 0.5 * (
+                    ld_k + math.fsum(math.log(abs(x)) for x in lams)))
+        except OverflowError:
+            raise OverflowError(f"the box norm of the {n} x {n} corner "
+                                "exceeds the float range") from None
+        yield norm
 
 
 def chi_norm_sq(A, i: int, box: Box | None) -> float:
@@ -309,18 +319,17 @@ def chi_norm_sq(A, i: int, box: Box | None) -> float:
     Integrates the squared Radon-Nikodym density of the i-th power of the
     linear symbol over box x R^rest against the Gaussian measure.  The
     unrestricted coordinates are integrated exactly from the band of A
-    (`_box_forms` at one level), a decoupled box exactly (erf factors), and
+    (`_box_norms` at one level), a decoupled box exactly (erf factors), and
     a coupled box exactly in one coordinate and by tensor Gauss-Legendre
     quadrature in the others.  Raises DivergenceError when the integral is
-    infinite and ValueError when the box quadrature does not converge
-    within its fixed budget.
+    infinite, ValueError when the box quadrature does not converge within
+    its fixed budget and OverflowError when the norm exceeds the float
+    range.
     """
     box, sym = box or Box(0, 1.0), BandedSymbol.from_dense(A)
     if box.dims > len(A):
         raise ValueError("box dimensions exceed ambient dimension")
-    (S, log_scale, _), = _box_forms(sym.bands(1, len(A)), sym.eta, i,
-                                    box.dims, (len(A),))
-    return _gauss_box_integral(S, box, log_scale)
+    return next(_box_norms(sym.bands(1, len(A)), sym.eta, i, box, (len(A),)))
 
 
 def h_normalization(A) -> float:
@@ -345,7 +354,8 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
 
     The leading n+r coordinates contribute explicit box-restricted factors
     (error-function form); every tail coordinate j in (n+r, l] contributes
-    (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1).
+    (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1), which needs 0 < alpha_j <= 1.
+    A value outside the float range raises ValueError.
     """
     alpha = _materialize(alphas, l)
     if l <= n_plus_r:
@@ -363,16 +373,20 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
         log_val += -math.log(a2i) + math.log(box_factor)
     for j in range(n_plus_r + 1, l + 1):
         aj = alpha[j - 1]
-        if not 0 < aj < 1:
+        if not 0 < aj <= 1:
             raise ValueError(
-                f"tail entries must satisfy 0 < alpha_{j} < 1, got {aj}"
+                f"tail entries must satisfy 0 < alpha_{j} <= 1, got {aj}"
             )
         a2i = aj ** (2 * i)
         two = 2.0 - a2i
         if two <= 0:
             raise ValueError(f"2 - alpha_{j}^(2i) <= 0; tail factor undefined")
         log_val -= i * math.log(aj) + 0.5 * math.log(two)
-    return math.exp(log_val)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise ValueError(f"closed form at l = {l} is outside the float "
+                         "range") from None
 
 
 def _materialize(alphas, l):

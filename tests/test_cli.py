@@ -51,6 +51,17 @@ def test_prop56_perturbation_inequality_is_exact(capsys):
     assert doc["body"]["config"]["seed"] == 5
 
 
+def test_prop56_power_entry_bound_at_n_plus_r_4(capsys):
+    # the banded power bound holds up to k = n + r = 4
+    code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
+                        "--q", "0.5", "--n", "2", "--r", "2")
+    assert code == 0
+    bound = [r for r in doc["body"]["reports"]
+             if r["name"] == "power_entry_bound"]
+    assert len(bound) == 1 and bound[0]["verdict"] == "pass"
+    assert bound[0]["params"]["max_power"] == 4
+
+
 def test_prop56_inadmissible_exits_one_naming_precondition(capsys):
     code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
                         "--q", "0.8")
@@ -299,6 +310,24 @@ def test_rn_box_past_the_quadrature_budget_is_evidence(capsys):
     assert doc["body"]["tables"]["box_norms"]["rows"] == []
 
 
+@pytest.mark.parametrize("argv,name,corner", [
+    (("check", "thm51", "--L", "200"), "finiteness[i=1", 167),
+    (("check", "prop52", "--L", "200"), "box_norm_finite[i=1", 167),
+    (("rn", "--kappa", "200", "--box", "1", "--box-dims", "1"), "box_norm",
+     200),
+], ids=["thm51", "prop52", "rn"])
+def test_box_norm_past_the_float_range_is_evidence(capsys, argv, name, corner):
+    # alpha = 0.01: each tail coordinate multiplies the norm by 100 / sqrt(2),
+    # so the norm leaves the float range at n = 167
+    code, doc = run_cli(capsys, *argv, "--builtin", "diag", "--alphas",
+                        "0.01+0*j")
+    assert code == 2
+    rep = next(r for r in doc["body"]["reports"] if r["name"].startswith(name))
+    assert rep["verdict"] == "evidence" and rep["payload"]["detail"] == (
+        f"not computable: the box norm of the {corner} x {corner} corner "
+        "exceeds the float range")
+
+
 @pytest.mark.parametrize("argv", [
     ("--kappa", "1", "--point=nan"),
     ("--kappa", "1", "--point=inf"),
@@ -445,6 +474,26 @@ def test_example_diag_agreement(capsys):
     assert code == 0
     rep = doc["body"]["reports"][0]
     assert rep["payload"]["max_rel_diff"] < 1e-8
+
+
+def test_example_diag_past_the_float_range_is_bad_input(tmp_path, capsys):
+    # the closed form goes first, so it is the one error line, with exit 3
+    report = tmp_path / "report.json"
+    code = main(["example", "diag", "--alphas", "0.01+0*j", "--L", "200",
+                 "--output", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and not report.exists()
+    assert err == "error: closed form at l = 167 is outside the float range\n"
+
+
+def test_example_diag_runs_past_l53(capsys):
+    # alpha_j = 1 - 2^-j rounds to 1.0 from j = 54: a tail factor of 1
+    code, doc = run_cli(capsys, "example", "diag", "--L", "60")
+    assert code == 0
+    rows = doc["body"]["tables"]["norms"]["rows"]
+    assert len(rows) == 2 * 58 and rows[-1][:2] == [2, 60]
+    # from l = 54 on each level adds a factor of exactly 1
+    assert len({tuple(r[2:4]) for r in rows[-7:]}) == 1
 
 
 def test_example_banded_envelope(capsys):

@@ -142,8 +142,9 @@ def test_diag_closed_form_all_ones_reduces_to_box():
     a = 1.0 - 1e-9
     val = diag_closed_form([a, a, a], 1, 2, 1.0, 3)
     assert val == pytest.approx(erf(1.0 / math.sqrt(2.0)) ** 2, rel=1e-6)
-    with pytest.raises(ValueError):
-        diag_closed_form([1.0, 1.0, 1.0], 1, 2, 1.0, 3)  # tail needs alpha < 1
+    # alpha = 1 in the tail, as 1 - 2^-j is in floats past j = 53: factor 1
+    assert diag_closed_form([1.0, 1.0, 1.0], 1, 2, 1.0, 3) == pytest.approx(
+        erf(1.0 / math.sqrt(2.0)) ** 2, rel=1e-15)
 
 
 def test_diag_closed_form_tail_undefined():
@@ -363,13 +364,13 @@ def test_box_form_sweep_matches_dense_schur_complement_at_every_level(
     elif defect == "zero pivot" and eta:
         A[:2, 0] = 1.0
     k = float(rng.uniform(0.5, 2.0))
-    forms = gaussmeas._box_forms(BandedSymbol.from_dense(A, eta=eta).bands(
-        1, N), eta, i, d, cuts)
+    norms = gaussmeas._box_norms(BandedSymbol.from_dense(A, eta=eta).bands(
+        1, N), eta, i, Box(d, k), cuts)
     for n in cuts:
         An, dims = A[:n, :n], min(d, n)
         if not An.any(1).all():
             with pytest.raises(np.linalg.LinAlgError):
-                next(forms)
+                next(norms)
             return
         assume(np.linalg.cond(An) < 1e6)
         B = np.linalg.matrix_power(np.linalg.inv(An), i)
@@ -378,14 +379,11 @@ def test_box_form_sweep_matches_dense_schur_complement_at_every_level(
         assume(abs(lo) > 1e-9)  # the dense path's floor decides inside it
         if lo < 0:
             with pytest.raises(DivergenceError):
-                next(forms)
+                next(norms)
             return
-        S, log_scale, got = next(forms)
         S_ref, log_ref = _box_form(An, i, dims)
-        assert got == dims
-        assert gaussmeas._gauss_box_integral(S, Box(dims, k), log_scale) \
-            == pytest.approx(gaussmeas._gauss_box_integral(
-                S_ref, Box(dims, k), log_ref), rel=1e-10)
+        assert next(norms) == pytest.approx(gaussmeas._gauss_box_integral(
+            S_ref, Box(dims, k), log_ref), rel=1e-10)
 
 
 def _dense_norms(A, i, d):
@@ -489,11 +487,10 @@ def test_banded_kernel_reads_the_band_of_a_corner():
     # singular corner raises LinAlgError
     sym = PerturbedIdentity.geometric(0.5).symbol
     ab, cuts = sym.bands(1, 9), (1, 2, 5, 9)
-    for n, (S, log_scale, dims) in zip(cuts, gaussmeas._box_forms(
-            ab, 1, 2, 2, cuts)):
-        assert gaussmeas._gauss_box_integral(S, Box(dims, 1.0), log_scale) \
-            == pytest.approx(chi_norm_sq(sym.window(n), 2, Box(min(n, 2), 1.0)),
-                             rel=1e-13)
+    for n, norm in zip(cuts, gaussmeas._box_norms(ab, 1, 2, Box(2, 1.0),
+                                                  cuts)):
+        assert norm == pytest.approx(
+            chi_norm_sq(sym.window(n), 2, Box(min(n, 2), 1.0)), rel=1e-13)
     with pytest.raises(np.linalg.LinAlgError):
         chi_norm_sq(np.diag([1.0, 0.0, 2.0]), 1, Box(1, 1.0))
 
@@ -540,6 +537,17 @@ def test_coupled_box_unconverged_names_last_order(monkeypatch, constant,
     A = PerturbedIdentity.geometric(0.5).symbol.window(14)
     with pytest.raises(ValueError, match=rf"\(last order {last}\)"):
         chi_norm_sq(A, 2, Box(5, 1.0))
+
+
+def test_coupled_box_past_the_scale_range_keeps_a_representable_norm():
+    # the scale exp(712) / sqrt(40) of the rest overflows; the norm
+    # exp(712) * cur, cur ~ 0.029, does not
+    S, box = np.array([[40.0, 20.0], [20.0, 40.0]]), Box(2, 1.0)
+    cur = gaussmeas._gauss_box_integral(S, box)
+    assert gaussmeas._gauss_box_integral(S, box, 712.0) == pytest.approx(
+        math.exp(712.0 + math.log(cur)), rel=1e-12)
+    with pytest.raises(OverflowError):  # a norm that is itself past it
+        gaussmeas._gauss_box_integral(S, box, 720.0)
 
 
 # -- products ---------------------------------------------------------------
