@@ -3,13 +3,15 @@
 A symbol is an infinite real matrix with finite bandwidth eta and 1-based
 indices, held as its band: `bands(lo, hi)` returns columns lo..hi in the
 LAPACK "ab" layout, ab[eta + i - j, j - lo] = a_ij (Golub & Van Loan 4.3),
-and every view reads it; powers multiply bands (`_band_power`) and block
-ranks have one rule (`_band_ranks`).  Explicit symbols store a finite band
-with zero extension; rule-based symbols produce any requested columns.
+which every view reads.  The band arithmetic is one product (`_band_product`,
+which `_band_power` folds) and one transpose (`_transpose`), and block ranks
+have one rule (`_band_ranks`).  Explicit symbols store a finite band with
+zero extension; rule-based symbols produce any requested columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -139,39 +141,52 @@ class BandedSymbol:
         return BandedSymbol(self.eta, lambda lo, hi: self.bands(lo, hi) + eye)
 
 
-def _band_rows(ab, eta, n):
-    """(i - j, column slice, entries) of each band row within rows 1..n."""
-    for k, row in enumerate(ab):
-        c = slice(max(0, eta - k), max(0, min(n, n + eta - k)))
-        yield k - eta, c, row[c]
-
-
 def _dense(ab, eta, n):
     """The dense n x n corner of the band `ab` from its first column."""
     out = np.zeros((n, n))
     flat = out.reshape(-1)  # entry (j + d, j) at d * n + j * (n + 1)
-    for d, c, v in _band_rows(ab, eta, n):
-        flat[d * n + c.start * (n + 1)::n + 1][:len(v)] = v
+    for k, row in enumerate(ab):  # d = k - eta; columns of rows 0..n - 1
+        c = row[max(0, eta - k):max(0, min(n, n + eta - k))]
+        flat[(k - eta) * n + max(0, eta - k) * (n + 1)::n + 1][:len(c)] = c
     return out
 
 
-def _entries(ab, eta, i, j):
-    """a_ij at the 0-based index arrays i, j (broadcast together) of the
-    leading corner whose band from column 1 is `ab`: zero off the band and
-    outside the corner."""
-    w = ab.shape[1]
-    keep = (abs(i - j) <= eta) & (i >= 0) & (j >= 0) & (i < w) & (j < w)
-    return np.where(keep, ab[np.clip(eta + i - j, 0, 2 * eta),
-                             np.clip(j, 0, w - 1)], 0.0)
+def _transpose(ab, eta):
+    """The band of A^T, A the corner of the band `ab`: row eta + d is row
+    eta - d moved d columns, so entries past the corner's rows drop out.
+    With the rows reversed in a zero frame of rows m long, the move is one
+    more column per row, so rows m + 1 long read it off."""
+    k, n = ab.shape
+    m = n + 2 * eta
+    at = np.zeros(k * (m + 1))
+    at[:k * m].reshape(k, m)[::-1, eta:eta + n] = ab
+    return at.reshape(k, m + 1)[:, :n]
+
+
+def _band_product(x, ex, y, ey):
+    """The band, bandwidth ex + ey, of X Y from the bands x of X and y of Y
+    over the same columns: (X Y)_rj sums x_r,j+u y_j+u,j over u in
+    -ey..ey, in that order, and columns past the last reach nothing."""
+    n = y.shape[1]
+    q = np.zeros((2 * (ex + ey) + 1, n))
+    for u in range(-ey, ey + 1):
+        lo, hi = max(0, -u), max(0, -u, min(n, n - u))
+        q[ey + u:ey + u + 2 * ex + 1, lo:hi] += (x[:, lo + u:hi + u]
+                                                 * y[ey + u, lo:hi])
+    return q
 
 
 def _band_blocks(ab, eta, r0, r1, c0, c1, size):
-    """`_entries` of the blocks [r0:r1, c0:c1] (0-based; one per entry of
-    the index arrays), each at the top left of a size x size zero block."""
-    x = np.arange(size)
+    """The blocks [r0:r1, c0:c1] (0-based; one per entry of the index
+    arrays) of the corner whose band from column 1 is `ab`, each at the top
+    left of a size x size zero block: zero off the band and the corner."""
+    x, w = np.arange(size), ab.shape[1]
     i = np.where(x < np.subtract(r1, r0)[:, None], np.add.outer(r0, x), -1)
     j = np.where(x < np.subtract(c1, c0)[:, None], np.add.outer(c0, x), -1)
-    return _entries(ab, eta, i[:, :, None], j[:, None, :])
+    i, j = i[:, :, None], j[:, None, :]
+    keep = (abs(i - j) <= eta) & (i >= 0) & (j >= 0) & (i < w) & (j < w)
+    return np.where(keep, ab[np.clip(eta + i - j, 0, 2 * eta),
+                             np.clip(j, 0, w - 1)], 0.0)
 
 
 def _band_ranks(ab, eta, r0, r1, c0, c1, size):
@@ -185,15 +200,8 @@ def _band_ranks(ab, eta, r0, r1, c0, c1, size):
 def _band_power(ab, eta, k):
     """The band, bandwidth k eta, of A^k, A the n x n corner of the band `ab`
     (n columns, zero above row 1); `ab` past row n reaches only rows past n."""
-    p, n = ab, ab.shape[1]
-    for t in range(1, k):  # P A from the bands: (P A)_rj += p_r,j+u a_j+u,j
-        q = np.zeros((2 * (t + 1) * eta + 1, n))
-        for u in range(-eta, eta + 1):
-            lo, hi = max(0, -u), min(n, n - u)
-            q[eta + u:eta + u + 2 * t * eta + 1, lo:hi] += (p[:, lo + u:hi + u]
-                                                         * ab[eta + u, lo:hi])
-        p = q
-    return p
+    return functools.reduce(lambda p, t: _band_product(p, t * eta, ab, eta),
+                            range(1, k), ab)
 
 
 @dataclass(frozen=True)
@@ -242,8 +250,9 @@ def block(a: BandedSymbol, s: BlockPartition, p: int, q: int) -> np.ndarray:
     clo, chi = s.block_rows(q)
     if abs(p - q) > 1:
         return np.zeros((rhi - rlo + 1, chi - clo + 1))
-    return _entries(a.bands(1, max(rhi, chi)), a.eta,
-                    np.arange(rlo - 1, rhi)[:, None], np.arange(clo - 1, chi))
+    lo, hi = min(rlo, clo), max(rhi, chi)
+    return _dense(a.bands(lo, hi), a.eta, hi - lo + 1)[
+        rlo - lo:rhi - lo + 1, clo - lo:chi - lo + 1]
 
 
 @dataclass
@@ -263,11 +272,11 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
     """
     n, eta, cuts = s.cut(K), a.eta, np.array((0, *s.s[:K]))
     ab, i, t = a.bands(1, n), np.arange(n)[:, None], np.arange(1, eta + 1)
-    # zero pattern: no a_ij or a_ji, j = i + t, between blocks two or more
-    # apart (block p holds rows cuts[p - 1]..cuts[p] - 1), in row-major order
+    # zero pattern: no a_ij (A^T's band) or a_ji, j = i + t < n, across blocks
+    # two or more apart (block p: rows cuts[p - 1]..cuts[p] - 1), row-major
     part, j = np.searchsorted(cuts, np.arange(n + eta), "right"), i + t
-    bad = np.argwhere((part[j] - part[i] >= 2) & (
-        (_entries(ab, eta, i, j) != 0) | (_entries(ab, eta, j, i) != 0)))
+    bad = np.argwhere((part[j] - part[i] >= 2) & (j < n) & (
+        (_transpose(ab, eta) != 0) | (ab != 0))[eta + 1:].T)
     if len(bad):
         r, c = bad[0].tolist()
         return ClassFReport(False, (r + 1, r + c + 2), [])
@@ -294,9 +303,7 @@ def _cut_logdets(ab, eta, cuts):
     # rows[i][t] = a_{i, i - eta + t} (0-based), then eta columns for the
     # fill of row exchanges; the eta rows past n are scratch
     rows = np.zeros((n + eta, w))
-    for t in range(2 * eta + 1):  # a_{i, i - eta + t} = ab[2 eta - t, ...]
-        lo, hi = max(0, eta - t), max(0, eta - t, min(n, n + eta - t))
-        rows[lo:hi, t] = ab[2 * eta - t, lo - eta + t:hi - eta + t]
+    rows[:n, :2 * eta + 1] = _transpose(ab[:, :n], eta).T
     rows, piv, dead, k, cut = rows.tolist(), [], [], 0, cuts[0]
     # the fill columns stay zero until the first exchange
     push, offs, ts = piv.append, range(1, eta + 1), range(eta + 1, 2 * eta + 1)
@@ -353,13 +360,9 @@ def _corner_commutators(ab, eta, cuts):
     reach.  So its squared norm is a prefix sum of C's squares with
     max(i, j) < n - eta plus its own last eta rows, from the corner's last
     3 eta rows: sums of squares, no term cancels another."""
-    w, n, i = ab.shape[1], np.asarray(cuts), np.arange(ab.shape[1])
-    abt = _entries(ab, eta, i, i + np.arange(-eta, eta + 1)[:, None])  # A^T's
-    cab = np.zeros((4 * eta + 1, w))  # the band of C
-    for e in range(min(2 * eta, w - 1) + 1):  # C_{i, i + e}
-        g = [(x[e:, :w - e] * x[:2 * eta + 1 - e, e:]).sum(0)
-             for x in (abt, ab)]
-        cab[2 * eta - e, e:] = cab[2 * eta + e, :w - e] = g[0] - g[1]
+    w, n, abt = ab.shape[1], np.asarray(cuts), _transpose(ab, eta)
+    cab = (_band_product(ab, eta, abt, eta)
+           - _band_product(abt, eta, ab, eta))  # the band of C
     # rows n - 3 eta..n - 1 of A_n and A_n^T from column n - 4 eta; the
     # corner's last eta rows of C_n on columns n - 3 eta..n - 1 from them
     x, xt = (_band_blocks(y, eta, n - 3 * eta, n, n - 4 * eta, n, 4 * eta)
@@ -397,9 +400,8 @@ def power(a: BandedSymbol, k: int, window: int) -> BandedSymbol:
     w = k * a.eta  # rows past the corner reach only rows past the window
     pk = _band_power(a.bands(1, window + w), a.eta, k)
     eta = min(w, window - 1) if window > 1 else 0
-    ab = pk[w - eta:w + eta + 1, :window].copy()
-    for d in range(1, eta + 1):  # a_{j + d, j} past the window's last row
-        ab[eta + d, window - d:] = 0.0
+    # a transpose's transpose drops a_{j + d, j} past the window's last row
+    ab = _transpose(_transpose(pk[w - eta:w + eta + 1, :window], eta), eta)
     return BandedSymbol(eta, lambda lo, hi: ab[:, lo - 1:hi])
 
 
@@ -440,12 +442,9 @@ class PerturbedIdentity:
         eta = self.base.eta
         lo = max(1, w - eta + 1)
         c0 = max(1, lo - eta)  # the first column a visited row reaches
+        at = _transpose(self.base.bands(c0, n), eta)  # (A^T)^T: rows c0..n
         # a_ij[r, t] = a_ij, a_ji[r, t] = a_ji at i = lo + r, j = i + t - eta
-        a_ij, a_ji = np.zeros((2, n - c0 + 1, 2 * eta + 1))
-        for d, c, v in _band_rows(self.base.bands(c0, n), eta, n - c0 + 1):
-            a_ij[c.start + d:c.stop + d, eta - d] = v
-            a_ji[c, eta + d] = v
-        a_ij, a_ji = a_ij[lo - c0:], a_ji[lo - c0:]
+        a_ij, a_ji = at.T[lo - c0:], _transpose(at, eta).T[lo - c0:]
         alpha = [self.alpha(k) for k in range(lo, n + 1)]
         al = np.array(alpha, dtype=float)[:, None]
         bad = (al <= 0) | (a_ij != a_ji) | (np.abs(a_ij) > al * (1 + 1e-12))

@@ -54,11 +54,11 @@ from .gaussmeas import (
     RnDerivative,
     SingularScalingReport,
     _box_norms,
+    _diag_closed_forms,
     _p_limit_lower,
     _singular_exponents,
     _singular_trajectories,
     chi_norm_sq,
-    diag_closed_form,
 )
 
 SCHEMA_VERSION = "1.5"
@@ -399,9 +399,9 @@ def _example_diag(args):
     ab = BandedSymbol.diagonal(alpha).bands(1, args.L)
     for i in (1, 2):  # one trajectory per power
         quads = _box_norms(ab, 0, i, Box(n_plus_r, args.k), levels)
-        for l in levels:  # the closed form first: it rejects a bad tail
-            closed = diag_closed_form(ab[0], i, n_plus_r, args.k, l)
-            quad = next(quads)
+        # zip takes the closed form first at each level: it rejects a bad tail
+        for l, closed, quad in zip(levels, _diag_closed_forms(
+                ab[0].tolist(), i, n_plus_r, args.k, args.L), quads):
             rel = abs(closed - quad) / closed
             worst = max(worst, rel)
             rows.append([i, l, closed, quad, rel])

@@ -26,7 +26,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, erf, log_ndtr
 
 from .banded import (_MAX_MULTIPLIER, BandedSymbol, PerturbedIdentity,
-                     _band_power, _cut_logdets, _dense, power)
+                     _band_power, _band_product, _cut_logdets, _dense,
+                     _transpose, power)
 
 __all__ = [
     "DivergenceError",
@@ -251,14 +252,13 @@ def _box_norms(ab, eta, i, box: Box, cuts):
     signs, logdet_a = _cut_logdets(ab, eta, cuts)
     c = 2.0 ** math.ceil(math.log2(max(1.0, np.abs(ab[:, :N]).max())))
     a, two = ab[:, :N] / c, 2.0 * c ** (-2.0 * i)
-    kb, pbt = np.zeros((N, g + 1)), np.zeros((N, d))
+    pbt = np.zeros((N, d))
     if N >= 2 * (w + g):  # a level to sweep: kb[k, t] = K_{k + t, k}, P_b^T
         p = _band_power(a, eta, i)
         # K_{k + 1 + x, k + 1 + y}, x >= y: np.tril_indices(g), at less cost
         tx, ty = np.nonzero(np.tri(g, dtype=bool))
-        for t in range(g + 1):
-            kb[:N - t, t] = (t == 0) * two - (
-                p[:2 * w + 1 - t, t:] * p[t:, :N - t]).sum(0)
+        kb = -_band_product(_transpose(p, w), w, p, w)[g:].T
+        kb[:, 0] += two
         nb = min(N, d + w)  # the rows of P_b^T that can be nonzero
         pbt[:nb, :nb] = _dense(p, w, nb)[:d].T
     k, neg, logd, tpre, stop = 0, 0, 0.0, np.zeros((d, d)), False
@@ -353,40 +353,41 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
     diagonal symbol diag(alpha_1, ..., alpha_l), box [-k, k]^(n+r).
 
     The leading n+r coordinates contribute explicit box-restricted factors
-    (error-function form); every tail coordinate j in (n+r, l] contributes
-    (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1), which needs 0 < alpha_j <= 1.
-    A value outside the float range raises ValueError.
+    (error-function form, alpha_j != 0); every tail coordinate j in (n+r, l]
+    contributes (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1), which needs
+    0 < alpha_j <= 1.  A value outside the float range raises ValueError.
     """
     alpha = _materialize(alphas, l)
     if l <= n_plus_r:
         raise ValueError("truncation l must exceed the box dimension n+r")
+    return list(_diag_closed_forms(alpha, i, n_plus_r, k, l))[-1]
+
+
+def _diag_closed_forms(alpha, i, n_plus_r, k, L):
+    """Yield `diag_closed_form` at l = n_plus_r + 1..L from one running
+    log-sum that subtracts each tail term in order: each value's own bits."""
     log_val = 0.0
     for j in range(1, n_plus_r + 1):
         a2i = alpha[j - 1] ** (2 * i)
         two = 2.0 - a2i
         if two <= 0:
-            raise ValueError(
-                f"2 - alpha_{j}^(2i) <= 0; box factor undefined"
-            )
+            raise ValueError(f"2 - alpha_{j}^(2i) <= 0; box factor undefined")
+        if a2i == 0:
+            raise ValueError(f"alpha_{j}^(2i) = 0; box factor undefined")
         # integral over [-k,k] of exp(-x^2 (1 - a^{2i}) / a^{2i}) d(mu_G)
         box_factor = math.sqrt(a2i / two) * erf(k * math.sqrt(two / (2.0 * a2i)))
         log_val += -math.log(a2i) + math.log(box_factor)
-    for j in range(n_plus_r + 1, l + 1):
+    for j in range(n_plus_r + 1, L + 1):
         aj = alpha[j - 1]
         if not 0 < aj <= 1:
-            raise ValueError(
-                f"tail entries must satisfy 0 < alpha_{j} <= 1, got {aj}"
-            )
-        a2i = aj ** (2 * i)
-        two = 2.0 - a2i
-        if two <= 0:
-            raise ValueError(f"2 - alpha_{j}^(2i) <= 0; tail factor undefined")
-        log_val -= i * math.log(aj) + 0.5 * math.log(two)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        raise ValueError(f"closed form at l = {l} is outside the float "
-                         "range") from None
+            raise ValueError(f"tail entries must satisfy 0 < alpha_{j} <= 1, "
+                             f"got {aj}")
+        log_val -= i * math.log(aj) + 0.5 * math.log(2.0 - aj ** (2 * i))
+        try:
+            yield math.exp(log_val)
+        except OverflowError:
+            raise ValueError(f"closed form at l = {j} is outside the float "
+                             "range") from None
 
 
 def _materialize(alphas, l):

@@ -9,8 +9,12 @@ from gausscomp.banded import (
     BandedSymbol,
     BlockPartition,
     PerturbedIdentity,
+    _band_power,
+    _band_product,
     _corner_commutators,
     _cut_logdets,
+    _dense,
+    _transpose,
     block,
     det_sequence,
     in_class_F,
@@ -286,6 +290,35 @@ def test_band_commutator_matches_the_dense_corners(eta, widths, s_seed, kind):
                                              rel=1e-13)
         if kind == "symmetric":
             assert comm[p - 1] == 0.0
+
+
+@seed(19)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_band_products_match_the_dense_corner_products(eta, i, n, s_seed):
+    # P A, P^T P at w = i eta and A A^T - A^T A from the bands, against
+    # dense products of the n x n corners on every corner entry, to 1e-13
+    # of the largest entry of the product of the absolute values; A's band
+    # reaches past the corner, which must change none of them
+    rng = np.random.default_rng(s_seed)
+    ab = rng.standard_normal((2 * eta + 1, n))
+    ab[rng.random(ab.shape) < 0.3] = 0.0
+    for d in range(1, eta + 1):
+        ab[eta - d, :d] = 0.0  # above row 1
+    A, w, abt = _dense(ab, eta, n), i * eta, _transpose(ab, eta)
+    P, p = np.linalg.matrix_power(A, i), _band_power(ab, eta, i)
+    assert_same_bits(_dense(abt, eta, n), A.T)
+    comm = _band_product(ab, eta, abt, eta) - _band_product(abt, eta, ab, eta)
+    for band, bw, want, scale in (
+            (_band_product(p, w, ab, eta), w + eta, P @ A,
+             np.abs(P) @ np.abs(A)),
+            (_band_product(_transpose(p, w), w, p, w), 2 * w, P.T @ P,
+             np.abs(P.T) @ np.abs(P)),
+            (comm, 2 * eta, A @ A.T - A.T @ A, 2 * np.abs(A) @ np.abs(A.T))):
+        assert band.shape == (2 * bw + 1, n)
+        np.testing.assert_allclose(_dense(band, bw, n), want, rtol=0.0,
+                                   atol=1e-13 * scale.max())
 
 
 def band_with_tiny_minor(eta, n, p, tiny, seed):
@@ -636,6 +669,10 @@ def test_every_view_reads_the_rule_bit_for_bit(case, data):
                 assert_same_bits(ab[k, j - lo], f(i, j))
             else:
                 assert ab[k, j - lo] == 0.0
+    # the band of the transpose of the corner on columns lo..hi, exactly
+    m = hi - lo + 1
+    assert_same_bits(_dense(_transpose(ab, a.eta), a.eta, m),
+                     W[lo - 1:hi, lo - 1:hi].T)
     s = BlockPartition(np.cumsum(data.draw(st.lists(
         st.integers(1, 4), min_size=1, max_size=n))))
     K = len(s) if s.cut(len(s)) <= n else int(np.searchsorted(s.s, n,

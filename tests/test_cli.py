@@ -486,6 +486,17 @@ def test_example_diag_past_the_float_range_is_bad_input(tmp_path, capsys):
     assert err == "error: closed form at l = 167 is outside the float range\n"
 
 
+@pytest.mark.parametrize("alphas", ["0*j", "1-j^-0.5"])
+def test_example_diag_zero_box_entry_is_bad_input(tmp_path, capsys, alphas):
+    # alpha_1 = 0 leaves no box factor: one error line naming it, exit 3
+    report = tmp_path / "report.json"
+    code = main(["example", "diag", "--alphas", alphas, "--output",
+                 str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and not report.exists()
+    assert err == "error: alpha_1^(2i) = 0; box factor undefined\n"
+
+
 def test_example_diag_runs_past_l53(capsys):
     # alpha_j = 1 - 2^-j rounds to 1.0 from j = 54: a tail factor of 1
     code, doc = run_cli(capsys, "example", "diag", "--L", "60")

@@ -152,6 +152,35 @@ def test_diag_closed_form_tail_undefined():
         diag_closed_form([0.5, 0.5, 1.5], 2, 2, 1.0, 3)
 
 
+def test_diag_closed_form_zero_box_entry_names_alpha():
+    # no erf factor at alpha_j = 0: a ValueError, not a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^alpha_2\^\(2i\) = 0; box factor"):
+        diag_closed_form([0.5, 0.0, 0.5], 1, 2, 1.0, 3)
+
+
+@pytest.mark.parametrize("alpha", [lambda j: 1.0 - 2.0 ** (-j),
+                                   lambda j: 1.0 - (j + 1) ** -0.75,
+                                   lambda j: 0.9 ** (j % 7) / (1 + j % 3)])
+def test_running_closed_forms_have_each_levels_bits(alpha):
+    # one running log-sum per power gives every level's own call, bit for bit
+    seq = [alpha(j) for j in range(1, 121)]
+    for i, k in ((1, 1.0), (2, 0.7)):
+        run = list(gaussmeas._diag_closed_forms(seq, i, 2, k, 120))
+        assert run == [diag_closed_form(seq, i, 2, k, l)
+                       for l in range(3, 121)]
+
+
+def test_running_closed_forms_stop_where_each_level_does():
+    seq = [0.01] * 200
+    run = gaussmeas._diag_closed_forms(seq, 1, 2, 1.0, 200)
+    for l in range(3, 167):
+        assert next(run) == diag_closed_form(seq, 1, 2, 1.0, l)
+    with pytest.raises(ValueError, match="l = 167 is outside the float"):
+        next(run)
+    with pytest.raises(ValueError, match="l = 167 is outside the float"):
+        diag_closed_form(seq, 1, 2, 1.0, 167)
+
+
 def test_diag_closed_form_converges_in_l():
     alpha = lambda j: 1.0 - 2.0 ** (-j)
     vals = [diag_closed_form(alpha, 1, 2, 1.0, l) for l in range(3, 30)]
