@@ -124,7 +124,7 @@ def gram_construct(c) -> CoefficientTensor:
     return CoefficientTensor(a)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _polar_ring(radii, n_angles):
     """The origin and n_angles points on each radius; read-only."""
     pts = [0.0 + 0.0j]

@@ -363,6 +363,9 @@ def cmd_check(args):
     sym = _resolve_symbol(args)
     s = (load_partition(args.partition_file) if args.partition_file
          else BlockPartition.unit(max(args.L + 2, 8)))
+    if len(s) < args.L:
+        raise CliError(f"--partition-file has {len(s)} cut points; "
+                       f"--L {args.L} needs at least {args.L}")
     config = {"suite": args.suite, "symbol": args.builtin or args.file,
               "q": args.q, "alphas": args.alphas, "n": args.n, "r": args.r,
               "L": args.L, "seed": args.seed}
@@ -375,9 +378,6 @@ def cmd_check(args):
     else:
         boxes = [Box(args.n + args.r, h)
                  for h in _finite_floats("--boxes", args.boxes)]
-        if len(s) < args.L:
-            raise CliError(f"--partition-file has {len(s)} cut points; "
-                           f"--L {args.L} needs at least {args.L}")
         if isinstance(sym, PerturbedIdentity):
             sym = sym.symbol
         suite = (checker.prop52_suite if args.suite == "prop52"
@@ -555,7 +555,7 @@ def build_parser():
     return parser
 
 
-_main_parser = functools.cache(build_parser)
+_main_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None):

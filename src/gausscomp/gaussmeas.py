@@ -355,7 +355,8 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
     The leading n+r coordinates contribute explicit box-restricted factors
     (error-function form, alpha_j != 0); every tail coordinate j in (n+r, l]
     contributes (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1), which needs
-    0 < alpha_j <= 1.  A value outside the float range raises ValueError.
+    0 < alpha_j <= 1.  A value outside the float range, one that overflows
+    or one that underflows to 0, raises ValueError.
     """
     alpha = _materialize(alphas, l)
     if l <= n_plus_r:
@@ -384,10 +385,13 @@ def _diag_closed_forms(alpha, i, n_plus_r, k, L):
                              f"got {aj}")
         log_val -= i * math.log(aj) + 0.5 * math.log(2.0 - aj ** (2 * i))
         try:
-            yield math.exp(log_val)
+            value = math.exp(log_val)
         except OverflowError:
+            value = 0.0
+        if value == 0.0:  # overflowed, or underflowed past the subnormals
             raise ValueError(f"closed form at l = {j} is outside the float "
-                             "range") from None
+                             "range")
+        yield value
 
 
 def _materialize(alphas, l):

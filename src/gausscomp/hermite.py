@@ -16,9 +16,13 @@ only.  It is the only Gauss-Hermite rule here: a model holds no grid of
 its own.
 
 Three bounded `functools.lru_cache`s, keyed by value, hold what is built
-once per process: models by (kappa, degree), operator matrices by the
-symbol's bytes and both degrees, and the read-only tensor rules by
-(order, kappa).
+once per process: models by (kappa, degree) and the read-only tensor rules
+by (order, kappa), 256 of each, and the operator matrices by the symbol's
+bytes, both degrees and the direction.  That last cache holds the last
+operator only: one entry costs (dim_out * dim_in + dim_in**2) * 8 bytes,
+about 0.8 MB at kappa 3, degree 8 and 9 MB at kappa 4, and an operator is
+re-applied to each test function right after its first application, so
+one entry serves every hit.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool)
                               model_in.degree, model_out.degree, adjoint)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1)
 def _transfer_by_value(data, shape, kappa, degree_in, degree_out, adjoint):
     A = np.frombuffer(data).reshape(shape)
     model_in = HermiteModel.get(kappa, degree_in)

@@ -497,6 +497,19 @@ def test_example_diag_zero_box_entry_is_bad_input(tmp_path, capsys, alphas):
     assert err == "error: alpha_1^(2i) = 0; box factor undefined\n"
 
 
+@pytest.mark.parametrize("k", ["1e-200", "1e-300"])
+def test_example_diag_underflowing_closed_form_is_bad_input(tmp_path, capsys,
+                                                             k):
+    # the running log-sum is finite, but its exp underflows to 0.0 at the
+    # first level; the quadrature underflows too, so no relative error exists
+    report = tmp_path / "report.json"
+    code = main(["example", "diag", "--L", "5", "--k", k, "--output",
+                 str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and not report.exists()
+    assert err == "error: closed form at l = 3 is outside the float range\n"
+
+
 def test_example_diag_runs_past_l53(capsys):
     # alpha_j = 1 - 2^-j rounds to 1.0 from j = 54: a tail factor of 1
     code, doc = run_cli(capsys, "example", "diag", "--L", "60")
@@ -641,11 +654,12 @@ def test_partition_file(tmp_path):
     assert s.cut(3) == 8
 
 
-@pytest.mark.parametrize("suite", ["thm51", "prop52"])
+@pytest.mark.parametrize("suite", ["thm51", "prop52", "prop56"])
 def test_short_partition_file_is_bad_input(tmp_path, capsys, suite):
     p = tmp_path / "part.txt"
     p.write_text("1 2 3\n")
-    code = main(["check", suite, "--builtin", "ex53", "--L", "6",
+    builtin = "ex59" if suite == "prop56" else "ex53"
+    code = main(["check", suite, "--builtin", builtin, "--L", "6",
                  "--partition-file", str(p)])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss, hermeval
 
+import gausscomp
 from gausscomp.gaussmeas import DivergenceError, chi_norm_sq
 from gausscomp.hermite import (
     CylFunction,
@@ -109,7 +112,37 @@ def test_transfer_is_cached_by_value():
     S2, G2 = _transfer(A.copy(order="F"), model, HermiteModel.get(2, 5), True)
     assert _transfer_by_value.cache_info().hits == hits + 1
     assert S2 is S and G2 is G
-    assert _transfer_by_value.cache_info().maxsize == 256
+    assert _transfer_by_value.cache_info().maxsize == 1
+
+
+def test_transfer_cache_holds_the_last_operator_only():
+    # each application re-reads the operator of the call before it, so one
+    # entry serves every hit; a second operator evicts the first
+    f = HermiteModel.get(2, 3).basis_function((1, 0))
+    adjoint_apply(np.array([[0.6, 0.1], [-0.2, 0.5]]), f)
+    adjoint_apply(np.array([[0.7, 0.0], [0.1, 0.4]]), f)
+    assert _transfer_by_value.cache_info().currsize == 1
+
+
+def test_every_cache_is_bounded():
+    # an unbounded functools cache grows with the traffic it serves
+    found = {}
+    for info in pkgutil.iter_modules(gausscomp.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gausscomp.{info.name}")
+        for obj in vars(module).values():
+            members = [obj]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                # a classmethod or staticmethod wraps its cached function
+                members = [getattr(m, "__func__", m)
+                           for m in vars(obj).values()]
+            for m in members:
+                if hasattr(m, "cache_info"):
+                    found[m.__qualname__] = m.cache_info().maxsize
+    assert {"HermiteModel.get", "_tensor_rule", "_transfer_by_value",
+            "_polar_ring", "build_parser", "_legendre_rule"} <= found.keys()
+    assert all(size is not None for size in found.values()), found
 
 
 def test_graded_lex_ordering():
