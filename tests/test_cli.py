@@ -647,6 +647,21 @@ def test_symbol_file_rule(tmp_path):
     assert a.entry(2, 3) == 0.25
 
 
+@pytest.mark.parametrize("text", [
+    "banded 1\n  # note\nrule geometric_tridiagonal 0.5\n",
+    "# a 2x2 corner\nbanded 1\n\t# diagonal\n1 1 1.0\n2 2 1.0\n"
+    "   # off-diagonal\n1 2 0.5\n2 1 0.5\n2 3 0.25\n",
+], ids=["rule", "triplets"])
+def test_symbol_file_indented_comment_is_skipped(tmp_path, capsys, text):
+    # an indented `# note` was read as an entry line: exit 3
+    p = tmp_path / "sym.txt"
+    p.write_text(text)
+    assert load_symbol(str(p)).entry(2, 3) == 0.25
+    code = main(["check", "prop52", "--file", str(p), "--L", "3",
+                 "--output", str(tmp_path / "r.json")])
+    assert capsys.readouterr().err == "" and code != 3
+
+
 def test_partition_file(tmp_path):
     p = tmp_path / "part.txt"
     p.write_text("2 4 8 16\n")
@@ -914,6 +929,84 @@ def test_output_is_indented_sorted_json(tmp_path, capsys, argv):
     capsys.readouterr()
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _banded(L, out, outdir):
+    assert main(["example", "banded", "--L", str(L), "--output", str(out),
+                 "--outdir", str(outdir)]) == 0
+    table = outdir / "example_banded_determinants.csv"
+    return (re.sub(r'"timestamp": "[^"]*"', "", out.read_text()),
+            table.read_bytes())
+
+
+def test_shorter_report_over_a_longer_one_leaves_one_document(tmp_path,
+                                                              capsys):
+    out, outdir = tmp_path / "r.json", tmp_path / "tables"
+    _banded(300, out, outdir)
+    long_size = out.stat().st_size
+    rewritten = _banded(8, out, outdir)
+    fresh = _banded(8, tmp_path / "fresh.json", tmp_path / "fresh")
+    capsys.readouterr()
+    assert out.stat().st_size < long_size
+    assert json.loads(out.read_text())["body"]["config"]["L"] == 8
+    assert rewritten == fresh  # no stale tail in the report or the table
+    assert len(rewritten[1].decode().splitlines()) == 9
+
+
+def test_rewrite_keeps_the_inode_mode_and_links(tmp_path, capsys):
+    out, outdir = tmp_path / "r.json", tmp_path / "tables"
+    table = outdir / "example_banded_determinants.csv"
+    _banded(300, out, outdir)
+    for path in (out, table):
+        path.chmod(0o600)
+        os.link(path, tmp_path / f"link-{path.name}")
+    before = [path.stat().st_ino for path in (out, table)]
+    _banded(8, out, outdir)
+    capsys.readouterr()
+    for path, ino in zip((out, table), before):
+        st = path.stat()
+        assert st.st_ino == ino and st.st_mode & 0o777 == 0o600
+        assert st.st_nlink == 2
+        assert (tmp_path / f"link-{path.name}").read_bytes() == \
+            path.read_bytes()
+
+
+def test_output_to_dev_null_exits_zero(tmp_path, capsys):
+    # a character device is written, never truncated
+    assert main(["example", "banded", "--L", "8", "--output",
+                 os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exits_three(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+    code = main(["example", "banded", "--L", "8", "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "no").exists()
+
+
+def test_report_and_tables_are_opened_without_truncation(tmp_path, capsys,
+                                                         monkeypatch):
+    opened = {}
+    real_open = os.open
+
+    def spy(path, flags, *rest, **kw):
+        opened[os.fspath(path)] = flags
+        return real_open(path, flags, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    out, outdir = tmp_path / "r.json", tmp_path / "tables"
+    _banded(8, out, outdir)
+    capsys.readouterr()
+    written = [str(out), str(outdir / "example_banded_determinants.csv")]
+    assert all(path in opened for path in written)
+    for path in written:
+        assert opened[path] & (os.O_WRONLY | os.O_CREAT) == \
+            os.O_WRONLY | os.O_CREAT
+        assert not opened[path] & os.O_TRUNC
 
 
 def _emitted(tmp_path, name, payload, rows):
