@@ -60,6 +60,7 @@ _PSD_TOL = 1e-10  # form_positivity_evidence: relative asymmetry and eigenvalue
 _DEFECT_TOL = 1e-6  # snr_form_value: rounding allowance between rule orders
 _HYPO_TOL = 1e-7  # hyponormality_consequence: a value past it is a disproof
 _ENTRY_BOUND_WINDOW = 12  # prop56_suite: coordinates of the power entry bound
+_PERTURBATION_WINDOW = 24  # prop56_suite: coordinates of the perturbation form
 
 
 @dataclass
@@ -71,7 +72,6 @@ class CheckReport:
     payload: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def to_dict(self):
         """The fields as they are; `cli` turns numpy leaves into JSON."""
@@ -193,9 +193,8 @@ def form_positivity_evidence(c: CoefficientTensor,
             "max_asymmetry": max_asym,
         },
         params={"n": c.n, "m": c.m, "n_a": c.n_a,
-                "grid_points": len(lams)},
+                "grid_points": len(lams), "seed": grid.seed},
         tolerances={"tol_psd": _PSD_TOL},
-        seed=grid.seed,
     )
 
 
@@ -354,15 +353,15 @@ def _box_norm_failure(exc):
 
 def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                       traj_name, consistent_verdict):
-    """Yield per power i = 1..powers the finiteness and trajectory reports
+    """The finiteness and trajectory reports, power i = 1..powers outermost,
     of each box's restricted norms of A^i (`ab`: A's band from column 1,
     bandwidth eta) at the levels `_top_level` keeps.  A singular corner is a
     "fail" naming its level, a cap that no level fits "evidence", any other
     failure `_box_norm_failure`'s; a consistent trajectory gets
     `consistent_verdict`.  Params carry i and the halfwidth, a computed
     finiteness report's also the level count and `dim_capped`."""
+    reports = []
     for i in range(1, powers + 1):
-        reports = []
         for bi, box in enumerate(boxes):
             tag = f"[i={i},box={bi}]"
             params = {"i": i, "box_halfwidth": box.halfwidth}
@@ -396,32 +395,23 @@ def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                     "limit behaviour consistent up to the reported "
                     "truncation depth only")},
                 params=params))
-        yield reports
+    return reports
 
 
 def thm51_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
                 boxes, dim_cap: int | None = None) -> list:
     """Numeric checks for the general inductive-limit criterion.
 
-    Per power i and box: finiteness of the truncation norm (iii), the
+    Per power i and box: finiteness of the truncation norm (iii) and the
     trajectory of box-restricted norms (v, reported as evidence since a
-    limsup over all truncations cannot be certified), and the structural
-    coordinate-stability conditions (vi)/(vii) which hold exactly for
-    banded symbols.
+    limsup over all truncations cannot be certified).  The
+    coordinate-stability conditions (vi)/(vii) hold for every banded symbol
+    by construction, so no check is reported for them.
     """
     top = _top_level(s, L, dim_cap, max((b.dims for b in boxes), default=0))
-    reports = []
-    for i, box_reports in enumerate(_box_norm_reports(
-            a.bands(1, s.cut(top or 1)), a.eta, s, L, n + r, boxes, dim_cap,
-            "finiteness", "norm_trajectory", "evidence"), 1):
-        reports += [*box_reports, CheckReport(
-            name=f"coordinate_stability[i={i}]",
-            verdict="pass",
-            payload={"bandwidth": a.eta,
-                     "stable_from": f"any p with s(p) >= m + {i * a.eta}"},
-            params={"i": i},
-        )]
-    return reports
+    return _box_norm_reports(
+        a.bands(1, s.cut(top or 1)), a.eta, s, L, n + r, boxes, dim_cap,
+        "finiteness", "norm_trajectory", "evidence")
 
 
 def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
@@ -478,11 +468,9 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
         tolerances={"tol": 1e-8},
     ))
     # (c) + (e): finiteness and trajectory of the box-restricted norms
-    for box_reports in _box_norm_reports(
-            ab, eta, s, L, n + r, boxes, dim_cap, "box_norm_finite",
-            "norm_trajectory_consistent", "pass"):
-        reports += box_reports
-    return reports
+    return reports + _box_norm_reports(
+        ab, eta, s, L, n + r, boxes, dim_cap, "box_norm_finite",
+        "norm_trajectory_consistent", "pass")
 
 
 def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
@@ -494,9 +482,10 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
     the determinant floor |det b_k| >= rho up to depth L, the power entry
     bound on the first `_ENTRY_BOUND_WINDOW` coordinates, and the
     perturbation inequality with the proof-derived constant, exact over x
-    supported on the first 24 coordinates (one eigenvalue per power,
-    nothing sampled), reported with the constant of the power that attains
-    the largest ratio.
+    supported on the first `_PERTURBATION_WINDOW` coordinates (one
+    eigenvalue per power, nothing sampled), reported with the constant of
+    the power that attains the largest ratio.  The conclusion names the
+    smallest window any check used, and that check.
     """
     reports = []
     for name, ok in b.preconditions:
@@ -562,8 +551,8 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
         payload={"worst_ratio": worst_entry},
         params={"window": _ENTRY_BOUND_WINDOW, "max_power": max(1, n + r)},
     ))
-    # perturbation inequality, exact on the first 24 coordinates
-    worst = max((perturbation_bound_check(b, k, 24)
+    # perturbation inequality, exact on a window
+    worst = max((perturbation_bound_check(b, k, _PERTURBATION_WINDOW)
                  for k in range(1, max(1, n + r) + 1)),
                 key=lambda chk: chk.worst_ratio)
     reports.append(CheckReport(
@@ -573,12 +562,17 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
         params={"window": worst.window},
     ))
     all_ok = all(rep.verdict == "pass" for rep in reports)
+    window, narrowest = min(
+        ((rep.params.get("window", rep.params.get("L")), rep.name)
+         for rep in reports if {"window", "L"} & rep.params.keys()),
+        key=lambda pair: pair[0])
     reports.append(CheckReport(
         name="conclusion",
         verdict="pass" if all_ok else "fail",
         payload={"detail": f"class-membership hypotheses verified to depth "
-                           f"{min(L, len(s))}" if all_ok
+                           f"{window}, the smallest window any check used "
+                           f"({narrowest})" if all_ok
                  else "at least one hypothesis failed"},
-        params={"n": n, "r": r},
+        params={"n": n, "r": r, "window": window},
     ))
     return reports

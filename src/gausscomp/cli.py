@@ -68,7 +68,7 @@ from .gaussmeas import (
     chi_norm_sq,
 )
 
-SCHEMA_VERSION = "1.5"
+SCHEMA_VERSION = "1.6"
 
 __all__ = ["main", "build_parser", "load_symbol", "load_partition"]
 
@@ -251,9 +251,13 @@ def _finite_floats(flag, raw, count=None):
 
 def _dim_cap(raw):
     """`--dim-cap`: a nonnegative integer, or `none` for no cap."""
-    if raw != "none" and int(raw) < 0:
-        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
-    return None if raw == "none" else int(raw)
+    if raw == "none":
+        return None
+    with contextlib.suppress(ValueError):
+        if int(raw) >= 0:
+            return int(raw)
+    raise argparse.ArgumentTypeError(
+        f"{raw!r} is not a nonnegative integer or none")
 
 
 def _resolve_symbol(args):
@@ -365,11 +369,6 @@ def cmd_rn(args):
             verdict, payload = checker._box_norm_failure(exc)
             reports.append(CheckReport(name=f"box_norm[{raw}]",
                                        verdict=verdict, payload=payload))
-    reports.append(CheckReport(
-        name="density_evaluation", verdict="pass",
-        payload={"points_evaluated": len(values), "boxes": len(norms)},
-        params={"power": args.power, "kappa": args.kappa},
-    ))
     tables = {"values": (["point", "h"], values),
               "box_norms": (["halfwidth", "dims", "norm_sq"], norms)}
     config = {"symbol": args.builtin or args.file, "power": args.power,
@@ -435,7 +434,6 @@ def _example_diag(args):
         name="closed_form_vs_quadrature",
         verdict="pass" if worst < 1e-8 else "fail",
         payload={"max_rel_diff": worst},
-        params=config,
         tolerances={"rel": 1e-8},
     )]
     tables = {"norms": (["i", "l", "closed_form", "quadrature", "rel_diff"],
@@ -450,15 +448,14 @@ def _example_banded(args):
     s = BlockPartition.unit(args.L)
     dets = det_sequence(b.symbol, s, args.L)
     floor = b.det_floor
-    rows = [[l + 1, float(d), floor, 1.0] for l, d in enumerate(dets)]
     inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
     reports = [CheckReport(
         name="determinant_envelope",
         verdict="pass" if inside else "fail",
-        payload={"min_det": float(np.min(dets)), "floor": floor},
-        params={"q": args.q, "L": args.L},
+        payload={"min_det": float(np.min(dets)), "floor": floor, "upper": 1.0},
     )]
-    tables = {"determinants": (["l", "det", "lower", "upper"], rows)}
+    tables = {"determinants": (["l", "det"], list(enumerate(
+        dets.tolist(), 1)))}
     return _emit(args, "example_banded", {"q": args.q, "L": args.L},
                  reports, tables)
 
@@ -493,7 +490,6 @@ def _example_singular(args):
         name="singular_scaling_dichotomy",
         verdict=verdict,
         payload=payload,
-        params={"alpha": args.alpha, "N": args.N},
     )]
     tables = {"trajectories": (["n", "P_n", "log_Q_n"], rows)}
     return _emit(args, "example_singular",

@@ -47,8 +47,22 @@ def test_prop56_perturbation_inequality_is_exact(capsys):
         0.05285081423000137, rel=1e-12)
     assert rep["payload"]["C_tilde"] == pytest.approx(115.59591794226543,
                                                       rel=1e-12)
-    assert rep["params"] == {"window": 24} and rep["seed"] is None
+    assert rep["params"] == {"window": 24} and "seed" not in rep
     assert doc["body"]["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("L,window,check", [
+    ("500", 12, "power_entry_bound"), ("5", 5, "determinant_floor")])
+def test_prop56_conclusion_names_the_smallest_window(capsys, L, window,
+                                                     check):
+    # the floor reads L corners, but the power entry bound only 12
+    code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
+                        "--L", L)
+    assert code == 0
+    conclusion = doc["body"]["reports"][-1]
+    assert conclusion["params"]["window"] == window
+    detail = conclusion["payload"]["detail"]
+    assert f"depth {window}," in detail and f"({check})" in detail
 
 
 def test_prop56_power_entry_bound_at_n_plus_r_4(capsys):
@@ -612,8 +626,13 @@ def test_example_csv_output(tmp_path, capsys):
     assert out.exists()
     text = (tmp_path / "example_banded_determinants.csv").read_text()
     lines = text.strip().splitlines()
-    assert lines[0] == "l,det,lower,upper"
+    assert lines[0] == "l,det"
     assert len(lines) == 9
+    # the envelope is stated once, in the payload, not as constant columns
+    doc = json.loads(out.read_text())
+    assert doc["body"]["tables"]["determinants"]["columns"] == ["l", "det"]
+    payload = doc["body"]["reports"][0]["payload"]
+    assert payload["floor"] == 1.0 - 0.25 / 0.75 and payload["upper"] == 1.0
 
 
 def test_rn_point_csv_keeps_two_columns(tmp_path, capsys):
@@ -845,6 +864,17 @@ def test_unparsable_number_names_the_flag(tmp_path, capsys, argv, flag):
     assert re.search(rf"{flag}\b", err) and "could not convert" not in err
 
 
+def test_unparsable_dim_cap_names_the_flag(tmp_path, capsys):
+    # not argparse's "invalid _dim_cap value", which names a private function
+    out = tmp_path / "report.json"
+    code = main(["check", "thm51", "--builtin", "ex53", "--dim-cap", "x",
+                 "--output", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert re.search(r"--dim-cap\b", err) and "_dim_cap" not in err
+    assert "'x'" in err and "nonnegative integer or none" in err
+
+
 def test_check_with_symbol_file(tmp_path, capsys):
     p = tmp_path / "sym.txt"
     p.write_text("diagonal 0\nrule diag 1-2^-j\n")
@@ -1074,3 +1104,40 @@ def test_negative_dim_cap_is_bad_input(tmp_path, capsys, suite):
     stdout, err = capsys.readouterr()
     assert code == 3 and stdout == "" and not out.exists()
     assert re.search(r"--dim-cap\b", err) and "-5" in err
+
+
+# -- only computed content ----------------------------------------------------
+
+def test_thm51_reports_only_box_norms(capsys):
+    # (vi)/(vii) hold for every banded symbol; no constant pass is reported
+    code, doc = run_cli(capsys, "check", "thm51", "--builtin", "ex53",
+                        "--L", "4", "--n", "2", "--r", "1")
+    assert code == 2
+    names = [r["name"] for r in doc["body"]["reports"]]
+    assert names == [f"{kind}[i={i},box=0]" for i in (1, 2, 3)
+                     for kind in ("finiteness", "norm_trajectory")]
+
+
+def test_rn_with_a_finite_box_writes_no_report(capsys):
+    code, doc = run_cli(capsys, "rn", "--builtin", "ex53", "--kappa", "2",
+                        "--box", "1", "--point", "0.1,0.2")
+    assert code == 0 and doc["body"]["reports"] == []
+    assert len(doc["body"]["tables"]["box_norms"]["rows"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "thm51", "--builtin", "ex53", "--L", "4"),
+    ("check", "prop52", "--builtin", "ex53", "--L", "4"),
+    ("check", "prop56", "--builtin", "ex59", "--seed", "7"),
+    ("rn", "--builtin", "ex59", "--kappa", "2", "--box", "1", "--box-dims",
+     "0"),
+    ("example", "diag", "--L", "4"),
+    ("example", "banded", "--L", "8"),
+    ("example", "singular", "--N", "100"),
+], ids=["thm51", "prop52", "prop56", "rn", "diag", "banded", "singular"])
+def test_reports_carry_no_seed_and_no_copy_of_the_config(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    reports = doc["body"]["reports"]
+    assert reports and all("seed" not in r for r in reports)
+    if argv[0] == "example":
+        assert all(r["params"] == {} for r in reports)
