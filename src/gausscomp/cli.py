@@ -386,7 +386,7 @@ def cmd_check(args):
         raise CliError(f"--rho {args.rho} must be positive and finite")
     sym = _resolve_symbol(args)
     s = (load_partition(args.partition_file) if args.partition_file
-         else BlockPartition.unit(max(args.L + 2, 8)))
+         else BlockPartition.unit(args.L))
     if len(s) < args.L:
         raise CliError(f"--partition-file has {len(s)} cut points; "
                        f"--L {args.L} needs at least {args.L}")

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import dawsn, erf, log_ndtr
+from scipy.special import dawsn, log_ndtr
 
 from .banded import (_MAX_MULTIPLIER, BandedSymbol, PerturbedIdentity,
                      _band_power, _band_product, _cut_logdets, _dense,
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)  # exp of anything larger overflows
 _SUP_WINDOW = 200  # proof_constant: coordinates of its sups
 _NOT_PD = ("quadratic form fails positive-definiteness on unrestricted "
            "coordinates")  # DivergenceError: the message's stem
@@ -142,7 +144,7 @@ _MAX_POINTS = 4_000_000  # largest point count of one tensor rule
 def _log_box_factor(s, k):
     """log of (2 pi)^{-1/2} * integral over [-k, k] of exp(-s x^2 / 2)."""
     if s > 0:
-        return math.log(erf(k * math.sqrt(0.5 * s))) - 0.5 * math.log(s)
+        return math.log(math.erf(k * math.sqrt(0.5 * s))) - 0.5 * math.log(s)
     if s == 0:
         return math.log(2.0 * k / _SQRT2PI)
     # erfi(a) = 2 exp(a^2) dawsn(a) / sqrt(pi), kept in log space
@@ -159,28 +161,28 @@ def _legendre_rule(order):
     return t, w
 
 
-def _gauss_box_integral(S, box: Box, log_scale=0.0):
-    """exp(log_scale) (2 pi)^{-d/2} times the integral of exp(-x^T S x / 2)
-    over the box [-k, k]^d, d = box.dims, S a d x d form.
+def _gauss_box_integral(S, box: Box):
+    """(g, v): (2 pi)^{-d/2} times the integral of exp(-x^T S x / 2) over the
+    box [-k, k]^d, d = box.dims, S a d x d form, is exp(g) v.
 
     A diagonal S factors into exact one-dimensional erf (or erfi) box
-    factors.  A coupled S is integrated in closed form in its coordinate of
-    largest positive diagonal entry (none if no entry is positive), and in
-    the others by a single-panel tensor Gauss-Legendre rule whose order
-    doubles until two successive values agree to the relative `_TARGET`.
-    ValueError is raised when `_MAX_POINTS` or `_MAX_ORDER` stops the
-    refinement first.
+    factors, all in g (v = 1).  A coupled S is integrated in closed form in
+    its coordinate of largest positive diagonal entry s (none if no entry
+    is positive), whose log factor -log(s) / 2 is g, and in the others by a
+    single-panel tensor Gauss-Legendre rule, v, whose order doubles until
+    two successive values agree to the relative `_TARGET`.  ValueError is
+    raised when `_MAX_POINTS` or `_MAX_ORDER` stops the refinement first.
     """
     S = 0.5 * (S + S.T)
     d = box.dims
     if d == 0:
-        return math.exp(log_scale)
+        return 0.0, 1.0
 
     diag = S.diagonal()
     off = np.abs(S - np.diag(diag)).max()
     if off <= 1e-13 * max(1.0, np.abs(diag).max()):
-        return math.exp(log_scale + math.fsum(
-            _log_box_factor(float(s), box.halfwidth) for s in diag))
+        return math.fsum(_log_box_factor(float(s), box.halfwidth)
+                         for s in diag), 1.0
 
     # condition on the coordinate j of largest curvature s > 0: given the
     # rest z, (2 pi)^{-1/2} times the integral over [-k, k] of
@@ -192,7 +194,6 @@ def _gauss_box_integral(S, box: Box, log_scale=0.0):
         rest = np.arange(d) != j
         c = S[rest, j]
         Q = S[np.ix_(rest, rest)] - np.outer(c, c) / s
-        log_scale -= 0.5 * math.log(s)
     else:
         Q = S
     m = Q.shape[0]
@@ -208,10 +209,7 @@ def _gauss_box_integral(S, box: Box, log_scale=0.0):
             log_vals += upper + np.log(-np.expm1(log_ndtr(mu - h) - upper))
         cur = float(wts @ np.exp(log_vals)) / (2.0 * math.pi) ** (m / 2.0)
         if prev is not None and abs(cur - prev) <= _TARGET * abs(cur):
-            try:  # the product is the more accurate inside the float range
-                return math.exp(log_scale) * cur
-            except OverflowError:  # exp(log_scale) alone is past it
-                return math.exp(log_scale + math.log(cur)) if cur else 0.0
+            return (-0.5 * math.log(s) if s > 0 else 0.0), cur
         if 2 * order > _MAX_ORDER:
             break
         prev, order = cur, 2 * order
@@ -241,12 +239,13 @@ def _box_norms(ab, eta, i, box: Box, cuts):
     additivity on E^-1), else DivergenceError.  K_n is K_N's corner, N =
     cuts[-1], but in its last w = i eta rows, so one LDL^T sweep of K_N's
     band (bandwidth g = 2w) serves every level for its rows below
-    m = n - w - g, and a dense Schur complement of K_n's last rows closes
-    it; a level with fewer rows to sweep than to close has m = 0, its whole
-    corner.  The sweep does not pivot: past a zero pivot or a multiplier past
-    `_MAX_MULTIPLIER`, levels close on their whole corner (m = 0), whose LU
-    finds a singular K.  A is scaled by a power of 2 to entries up to 1.  A
-    norm past the float range raises OverflowError naming its corner.
+    n - w - g (none while n < 2 (w + g)), and a dense Schur complement of
+    K_n's rows from the last swept row m closes it.  The sweep does not
+    pivot: a zero pivot or a multiplier past `_MAX_MULTIPLIER` stops it,
+    and every later level closes from there (from row 0: the whole
+    corner), whose LU finds a singular K.  A is scaled by a power of 2 to
+    entries up to 1.  A norm outside the float range, past it or
+    underflowed to 0, raises OverflowError naming its corner.
     """
     N, w, g, d = cuts[-1], i * eta, 2 * i * eta, box.dims
     signs, logdet_a = _cut_logdets(ab, eta, cuts)
@@ -261,26 +260,22 @@ def _box_norms(ab, eta, i, box: Box, cuts):
         kb[:, 0] += two
         nb = min(N, d + w)  # the rows of P_b^T that can be nonzero
         pbt[:nb, :nb] = _dense(p, w, nb)[:d].T
-    k, neg, logd, tpre, stop = 0, 0, 0.0, np.zeros((d, d)), False
+    m, neg, logd, tpre = 0, 0, 0.0, np.zeros((d, d))
     for n, sign, ld_a in zip(cuts, signs, logdet_a.tolist()):
         if sign == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
-        m = n - w - g if n >= 2 * (w + g) else 0  # if more than it closes
-        while k < m and not stop:  # eliminate row k into the prefix sums
-            D, col, z = kb[k, 0], kb[k, 1:], pbt[k]
-            stop = D == 0.0 or g and np.abs(col).max() > abs(
-                D) * _MAX_MULTIPLIER
-            if not stop:
-                tpre += np.outer(z / D, z)
-                logd, neg, k = logd + math.log(abs(D)), neg + (D < 0), k + 1
-            if g and not stop:
-                kb[k + ty, tx - ty] -= col[tx] * (col[ty] / D)
-                pbt[k:k + g] -= np.outer(col / D, z)
-        if k < m:  # the sweep stopped short of m: the whole corner
-            m = 0
+        while m < (n - w - g if n >= 2 * (w + g) else 0):  # eliminate row m
+            D, col, z = kb[m, 0], kb[m, 1:], pbt[m]
+            if D == 0.0 or g and np.abs(col).max() > abs(D) * _MAX_MULTIPLIER:
+                break  # the guard: this level and every later one close here
+            tpre += np.outer(z / D, z)
+            logd, neg, m = logd + math.log(abs(D)), neg + (D < 0), m + 1
+            if g:
+                kb[m + ty, tx - ty] -= col[tx] * (col[ty] / D)
+                pbt[m:m + g] -= np.outer(col / D, z)
         dims = min(d, n)
-        T, ld_k, neg_k = (tpre[:dims, :dims], logd, neg) if m else (0, 0, 0)
-        if n > m:  # K_n's last rows; P_n is exact on rows past m - w
+        T, ld_k, neg_k = tpre[:dims, :dims], logd, neg
+        if n > m:  # K_n's rows from m; P_n is exact on rows past m - w
             lo = max(0, m - 2 * w)
             blk = np.linalg.matrix_power(_dense(a[:, lo:n], eta, n - lo), i)
             q, W = blk[max(0, m - w) - lo:, m - lo:], np.zeros((n - m, dims))
@@ -303,13 +298,17 @@ def _box_norms(ab, eta, i, box: Box, cuts):
         if dims < n and (neg_k != neg_t or 0.0 in lams):
             raise DivergenceError(f"{_NOT_PD} ({neg_k - neg_t} negative eigen"
                                   f"values{', singular' * (0.0 in lams)})")
-        try:
-            norm = _gauss_box_integral((V / lam) @ V.T, Box(
-                dims, box.halfwidth), -i * (ld_a + n * math.log(c)) - 0.5 * (
-                    ld_k + math.fsum(math.log(abs(x)) for x in lams)))
+        lf, v = _gauss_box_integral((V / lam) @ V.T, Box(dims, box.halfwidth))
+        scale = -i * (ld_a + n * math.log(c)) - 0.5 * (
+            ld_k + math.fsum(math.log(abs(x)) for x in lams)) + lf
+        try:  # exp(scale) v is the more accurate while exp(scale) is in range
+            norm = (math.exp(scale) * v if scale <= _LOG_MAX
+                    else math.exp(scale + math.log(v)) if v else 0.0)
         except OverflowError:
-            raise OverflowError(f"the box norm of the {n} x {n} corner "
-                                "exceeds the float range") from None
+            norm = math.inf
+        if not 0.0 < norm < math.inf:  # the integrand is positive on the box
+            raise OverflowError(f"the box norm of the {n} x {n} corner is "
+                                "outside the float range")
         yield norm
 
 
@@ -323,8 +322,9 @@ def chi_norm_sq(A, i: int, box: Box | None) -> float:
     a coupled box exactly in one coordinate and by tensor Gauss-Legendre
     quadrature in the others.  Raises DivergenceError when the integral is
     infinite, ValueError when the box quadrature does not converge within
-    its fixed budget and OverflowError when the norm exceeds the float
-    range.
+    its fixed budget and OverflowError when the norm is outside the float
+    range: past it, or underflowed to 0 (the integrand is positive, so 0 is
+    never the value).
     """
     box, sym = box or Box(0, 1.0), BandedSymbol.from_dense(A)
     if box.dims > len(A):
@@ -345,7 +345,7 @@ def h_normalization(A) -> float:
 
 def gaussian_box_mass(a: float) -> float:
     """Mass of [-a, a] under the standard 1-D Gaussian."""
-    return float(erf(a / math.sqrt(2.0)))
+    return math.erf(a / math.sqrt(2.0))
 
 
 def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
@@ -376,8 +376,7 @@ def _diag_closed_forms(alpha, i, n_plus_r, k, L):
         if a2i == 0:
             raise ValueError(f"alpha_{j}^(2i) = 0; box factor undefined")
         # integral over [-k,k] of exp(-x^2 (1 - a^{2i}) / a^{2i}) d(mu_G)
-        box_factor = math.sqrt(a2i / two) * erf(k * math.sqrt(two / (2.0 * a2i)))
-        log_val += -math.log(a2i) + math.log(box_factor)
+        log_val += -math.log(a2i) + _log_box_factor(two / a2i, k)
     for j in range(n_plus_r + 1, L + 1):
         aj = alpha[j - 1]
         if not 0 < aj <= 1:

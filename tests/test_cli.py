@@ -324,22 +324,34 @@ def test_rn_box_past_the_quadrature_budget_is_evidence(capsys):
     assert doc["body"]["tables"]["box_norms"]["rows"] == []
 
 
+_DIAG = ("--builtin", "diag", "--alphas", "0.01+0*j")
+
+
 @pytest.mark.parametrize("argv,name,corner", [
-    (("check", "thm51", "--L", "200"), "finiteness[i=1", 167),
-    (("check", "prop52", "--L", "200"), "box_norm_finite[i=1", 167),
-    (("rn", "--kappa", "200", "--box", "1", "--box-dims", "1"), "box_norm",
-     200),
-], ids=["thm51", "prop52", "rn"])
+    (("check", "thm51", "--L", "200", *_DIAG), "finiteness[i=1", 167),
+    (("check", "prop52", "--L", "200", *_DIAG), "box_norm_finite[i=1", 167),
+    (("rn", "--kappa", "200", "--box", "1", "--box-dims", "1", *_DIAG),
+     "box_norm", 200),
+    (("check", "prop52", "--builtin", "ex53", "--boxes", "1e-300", "--L",
+      "4"), "box_norm_finite[i=1", 2),
+    (("rn", "--builtin", "ex53", "--kappa", "4", "--box", "1e-100",
+      "--box-dims", "4"), "box_norm", 4),
+], ids=["thm51", "prop52", "rn", "prop52-underflow", "rn-underflow"])
 def test_box_norm_past_the_float_range_is_evidence(capsys, argv, name, corner):
     # alpha = 0.01: each tail coordinate multiplies the norm by 100 / sqrt(2),
-    # so the norm leaves the float range at n = 167
-    code, doc = run_cli(capsys, *argv, "--builtin", "diag", "--alphas",
-                        "0.01+0*j")
+    # so the norm leaves the float range at n = 167; on a tiny box the
+    # integrand is positive, so a norm of 0.0 underflowed.  Either way no
+    # trajectory and no table row carries the norm
+    code, doc = run_cli(capsys, *argv)
     assert code == 2
-    rep = next(r for r in doc["body"]["reports"] if r["name"].startswith(name))
+    reports = doc["body"]["reports"]
+    rep = next(r for r in reports if r["name"].startswith(name))
     assert rep["verdict"] == "evidence" and rep["payload"]["detail"] == (
         f"not computable: the box norm of the {corner} x {corner} corner "
-        "exceeds the float range")
+        "is outside the float range")
+    assert not any(r["name"].startswith("norm_trajectory") for r in reports)
+    assert doc["body"].get("tables", {}).get("box_norms", {"rows": []})[
+        "rows"] == []
 
 
 @pytest.mark.parametrize("argv", [

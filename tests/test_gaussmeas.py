@@ -245,6 +245,12 @@ def _box_form(A, i, d):
     return S, log_scale
 
 
+def _scaled_integral(S, box, log_scale):
+    """exp(log_scale) times the box integral of the form S."""
+    g, v = gaussmeas._gauss_box_integral(S, box)
+    return math.exp(log_scale + g) * v
+
+
 @pytest.mark.parametrize("kappa,i,k", [(2, 1, 1.0), (4, 1, 0.7), (4, 2, 1.3),
                                        (6, 1, 2.0), (8, 1, 1.0), (8, 2, 0.5),
                                        (3, 1, 3.0), (3, 2, 1.0),
@@ -362,7 +368,7 @@ def test_banded_kernel_matches_dense_schur_complement(eta, i, d, extra, s):
             chi_norm_sq(A, i, Box(d, k))
         return
     S, log_scale = _box_form(A, i, d)
-    ref = gaussmeas._gauss_box_integral(S, Box(d, k), log_scale)
+    ref = _scaled_integral(S, Box(d, k), log_scale)
     assert chi_norm_sq(A, i, Box(d, k)) == pytest.approx(ref, rel=1e-10)
 
 
@@ -411,7 +417,7 @@ def test_box_form_sweep_matches_dense_schur_complement_at_every_level(
                 next(norms)
             return
         S_ref, log_ref = _box_form(An, i, dims)
-        assert next(norms) == pytest.approx(gaussmeas._gauss_box_integral(
+        assert next(norms) == pytest.approx(_scaled_integral(
             S_ref, Box(dims, k), log_ref), rel=1e-10)
 
 
@@ -423,8 +429,7 @@ def _dense_norms(A, i, d):
     for n in range(1, len(A) + 1):
         S, log_scale = _box_form(A[:n, :n], i, min(d, n))
         out.append(None if np.linalg.cond(A[:n, :n]) >= 1e6 else
-                   gaussmeas._gauss_box_integral(S, Box(min(d, n), 1.0),
-                                                 log_scale))
+                   _scaled_integral(S, Box(min(d, n), 1.0), log_scale))
     return out
 
 
@@ -451,6 +456,43 @@ def test_zero_first_pivot_of_K_goes_to_the_whole_corner():
     for n in (4, 8):  # a whole corner, and a sweep that stops at row 0
         assert chi_norm_sq(A[:n, :n], 1, Box(1, 1.0)) == pytest.approx(
             ref[n - 1], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_trip_past_row_0_closes_from_the_last_swept_row(monkeypatch,
+                                                          seed):
+    # a large A_{13,12} gives row 12 of K's unpivoted elimination the
+    # largest multiplier; a guard between it and every earlier row's stops
+    # the sweep at k = 12, and each later level n closes from there: its
+    # closing block has n - k rows, not n, and the norms stay exact
+    rng = np.random.default_rng(seed)
+    N, k = 32, 12
+    A = (np.diag(rng.uniform(0.6, 0.9, N))
+         + np.diag(rng.uniform(-0.2, 0.2, N - 1), 1)
+         + np.diag(rng.uniform(-0.2, 0.2, N - 1), -1))
+    A[k + 1, k] = 0.6
+    K, ratios = 2.0 * np.eye(N) - A.T @ A, []
+    for r in range(N - 3):  # the multipliers of rows the last level sweeps
+        ratios.append(np.abs(K[r + 1:r + 3, r]).max() / abs(K[r, r]))
+        K[r + 1:, r + 1:] -= np.outer(K[r + 1:, r], K[r, r + 1:]) / K[r, r]
+    assert int(np.argmax(ratios)) == k
+    monkeypatch.setattr(gaussmeas, "_MAX_MULTIPLIER",
+                        math.sqrt(max(ratios[:k]) * ratios[k]))
+    solve, sizes = np.linalg.solve, []
+
+    def recording_solve(S, W):
+        sizes.append(len(S))
+        return solve(S, W)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    cuts = tuple(range(1, N + 1))
+    traj = list(gaussmeas._box_norms(BandedSymbol.from_dense(A).bands(1, N),
+                                     1, 1, Box(1, 1.0), cuts))
+    assert sizes == [n if n < 6 else n - min(n - 3, k) for n in cuts]
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    ref = _dense_norms(A, 1, 1)
+    assert all(v is not None for v in ref)
+    assert traj == pytest.approx(ref, rel=1e-12)
 
 
 def test_singular_K_past_the_guard_is_a_singular_divergence():
@@ -568,15 +610,31 @@ def test_coupled_box_unconverged_names_last_order(monkeypatch, constant,
         chi_norm_sq(A, 2, Box(5, 1.0))
 
 
-def test_coupled_box_past_the_scale_range_keeps_a_representable_norm():
-    # the scale exp(712) / sqrt(40) of the rest overflows; the norm
-    # exp(712) * cur, cur ~ 0.029, does not
-    S, box = np.array([[40.0, 20.0], [20.0, 40.0]]), Box(2, 1.0)
-    cur = gaussmeas._gauss_box_integral(S, box)
-    assert gaussmeas._gauss_box_integral(S, box, 712.0) == pytest.approx(
-        math.exp(712.0 + math.log(cur)), rel=1e-12)
-    with pytest.raises(OverflowError):  # a norm that is itself past it
-        gaussmeas._gauss_box_integral(S, box, 720.0)
+def test_coupled_box_past_the_scale_range_keeps_a_representable_norm(
+        monkeypatch):
+    # a coupled box integral exp(g) v, v < 1, its log factor g shifted until
+    # exp of the level's log scale alone overflows: the norm exp(scale) v is
+    # still representable; one past the float range, or underflowed to 0,
+    # is the corner's float-range error
+    A, box = PerturbedIdentity.geometric(0.5).symbol.window(3), Box(2, 0.1)
+    integral, shift, values = gaussmeas._gauss_box_integral, 0.0, []
+
+    def shifted(S, b):
+        g, v = integral(S, b)
+        values.append(v)
+        return g + shift, v
+
+    monkeypatch.setattr(gaussmeas, "_gauss_box_integral", shifted)
+    log_norm = math.log(chi_norm_sq(A, 1, box))
+    v = values[0]
+    assert 0.0 < v < 0.1  # coupled: exp(711) v is below exp(709)
+    shift = 711.0 - log_norm + math.log(v)  # the log scale becomes 711
+    assert chi_norm_sq(A, 1, box) == pytest.approx(
+        math.exp(log_norm + shift), rel=1e-12)
+    for shift in (720.0 - log_norm, -800.0 - log_norm):
+        with pytest.raises(OverflowError, match="the box norm of the 3 x 3 "
+                           "corner is outside the float range"):
+            chi_norm_sq(A, 1, box)
 
 
 # -- products ---------------------------------------------------------------

@@ -31,6 +31,8 @@ COMMANDS = {
                          "--L", "6"],
     "check_prop52_ex59": ["check", "prop52", "--builtin", "ex59", "--q",
                           "0.5", "--L", "6"],
+    "check_prop52_ex53_underflow": ["check", "prop52", "--builtin", "ex53",
+                                    "--boxes", "1e-300", "--L", "4"],
     "check_prop56_ex59_q0.5": ["check", "prop56", "--builtin", "ex59", "--q",
                                "0.5"],
     "check_prop56_ex59_q0.8": ["check", "prop56", "--builtin", "ex59", "--q",
