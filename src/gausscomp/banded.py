@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # _band_ranks: relative floor of a rank
-_MAX_MULTIPLIER = 1e4  # unpivoted eliminations: largest trusted multiplier
 
 
 class BandedSymbol:
@@ -290,65 +290,62 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
 
 def _cut_logdets(ab, eta, cuts):
     """(sign, log|det|) arrays of the leading corners of sizes `cuts` of the
-    matrix whose band from column 1 is `ab`, by one Gaussian elimination on
-    the band.  A row exchange never crosses a cut still to be recorded, so
-    it changes that corner's determinant, and every later one's, in sign
-    only; unit cuts exchange no row.  A pending cut where column j has no
-    nonzero candidate pivot is exactly singular, (0, -inf), and the search
-    widens to the next cut.  That is not backward stable past a tiny pivot,
-    so a multiplier past `_MAX_MULTIPLIER` at row j sends each corner that
-    holds a later row to its own call, whose one cut lets every column
-    pivot within the band."""
-    n, w, last, trip = cuts[-1], 3 * eta + 1, len(cuts), cuts[-1]
+    matrix whose band from column 1 is `ab`, by one band elimination with
+    partial pivoting over rows j..j + eta (LAPACK gbtrf).  An exchange at
+    row j moves only rows up to j + eta, so a corner that none crosses keeps
+    its own rows, reordered: the product of the pivots before its last row.
+    A corner of size c that an exchange at row j crosses, bringing in a row
+    p >= c, is read just before the first such exchange: the pivots before
+    row j times the determinant of the reduced block on rows and columns
+    j..c - 1, at most eta x eta.  A column with no nonzero candidate leaves
+    each corner not yet read exactly singular, (0, -inf), and ends it."""
+    n = cuts[-1]
     # rows[i][t] = a_{i, i - eta + t} (0-based), then eta columns for the
-    # fill of row exchanges; the eta rows past n are scratch
-    rows = np.zeros((n + eta, w))
+    # fill of row exchanges; the eta rows past n stay zero
+    rows = np.zeros((n + eta, 3 * eta + 1))
     rows[:n, :2 * eta + 1] = _transpose(ab[:, :n], eta).T
-    rows, piv, dead, k, cut = rows.tolist(), [], [], 0, cuts[0]
-    # the fill columns stay zero until the first exchange
-    push, offs, ts = piv.append, range(1, eta + 1), range(eta + 1, 2 * eta + 1)
+    rows, piv, read = rows.tolist(), [], {}
+    # the fill columns stay zero until the first exchange; column j at tj
+    push, ts = piv.append, range(eta + 1, 2 * eta + 1)
+    offs = [(off, eta - off) for off in range(1, eta + 1)]
     for j in range(n):
         p, x = j, rows[j][eta]
-        while x == 0.0 or cut > j + 1:  # candidates: rows j..cut - 1
-            for i in range(j + 1, min(j + eta + 1, cut)):
-                if abs(rows[i][j - i + eta]) > abs(x):
-                    p, x = i, rows[i][j - i + eta]
-            if x != 0.0:
-                break
-            dead.append(k)  # its first j + 1 columns lie in j rows
-            k += 1
-            if k == last:
-                break
-            cut = cuts[k]
-        if x == 0.0:  # every cut is recorded
+        ax = abs(x)
+        for off, tj in offs:
+            y = rows[j + off][tj]
+            if abs(y) > ax:
+                p, x, ax = j + off, y, abs(y)
+        if x == 0.0:
             break
-        if p > j:  # swap rows j and p, each re-offset to its new position
-            sh, ts = p - j, range(eta + 1, w)
-            rows[j], rows[p] = ([0.0] * sh + rows[p][:w - sh],
+        if p > j:
+            for k in range(bisect_right(cuts, j), bisect_right(cuts, p)):
+                if k not in read:  # the first exchange to cross corner k
+                    read[k] = (j, *np.linalg.slogdet(
+                        [rows[i][j - i + eta:cuts[k] - i + eta]
+                         for i in range(j, cuts[k])]))
+            # swap rows j and p, each re-offset to its new position
+            sh, ts = p - j, range(eta + 1, 3 * eta + 1)
+            rows[j], rows[p] = ([0.0] * sh + rows[p][:-sh],
                                 rows[j][sh:] + [0.0] * sh)
             push(-x)  # an exchange flips the sign
         else:
             push(x)
         top = rows[j]
-        for off in offs:
+        for off, tj in offs:
             row = rows[j + off]
-            y = row[eta - off]
+            y = row[tj]
             if y != 0.0:
                 m = y / x
-                if abs(m) > _MAX_MULTIPLIER and j < trip:
-                    trip = j
                 for t in ts:
                     row[t - off] -= m * top[t]
-        if j + 1 == cut:
-            k += 1
-            cut = cuts[k] if k < last else 0
-    piv = np.array(piv + [1.0] * (n - len(piv)))  # past the live cuts
-    ends = np.subtract(cuts, 1)
-    signs, logabs = (np.sign(piv).cumprod()[ends],
-                     np.log(np.abs(piv)).cumsum()[ends])
-    signs[dead], logabs[dead] = 0.0, -np.inf
-    for k in np.flatnonzero(ends > trip):  # one cut never trips
-        (signs[k],), (logabs[k],) = _cut_logdets(ab, eta, cuts[k:k + 1])
+    # prefix products of the pivots: [j] is that of the rows before j
+    sg = np.concatenate(([1.0], np.sign(piv).cumprod()))
+    la = np.concatenate(([0.0], np.log(np.abs(piv)).cumsum()))
+    ends = np.minimum(cuts, len(piv))
+    signs, logabs = sg[ends], la[ends]
+    signs[ends < cuts], logabs[ends < cuts] = 0.0, -np.inf
+    for k, (j, sign, logdet) in read.items():
+        signs[k], logabs[k] = sg[j] * sign, la[j] + logdet
     return signs, logabs
 
 
@@ -382,9 +379,9 @@ def _corner_commutators(ab, eta, cuts):
 
 
 def det_sequence(a: BandedSymbol, s: BlockPartition, K: int) -> np.ndarray:
-    """Determinants of the leading corners a_p, p = 1..K, from
-    `_cut_logdets`: a singular corner gives 0.0, and each corner past it,
-    or past a tiny minor, is still its own determinant."""
+    """Determinants of the leading corners a_p, p = 1..K, from the pivoted
+    band elimination of `_cut_logdets`: a singular corner gives 0.0, and
+    each corner past it, or past a tiny minor, is still its own one."""
     signs, logabs = _cut_logdets(a.bands(1, s.cut(K)), a.eta, s.s[:K])
     return signs * np.exp(logabs)
 

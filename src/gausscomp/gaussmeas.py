@@ -26,9 +26,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, log_ndtr
 
-from .banded import (_MAX_MULTIPLIER, BandedSymbol, PerturbedIdentity,
-                     _band_power, _band_product, _cut_logdets, _dense,
-                     _transpose, power)
+from .banded import (BandedSymbol, PerturbedIdentity, _band_power,
+                     _band_product, _cut_logdets, _dense, _transpose, power)
 
 __all__ = [
     "DivergenceError",
@@ -52,6 +51,7 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)  # exp of anything larger overflows
 _SUP_WINDOW = 200  # proof_constant: coordinates of its sups
+_MAX_MULTIPLIER = 1e4  # largest multiplier of _box_norms' unpivoted sweep
 _NOT_PD = ("quadratic form fails positive-definiteness on unrestricted "
            "coordinates")  # DivergenceError: the message's stem
 
@@ -369,14 +369,15 @@ def _diag_closed_forms(alpha, i, n_plus_r, k, L):
     log-sum that subtracts each tail term in order: each value's own bits."""
     log_val = 0.0
     for j in range(1, n_plus_r + 1):
-        a2i = alpha[j - 1] ** (2 * i)
-        two = 2.0 - a2i
+        aj = abs(alpha[j - 1])
+        ai, two = aj ** i, 2.0 - aj ** (2 * i)
         if two <= 0:
             raise ValueError(f"2 - alpha_{j}^(2i) <= 0; box factor undefined")
-        if a2i == 0:
+        if ai == 0:
             raise ValueError(f"alpha_{j}^(2i) = 0; box factor undefined")
-        # integral over [-k,k] of exp(-x^2 (1 - a^{2i}) / a^{2i}) d(mu_G)
-        log_val += -math.log(a2i) + _log_box_factor(two / a2i, k)
+        # a^{-2i} times the integral over [-k,k] of exp(-x^2 (1 - a^{2i}) /
+        # a^{2i}) d(mu_G) is, by x = a^i y, a^{-i} times a factor on k / a^i
+        log_val += _log_box_factor(two, k / ai) - i * math.log(aj)
     for j in range(n_plus_r + 1, L + 1):
         aj = alpha[j - 1]
         if not 0 < aj <= 1:

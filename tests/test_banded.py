@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from gausscomp import banded
 from gausscomp.banded import (
     BandedSymbol,
     BlockPartition,
@@ -228,10 +229,11 @@ def assert_dets_match_slogdet(a, s, K):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 3), st.lists(st.integers(1, 3), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1),
-       st.sampled_from(["normal", "zero", "sparse"]))
+       st.sampled_from(["normal", "zero", "sparse", "tiny"]))
 def test_cut_logdets_match_dense_slogdet(eta, widths, s_seed, diag):
-    # random bands, a third with a zero diagonal and a third with half their
-    # entries zero, so exchanges and exactly singular cuts both occur
+    # random bands, a quarter each with a zero diagonal, with half their
+    # entries zero and with one diagonal entry of 1e-12, so exchanges,
+    # corners read before an exchange and exactly singular cuts all occur
     n = sum(widths)
     rng = np.random.default_rng(s_seed)
     mat = rng.standard_normal((n, n))
@@ -240,6 +242,9 @@ def test_cut_logdets_match_dense_slogdet(eta, widths, s_seed, diag):
         np.fill_diagonal(mat, 0.0)
     elif diag == "sparse":
         mat[rng.random((n, n)) < 0.5] = 0.0
+    elif diag == "tiny":
+        i = rng.integers(n)
+        mat[i, i] = 1e-12
     assert_dets_match_slogdet(BandedSymbol.from_dense(mat, eta=eta),
                               BlockPartition(np.cumsum(widths)), len(widths))
 
@@ -337,8 +342,8 @@ def band_with_tiny_minor(eta, n, p, tiny, seed):
 
 
 def test_cut_logdets_after_a_tiny_leading_minor_at_eta_2():
-    # det A_2 = 1e-12 of its scale; A_4 has condition number about 3, and
-    # the elimination through the tiny pivot misses its log|det| by ~1e-4
+    # det A_2 = 1e-12 of its scale and A_4 has condition number about 3; an
+    # elimination through the tiny pivot would miss its log|det| by ~1e-4
     mat = band_with_tiny_minor(2, 8, 2, 1e-12, seed=0)
     cuts = tuple(range(1, 9))
     signs, logabs = _cut_logdets(
@@ -352,6 +357,56 @@ def test_cut_logdets_after_a_tiny_leading_minor_at_eta_2():
             assert signs[p - 1] == sg
             assert abs(logabs[p - 1] - la) <= 1e-8
     assert checked >= 4
+
+
+def test_cut_logdets_leading_minors_match_mpmath():
+    # every corner to 1e-14 of its Hadamard bound, with the 40-digit sign;
+    # log|det| to 1e-13 wherever the corner is well conditioned, which is
+    # every corner but the tiny A_2
+    import mpmath as mp
+    mat = band_with_tiny_minor(2, 12, 2, 1e-12, seed=0)
+    cuts = tuple(range(1, 13))
+    signs, logabs = _cut_logdets(
+        BandedSymbol.from_dense(mat, eta=2).bands(1, 12), 2, cuts)
+    with mp.workdps(40):
+        exact = [mp.det(mp.matrix(mat[:p, :p].tolist())) for p in cuts]
+        refs = [(int(mp.sign(d)), float(mp.log(abs(d)))) for d in exact]
+    checked = 0
+    for p, (sg, la) in zip(cuts, refs):
+        corner = mat[:p, :p]
+        band = 1e-14 * np.prod(np.linalg.norm(corner, axis=1))
+        assert signs[p - 1] == sg
+        assert abs(signs[p - 1] * math.exp(logabs[p - 1])
+                   - sg * math.exp(la)) <= band
+        if np.linalg.cond(corner) < 1e6:
+            checked += 1
+            assert abs(logabs[p - 1] - la) <= 1e-13
+    assert checked == 11
+
+
+def test_cut_logdets_past_a_tiny_first_pivot_is_one_call(monkeypatch):
+    # a first pivot of 1e-9 below a unit diagonal: one pass gives every
+    # corner, with no call per corner past it
+    L, calls, cut_logdets = 400, [], banded._cut_logdets
+
+    def counted(*args):
+        calls.append(args)
+        return cut_logdets(*args)
+
+    monkeypatch.setattr(banded, "_cut_logdets", counted)
+    rng = np.random.default_rng(1)
+    i, j = np.indices((L, L))
+    mat = np.where(abs(i - j) <= 2, rng.uniform(-0.2, 0.2, (L, L)), 0.0)
+    np.fill_diagonal(mat, 1.0)
+    mat[0, 0] = 1e-9
+    signs, logabs = banded._cut_logdets(
+        BandedSymbol.from_dense(mat, eta=2).bands(1, L), 2,
+        tuple(range(1, L + 1)))
+    assert len(calls) == 1
+    for p in (1, 2, 3, 10, 100, L):
+        sg, la = np.linalg.slogdet(mat[:p, :p])
+        assert signs[p - 1] == sg
+        assert logabs[p - 1] == pytest.approx(la, abs=1e-11)
 
 
 def test_det_singular_corner_reported():

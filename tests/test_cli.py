@@ -127,6 +127,36 @@ def test_prop52_default_reaches_every_level(capsys):
     assert code_none == code and doc_none["body"] == doc["body"]
 
 
+@pytest.mark.parametrize("suite, want", [("thm51", 2), ("prop52", 0)])
+def test_banded_box_norms_reach_level_1024(capsys, suite, want):
+    # one layout to L = 1024: every trajectory and finiteness check at all
+    # 1024 levels, with no box dim capped
+    code, doc = run_cli(capsys, "check", suite, "--builtin", "ex53", "--L",
+                        "1024")
+    assert code == want
+    reports = doc["body"]["reports"]
+    traj = [r["payload"]["trajectory"] for r in reports
+            if r["name"].startswith("norm_trajectory")]
+    finite = [r["params"] for r in reports
+              if r["name"].startswith(("finiteness", "box_norm_finite"))]
+    assert traj and all(len(t) == 1024 for t in traj)
+    assert finite and all(p["levels"] == 1024 and p["dim_capped"] is False
+                          for p in finite)
+
+
+def test_prop52_indefinite_box_form_reaches_level_2000(capsys):
+    # K indefinite: exit 1, since ex59's inverse is not in the block class,
+    # with both box norms computed at every level
+    code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex59",
+                        "--q", "0.5", "--L", "2000")
+    assert code == 1
+    finite = [r for r in doc["body"]["reports"]
+              if r["name"].startswith("box_norm_finite")]
+    assert len(finite) == 2 and all(
+        r["verdict"] == "pass" and r["params"]["levels"] == 2000
+        for r in finite)
+
+
 def test_growing_increments_are_evidence_not_fail(capsys):
     # ex59's box norms rise before they level off: no disproof
     code, doc = run_cli(capsys, "check", "prop52", "--builtin", "ex59",

@@ -158,6 +158,15 @@ def test_diag_closed_form_zero_box_entry_names_alpha():
         diag_closed_form([0.5, 0.0, 0.5], 1, 2, 1.0, 3)
 
 
+def test_diag_closed_form_with_a_subnormal_box_power():
+    # alpha_1^2 = 1e-310 is subnormal, so 2 / alpha_1^2 overflows; the box
+    # factor taken in y = x / alpha_1 never forms it.  Reference: (2 / pi)
+    # k^2 / alpha_1^2 from mpmath at 40 digits
+    run = list(gaussmeas._diag_closed_forms([1e-155, 1.0, 1.0, 1.0], 1, 2,
+                                            1e-300, 4))
+    assert run[-1] == pytest.approx(6.3661977236758134e-291, rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha", [lambda j: 1.0 - 2.0 ** (-j),
                                    lambda j: 1.0 - (j + 1) ** -0.75,
                                    lambda j: 0.9 ** (j % 7) / (1 + j % 3)])
