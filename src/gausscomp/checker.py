@@ -341,10 +341,12 @@ def _top_level(s, L, dim_cap, dims):
 
 def _box_norm_failure(exc):
     """The verdict and payload of a box norm that raised `exc`: "fail" for a
-    divergent integral, "evidence" for a norm past the float range or a
-    quadrature past its budget."""
+    divergent integral or a singular corner, "evidence" for a norm past the
+    float range or a quadrature past its budget."""
     if isinstance(exc, DivergenceError):
         return "fail", {"detail": str(exc)}
+    if isinstance(exc, np.linalg.LinAlgError):  # a ValueError, not a budget
+        return "fail", {"detail": "singular truncation corner"}
     if isinstance(exc, OverflowError):
         return "evidence", {"detail": f"not computable: {exc}"}
     return "evidence", {"detail": "not computable within the quadrature "
@@ -373,12 +375,11 @@ def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                 norms = _box_norms(ab, eta, i, box, s.s[:top]) if top else ()
                 for norm in norms:  # the levels before a raise count
                     traj.append(norm)
-            except np.linalg.LinAlgError:
-                traj, verdict, payload = [], "fail", {
-                    "detail": "singular truncation corner",
-                    "first_singular_level": len(traj) + 1}
             except (DivergenceError, ValueError, OverflowError) as exc:
-                traj, (verdict, payload) = [], _box_norm_failure(exc)
+                verdict, payload = _box_norm_failure(exc)
+                if isinstance(exc, np.linalg.LinAlgError):
+                    payload["first_singular_level"] = len(traj) + 1
+                traj = []
             if traj:
                 verdict, payload = "pass", {"largest_norm_sq": traj[-1]}
             reports.append(CheckReport(

@@ -149,9 +149,9 @@ def _builtin_symbol(name, alphas, q):
             raise CliError("diag needs a sequence: --alphas or the rest of "
                            "its rule line")
         return BandedSymbol.diagonal(_alpha_expr(alphas))
-    if name == "ex53":
-        return BandedSymbol.diagonal(_alpha_expr(
-            "1-2^-j" if alphas is None else alphas))
+    if name == "ex53":  # its own rule is code; only user text is parsed
+        return BandedSymbol.diagonal(_alpha_expr(alphas) if alphas is not None
+                                     else lambda j: 1.0 - 2.0 ** -j)
     return PerturbedIdentity.geometric(q)
 
 
@@ -353,11 +353,12 @@ def cmd_rn(args):
     if isinstance(sym, PerturbedIdentity):
         sym = sym.symbol
     A = sym.window(args.kappa)
-    Ai = np.linalg.matrix_power(A, args.power)
-    d = RnDerivative(Ai)
-    reports = []
-    values = [[raw, d(np.array(_finite_floats("--point", raw, args.kappa)))]
-              for raw in args.point or []]
+    reports, values = [], []
+    if args.point:  # only a point needs the density, so an invertible A^i
+        d = RnDerivative(np.linalg.matrix_power(A, args.power))
+        values = [[raw, d(np.array(_finite_floats("--point", raw,
+                                                   args.kappa)))]
+                  for raw in args.point]
     norms = []
     for raw in args.box or []:
         hw, = _finite_floats("--box", raw, 1)

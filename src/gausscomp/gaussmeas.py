@@ -5,7 +5,8 @@ Everything is assembled in log space: the densities involved span hundreds
 of orders of magnitude already in moderate dimension.  Box-restricted
 Gaussian integrals are exact on the unrestricted coordinates, through one
 LDL^T sweep of the band of K = 2I - P^T P, P = A^i, for all nested
-corners (`_box_norms`).  A decoupled box then factors into closed-form erf
+corners (`_box_norms`), which integrates a run of levels with the same box
+form once.  A decoupled box then factors into closed-form erf
 (or, for negative curvature, erfi through Dawson's function) terms.  A
 coupled box integrates one coordinate of positive curvature in closed form
 (a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
@@ -244,8 +245,12 @@ def _box_norms(ab, eta, i, box: Box, cuts):
     pivot: a zero pivot or a multiplier past `_MAX_MULTIPLIER` stops it,
     and every later level closes from there (from row 0: the whole
     corner), whose LU finds a singular K.  A is scaled by a power of 2 to
-    entries up to 1.  A norm outside the float range, past it or
-    underflowed to 0, raises OverflowError naming its corner.
+    entries up to 1.  A level whose T equals the previous level's bit for
+    bit reuses that level's eigenvalues and box integral (a settled
+    trajectory integrates once per run of equal T); the inertia test and
+    the log scale are still the level's own.  A norm outside the float
+    range, past it or underflowed to 0, raises OverflowError naming its
+    corner.
     """
     N, w, g, d = cuts[-1], i * eta, 2 * i * eta, box.dims
     signs, logdet_a = _cut_logdets(ab, eta, cuts)
@@ -261,6 +266,7 @@ def _box_norms(ab, eta, i, box: Box, cuts):
         nb = min(N, d + w)  # the rows of P_b^T that can be nonzero
         pbt[:nb, :nb] = _dense(p, w, nb)[:d].T
     m, neg, logd, tpre = 0, 0, 0.0, np.zeros((d, d))
+    last = (None,)  # the previous level's key, eigenvalues, negatives, (g, v)
     for n, sign, ld_a in zip(cuts, signs, logdet_a.tolist()):
         if sign == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
@@ -292,13 +298,20 @@ def _box_norms(ab, eta, i, box: Box, cuts):
             lam = np.linalg.eigvalsh(S).tolist()
             ld_k += math.fsum(math.log(abs(x)) for x in lam)
             neg_k += sum(x < 0 for x in lam)
-        lam, V = np.linalg.eigh(T)
-        lams = lam.tolist()
-        neg_t = sum(x < 0 for x in lams)
+        key = (T.tobytes(), dims)
+        if key != last[0]:  # a new form: eigh, the test, then its integral
+            lam, V = np.linalg.eigh(T)
+            lams = lam.tolist()
+            last = key, lams, sum(x < 0 for x in lams), None
+        _, lams, neg_t, lfv = last
         if dims < n and (neg_k != neg_t or 0.0 in lams):
             raise DivergenceError(f"{_NOT_PD} ({neg_k - neg_t} negative eigen"
                                   f"values{', singular' * (0.0 in lams)})")
-        lf, v = _gauss_box_integral((V / lam) @ V.T, Box(dims, box.halfwidth))
+        if lfv is None:
+            lfv = _gauss_box_integral((V / lam) @ V.T,
+                                      Box(dims, box.halfwidth))
+            last = key, lams, neg_t, lfv
+        lf, v = lfv
         scale = -i * (ld_a + n * math.log(c)) - 0.5 * (
             ld_k + math.fsum(math.log(abs(x)) for x in lams)) + lf
         try:  # exp(scale) v is the more accurate while exp(scale) is in range

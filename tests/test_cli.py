@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gausscomp import cli, gaussmeas
+from gausscomp.banded import BandedSymbol
 from gausscomp.checker import CheckReport
 from gausscomp.cli import (CliError, _alpha_expr, build_parser, load_partition,
                            load_symbol, main)
@@ -403,6 +404,51 @@ def test_rn_nonfinite_input_exits_three_writing_nothing(tmp_path, capsys,
     assert main(["rn", "--builtin", "ex53", *argv]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "NaN" not in err and "Infinity" not in err
+
+
+def test_rn_box_on_a_singular_corner_fails(capsys):
+    # alpha_1 = 0: no density, but the box norm is a fail, as in the suites
+    code, doc = run_cli(capsys, "rn", "--builtin", "diag", "--alphas", "j-1",
+                        "--kappa", "2", "--box", "1")
+    assert code == 1
+    assert doc["body"]["reports"] == [{
+        "name": "box_norm[1]", "verdict": "fail", "params": {},
+        "tolerances": {}, "payload": {"detail": "singular truncation corner"}}]
+    assert doc["body"]["tables"]["box_norms"]["rows"] == []
+
+
+def test_rn_point_on_a_singular_corner_is_bad_input(capsys):
+    code = main(["rn", "--builtin", "diag", "--alphas", "j-1", "--kappa",
+                 "2", "--box", "1", "--point", "0.1,0.2"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "symbol matrix is not invertible" in err
+
+
+def test_builtin_ex53_is_its_rule_without_the_parser(tmp_path, capsys,
+                                                     monkeypatch):
+    # the code and the parsed rule agree at every j, also past j = 1074,
+    # where 2^-j underflows and alpha_j is 1.0
+    parsed = BandedSymbol.diagonal(_alpha_expr("1-2^-j")).bands(1, 5000)
+    assert np.array_equal(cli._builtin_symbol("ex53", None, None).bands(
+        1, 5000), parsed)
+    reports = []
+    for argv in (["--builtin", "ex53"], ["--builtin", "diag", "--alphas",
+                                         "1-2^-j"]):
+        code, doc = run_cli(capsys, "check", "thm51", *argv, "--L", "8")
+        reports.append((code, doc["body"]["reports"]))
+    assert reports[0] == reports[1]
+
+    def refused(expr):
+        raise AssertionError(f"parsed {expr!r}")
+
+    monkeypatch.setattr(cli, "_alpha_expr", refused)
+    rule = tmp_path / "ex53.txt"
+    rule.write_text("diagonal 0\nrule ex53\n")
+    for argv in (["rn", "--builtin", "ex53", "--kappa", "2", "--box", "1"],
+                 ["check", "thm51", "--builtin", "ex53", "--L", "4"],
+                 ["check", "thm51", "--file", str(rule), "--L", "4"]):
+        assert run_cli(capsys, *argv)[0] in (0, 2)
 
 
 def test_rn_identity_large_point_is_one(capsys):

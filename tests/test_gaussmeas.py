@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from gausscomp import gaussmeas
 from gausscomp.banded import BandedSymbol, BlockPartition, PerturbedIdentity
-from gausscomp.checker import thm51_suite
+from gausscomp.checker import prop52_suite, thm51_suite
 from gausscomp.gaussmeas import (
     Box,
     DivergenceError,
@@ -534,6 +534,71 @@ def test_box_norms_past_a_tiny_leading_minor_at_eta_2():
             assert value == pytest.approx(dense, rel=1e-8)
             assert chi_norm_sq(A[:n, :n], 1, Box(1, 1.0)) == pytest.approx(
                 dense, rel=1e-8)
+
+
+def _counting_integral(monkeypatch):
+    """Wrap `_gauss_box_integral`; the returned list holds each call's S."""
+    integral, forms = gaussmeas._gauss_box_integral, []
+
+    def counted(S, box):
+        forms.append(S.copy())
+        return integral(S, box)
+
+    monkeypatch.setattr(gaussmeas, "_gauss_box_integral", counted)
+    return forms
+
+
+def test_a_settled_trajectory_integrates_once_per_run_of_equal_forms(
+        monkeypatch):
+    # alpha_j = 1 - 2^-j: from about j = 53 on every corner closes on the
+    # same box form, so two powers of 64 levels need 4 integrals, not 128
+    forms = _counting_integral(monkeypatch)
+    ex53 = BandedSymbol.diagonal(lambda j: 1.0 - 2.0 ** -j)
+    reports = thm51_suite(ex53, BlockPartition.unit(64), 1, 1, 64,
+                          [Box(2, 1.0)])
+    assert len(forms) == 4
+    assert [r.params["levels"] for r in reports
+            if r.name.startswith("finiteness")] == [64, 64]
+    forms.clear()
+    prop52_suite(PerturbedIdentity.geometric(0.5).symbol,
+                 BlockPartition.unit(2000), 1, 1, 2000, [Box(2, 1.0)])
+    assert 0 < len(forms) < 30
+
+
+@pytest.mark.parametrize("i,want", [(1, 11), (2, 12)])
+def test_box_norms_integrate_each_level_whose_form_moved(monkeypatch, i,
+                                                         want):
+    # a random tridiagonal band: each level's norm is its own corner's, and
+    # a level integrates exactly when its form differs from the level
+    # before, so a stale form never serves another level
+    rng = np.random.default_rng(0)
+    L = 12
+    A = (np.diag(rng.uniform(0.6, 0.9, L))
+         + np.diag(rng.uniform(-0.2, 0.2, L - 1), 1)
+         + np.diag(rng.uniform(-0.2, 0.2, L - 1), -1))
+    forms, box = _counting_integral(monkeypatch), Box(2, 1.0)
+    ref = [chi_norm_sq(A[:n, :n], i, Box(min(n, 2), 1.0))
+           for n in range(1, L + 1)]
+    moved = sum(n == 0 or S.shape != forms[n - 1].shape
+                or S.tobytes() != forms[n - 1].tobytes()
+                for n, S in enumerate(forms))
+    forms.clear()
+    traj = list(gaussmeas._box_norms(BandedSymbol.from_dense(A).bands(1, L),
+                                     1, i, box, tuple(range(1, L + 1))))
+    assert len(forms) == moved == want
+    assert traj == pytest.approx(ref, rel=1e-12)
+
+
+def test_ex53_trajectories_reach_level_20000():
+    ex53 = BandedSymbol.diagonal(lambda j: 1.0 - 2.0 ** -j)
+    reports = thm51_suite(ex53, BlockPartition.unit(20_000), 1, 1, 20_000,
+                          [Box(2, 1.0)])
+    trajs = [r.payload["trajectory"] for r in reports
+             if r.name.startswith("norm_trajectory")]
+    assert [len(t) for t in trajs] == [20_000, 20_000]
+    for i, traj in enumerate(trajs, 1):
+        assert traj[-1] == pytest.approx(diag_closed_form(
+            lambda j: 1.0 - 2.0 ** -j, i, 2, 1.0, 20_000), rel=1e-10)
 
 
 def test_legendre_rule_is_cached_and_read_only():

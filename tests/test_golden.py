@@ -39,6 +39,8 @@ COMMANDS = {
                                "0.8"],
     "check_thm51_ex59_q0.69_L24": ["check", "thm51", "--builtin", "ex59",
                                    "--q", "0.69", "--L", "24"],
+    "check_thm51_ex59_q0.5_L40": ["check", "thm51", "--builtin", "ex59",
+                                  "--q", "0.5", "--L", "40"],
     "rn_ex53": ["rn", "--builtin", "ex53", "--kappa", "3", "--power", "2",
                 "--box", "1", "--box-dims", "2", "--point", "0.1,0.2,0.3"],
     "rn_ex59": ["rn", "--builtin", "ex59", "--q", "0.5", "--kappa", "2",
