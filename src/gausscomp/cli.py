@@ -65,7 +65,6 @@ from .gaussmeas import (
     _p_limit_lower,
     _singular_exponents,
     _singular_trajectories,
-    chi_norm_sq,
 )
 
 SCHEMA_VERSION = "1.6"
@@ -342,6 +341,9 @@ def _emit(args, command, config, reports, tables=None):
 
 
 def cmd_rn(args):
+    """`rn`: densities at `--point`s and box norms of A^power on the kappa x
+    kappa corner.  The norms read the corner's band, as the suites do; only
+    a point needs the dense corner, and with it an invertible A^power."""
     if args.kappa < 1:
         raise CliError("rn needs --kappa >= 1")
     if args.power < 1:
@@ -352,10 +354,11 @@ def cmd_rn(args):
     sym = _resolve_symbol(args)
     if isinstance(sym, PerturbedIdentity):
         sym = sym.symbol
-    A = sym.window(args.kappa)
+    ab = sym.bands(1, args.kappa)
     reports, values = [], []
-    if args.point:  # only a point needs the density, so an invertible A^i
-        d = RnDerivative(np.linalg.matrix_power(A, args.power))
+    if args.point:
+        d = RnDerivative(np.linalg.matrix_power(sym.window(args.kappa),
+                                                args.power))
         values = [[raw, d(np.array(_finite_floats("--point", raw,
                                                    args.kappa)))]
                   for raw in args.point]
@@ -365,7 +368,8 @@ def cmd_rn(args):
         dims = args.box_dims if args.box_dims is not None else args.kappa
         box = Box(dims, hw)  # a non-positive halfwidth is bad input
         try:
-            norms.append([hw, dims, chi_norm_sq(A, args.power, box)])
+            norms.append([hw, dims, next(_box_norms(
+                ab, sym.eta, args.power, box, (args.kappa,)))])
         except (DivergenceError, ValueError, OverflowError) as exc:
             verdict, payload = checker._box_norm_failure(exc)
             reports.append(CheckReport(name=f"box_norm[{raw}]",

@@ -369,9 +369,10 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
     (error-function form, alpha_j != 0); every tail coordinate j in (n+r, l]
     contributes (alpha_j^i * sqrt(2 - alpha_j^(2i)))^(-1), which needs
     0 < alpha_j <= 1.  A value outside the float range, one that overflows
-    or one that underflows to 0, raises ValueError.
+    or one that underflows to 0, raises ValueError; a finite sequence of
+    fewer than l entries raises `BandedSymbol.diagonal`'s IndexError.
     """
-    alpha = _materialize(alphas, l)
+    alpha = BandedSymbol.diagonal(alphas).bands(1, l)[0].tolist()
     if l <= n_plus_r:
         raise ValueError("truncation l must exceed the box dimension n+r")
     return list(_diag_closed_forms(alpha, i, n_plus_r, k, l))[-1]
@@ -405,15 +406,6 @@ def _diag_closed_forms(alpha, i, n_plus_r, k, L):
             raise ValueError(f"closed form at l = {j} is outside the float "
                              "range")
         yield value
-
-
-def _materialize(alphas, l):
-    if callable(alphas):
-        return [float(alphas(j)) for j in range(1, l + 1)]
-    seq = [float(v) for v in alphas]
-    if len(seq) < l:
-        raise ValueError(f"need {l} entries, got {len(seq)}")
-    return seq
 
 
 # ---------------------------------------------------------------------------
