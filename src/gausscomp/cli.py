@@ -112,22 +112,28 @@ def _alpha_expr(expr):
     """Sequence rule j -> value from an expression in j; `^` means power.
 
     The expression is parsed and validated against a small arithmetic
-    grammar once; only the validated tree is compiled and evaluated.
+    grammar once; only the validated tree, its numbers made floats, is
+    compiled, and it is evaluated at a float j: a power past the float
+    range raises instead of growing a Python integer.  An expression nested
+    too deeply to parse or compile, or a number past the float range, is
+    bad input too.
     """
     try:
         tree = ast.parse(expr.replace("^", "**"), "<alphas>", mode="eval")
-    except SyntaxError as exc:
-        raise CliError(f"cannot parse sequence rule {expr!r}: {exc}")
-    bad = next((n for n in ast.walk(tree.body) if not _alpha_node_ok(n)), None)
-    if bad is not None:
-        raise CliError(f"sequence rule {expr!r}: {ast.unparse(bad)!r} "
-                       "is not allowed")
-    code = compile(tree, "<alphas>", "eval")
+        for node in ast.walk(tree.body):
+            if not _alpha_node_ok(node):
+                raise CliError(f"sequence rule {expr!r}: "
+                               f"{ast.unparse(node)!r} is not allowed")
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+        code = compile(tree, "<alphas>", "eval")
+    except (SyntaxError, RecursionError, OverflowError) as exc:
+        raise CliError(f"cannot parse sequence rule {expr!r}: {exc}") from None
     env = {"__builtins__": {}, "pi": math.pi, **_ALPHA_FUNCS}
 
     def fn(j):
         try:
-            value = float(eval(code, env, {"j": j}))
+            value = float(eval(code, env, {"j": float(j)}))
             if not math.isfinite(value):
                 raise ValueError(f"{value} is not finite")
             return value

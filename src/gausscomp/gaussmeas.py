@@ -169,10 +169,13 @@ def _gauss_box_integral(S, box: Box):
     A diagonal S factors into exact one-dimensional erf (or erfi) box
     factors, all in g (v = 1).  A coupled S is integrated in closed form in
     its coordinate of largest positive diagonal entry s (none if no entry
-    is positive), whose log factor -log(s) / 2 is g, and in the others by a
-    single-panel tensor Gauss-Legendre rule, v, whose order doubles until
-    two successive values agree to the relative `_TARGET`.  ValueError is
-    raised when `_MAX_POINTS` or `_MAX_ORDER` stops the refinement first.
+    is positive), whose log factor -log(s) / 2 goes into g, and in the
+    others by a single-panel tensor Gauss-Legendre rule, v.  The rule sums
+    its terms after subtracting their largest log, which goes into g, so no
+    term overflows; its order doubles until two successive values agree to
+    the relative `_TARGET`, the previous one rescaled to the current shift.
+    ValueError is raised when `_MAX_POINTS` or `_MAX_ORDER` stops the
+    refinement first.
     """
     S = 0.5 * (S + S.T)
     d = box.dims
@@ -198,7 +201,7 @@ def _gauss_box_integral(S, box: Box):
     else:
         Q = S
     m = Q.shape[0]
-    order, prev = _FIRST_ORDER, None
+    order, prev, prev_shift = _FIRST_ORDER, None, 0.0
     while order ** m <= _MAX_POINTS:
         t, w = _legendre_rule(order)
         x = np.array(np.meshgrid(*[k * t] * m, indexing="ij")).reshape(m, -1)
@@ -208,12 +211,15 @@ def _gauss_box_integral(S, box: Box):
             mu, h = -np.abs(c @ x) / math.sqrt(s), k * math.sqrt(s)
             upper = log_ndtr(mu + h)
             log_vals += upper + np.log(-np.expm1(log_ndtr(mu - h) - upper))
-        cur = float(wts @ np.exp(log_vals)) / (2.0 * math.pi) ** (m / 2.0)
-        if prev is not None and abs(cur - prev) <= _TARGET * abs(cur):
-            return (-0.5 * math.log(s) if s > 0 else 0.0), cur
+        shift = float(log_vals.max())  # log-sum-exp: no term overflows
+        cur = (float(wts @ np.exp(log_vals - shift))
+               / (2.0 * math.pi) ** (m / 2.0))
+        if prev is not None and abs(cur - prev * math.exp(
+                min(prev_shift - shift, _LOG_MAX))) <= _TARGET * cur:
+            return (-0.5 * math.log(s) if s > 0 else 0.0) + shift, cur
         if 2 * order > _MAX_ORDER:
             break
-        prev, order = cur, 2 * order
+        prev, prev_shift, order = cur, shift, 2 * order
     raise ValueError(
         f"box quadrature did not converge to {_TARGET:g} within "
         f"max_order {_MAX_ORDER} and {_MAX_POINTS} points "

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from gausscomp import cli, gaussmeas
-from gausscomp.banded import BandedSymbol
+from gausscomp.banded import BandedSymbol, PerturbedIdentity
 from gausscomp.checker import CheckReport
 from gausscomp.cli import (CliError, _alpha_expr, build_parser, load_partition,
                            load_symbol, main)
+from gausscomp.gaussmeas import Box, chi_norm_sq
 
 
 def run_cli(capsys, *argv):
@@ -425,6 +426,31 @@ def test_rn_point_on_a_singular_corner_is_bad_input(capsys):
     assert "symbol matrix is not invertible" in err
 
 
+def test_rn_box_norms_read_the_band(capsys, monkeypatch):
+    # no dense corner without --point: each row is `_box_norms` on the band,
+    # bit for bit the dense adapter's value; a point builds the corner once
+    sym = PerturbedIdentity.geometric(0.3).symbol
+    rows = [[h, 2, chi_norm_sq(sym.window(3), 1, Box(2, h))]
+            for h in (1.0, 0.5)]
+    window, calls = BandedSymbol.window, []
+
+    def refused(*args):
+        raise AssertionError("densified")
+
+    def counted(self, n):
+        calls.append(n)
+        return window(self, n)
+
+    monkeypatch.setattr(BandedSymbol, "from_dense", refused)
+    argv = ["rn", "--builtin", "ex59", "--q", "0.3", "--kappa", "3", "--box",
+            "1", "--box", "0.5", "--box-dims", "2"]
+    for patched, point in ((refused, []), (counted, ["--point", "0,0.1,0"])):
+        monkeypatch.setattr(BandedSymbol, "window", patched)
+        code, doc = run_cli(capsys, *argv, *point)
+        assert code == 0 and doc["body"]["tables"]["box_norms"]["rows"] == rows
+    assert calls == [3]
+
+
 def test_builtin_ex53_is_its_rule_without_the_parser(tmp_path, capsys,
                                                      monkeypatch):
     # the code and the parsed rule agree at every j, also past j = 1074,
@@ -501,6 +527,28 @@ def test_sequence_rule_failing_past_j1_is_bad_input(tmp_path, capsys, expr,
     out, err = capsys.readouterr()
     assert code == 3 and out == "" and not report.exists()
     assert f"sequence rule {expr!r} at j=2: " in err and detail in err
+
+
+def test_sequence_rule_evaluates_in_floats(capsys):
+    # Python ints would compute 9^(9^9) digit by digit; floats overflow at once
+    expr = "1+0*9**9**9"
+    code = main(["rn", "--builtin", "diag", "--alphas", expr, "--kappa", "1",
+                 "--box", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"cannot evaluate sequence rule {expr!r} at j=1: " in err
+    assert _alpha_expr("2^60+1")(1) == 2.0 ** 60
+
+
+def test_sequence_rule_nested_too_deeply_is_bad_input(capsys):
+    # a RecursionError of the parser or the compiler is bad input, exit 3
+    expr = "1+" * 1000 + "0*j"
+    with pytest.raises(CliError, match="cannot parse sequence rule"):
+        _alpha_expr(expr)
+    code = main(["rn", "--builtin", "diag", "--alphas", expr, "--kappa", "1",
+                 "--box", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "cannot parse sequence rule" in err
 
 
 # -- examples ---------------------------------------------------------------
@@ -912,7 +960,7 @@ def test_sequence_rule_failing_in_a_suite_names_the_file(tmp_path, capsys):
     stdout, err = capsys.readouterr()
     assert code == 3 and stdout == "" and not out.exists()
     assert f"{p}: rule line 'rule diag 1/(j-2)'" in err
-    assert "at j=2: division by zero" in err
+    assert "at j=2: float division by zero" in err
 
 
 def scale_file(tmp_path, c):

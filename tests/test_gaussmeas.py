@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,12 @@ def test_diag_closed_form_all_ones_reduces_to_box():
 def test_diag_closed_form_tail_undefined():
     with pytest.raises(ValueError):
         diag_closed_form([0.5, 0.5, 1.5], 2, 2, 1.0, 3)
+
+
+def test_diag_closed_form_short_sequence_is_an_index_error():
+    # the entries come from the diagonal symbol's band
+    with pytest.raises(IndexError, match="materialized to 2, index 3"):
+        diag_closed_form([0.5, 0.5], 1, 1, 1.0, 3)
 
 
 def test_diag_closed_form_zero_box_entry_names_alpha():
@@ -711,6 +718,31 @@ def test_coupled_box_past_the_scale_range_keeps_a_representable_norm(
             chi_norm_sq(A, 1, box)
 
 
+def test_coupled_box_rule_sums_in_log_space():
+    # both diagonal entries of the 7 x 7 corner's box form are negative, so
+    # no coordinate is closed and the rule's terms pass exp's range: summed
+    # after their largest log, they give the corner's float-range error, not
+    # an overflow warning and a rule that never converges
+    ab = BandedSymbol.geometric_tridiagonal(0.6259980468749999).bands(1, 12)
+    norms = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="the box norm of the 7 x 7 "
+                           "corner is outside the float range"):
+            for norm in gaussmeas._box_norms(ab, 1, 2, Box(2, 1.0),
+                                             range(1, 13)):
+                norms.append(norm)
+    assert len(norms) == 6
+    assert norms[-1] == pytest.approx(6.037192076752e91, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_box_integral_of_a_zero_form_is_the_box_length(k):
+    # s = 0: the factor is (2 pi)^{-1/2} times the length 2k of [-k, k]
+    assert gaussmeas._gauss_box_integral(np.zeros((1, 1)), Box(1, k)) == (
+        math.log(2.0 * k / math.sqrt(2.0 * math.pi)), 1.0)
+
+
 # -- products ---------------------------------------------------------------
 
 def test_product_all_ones():
@@ -730,6 +762,13 @@ def test_product_euler_like():
 def test_product_harmonic_divergent():
     res = infinite_product(lambda j: 1.0 - 1.0 / (j + 1), n_terms=5000)
     assert res.status == "divergent_to_zero"
+
+
+def test_product_with_a_term_above_one_is_indeterminate():
+    # the harmonic product but for t_1 > 1: no longer witnessed divergent
+    res = infinite_product(lambda j: 1.5 if j == 1 else 1.0 - 1.0 / (j + 1),
+                           n_terms=5000)
+    assert res.status == "indeterminate" and res.remainder_bound is None
 
 
 def test_product_rejects_nonpositive():
