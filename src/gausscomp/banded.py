@@ -220,8 +220,11 @@ class BlockPartition:
 
     @classmethod
     def unit(cls, K):
-        """s(k) = k, materialized to K."""
-        return cls(range(1, K + 1))
+        """s(k) = k, materialized to K; increasing by construction, so
+        built without the constructor's checks."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "s", tuple(range(1, K + 1)))
+        return part
 
     def __len__(self):
         return len(self.s)

@@ -11,10 +11,12 @@ non-deterministic part) and `body` (configuration, per-check records and
 tables; byte-identical across runs with the same arguments; `check --seed`
 is only recorded).  `rn` and `example` also write their tables as CSV
 files into `--outdir` if given.  `--output` and the CSV files are
-overwritten in place, not atomically: a crash mid-write can leave old and
-new bytes mixed, and rerunning the command regenerates the file.  (On
-ext4, `open(path, "w")` costs 45-80 ms per rewrite of a file just written,
-and a temporary file moved over it by `os.replace` up to as much.)
+overwritten in place, not atomically: opened without O_TRUNC, written by
+`os.write` until it has taken every UTF-8 byte, then, if a regular file that
+was longer, cut to the new length (on ext4, cutting a file just written to
+zero length, as `open(path, "w")` does, waits for its blocks to reach the
+disk).  A crash mid-write can leave old and new bytes mixed; rerunning the
+command regenerates the file.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 no
 failure but at least one evidence-only verdict, 3 bad input or usage.
@@ -48,24 +50,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import checker
-from .banded import (
-    BandedSymbol,
-    BlockPartition,
-    PerturbedIdentity,
-    det_sequence,
-)
+from .banded import (BandedSymbol, BlockPartition, PerturbedIdentity,
+                     det_sequence)
 from .checker import CheckReport
-from .gaussmeas import (
-    Box,
-    DivergenceError,
-    RnDerivative,
-    SingularScalingReport,
-    _box_norms,
-    _diag_closed_forms,
-    _p_limit_lower,
-    _singular_exponents,
-    _singular_trajectories,
-)
+from .gaussmeas import (Box, DivergenceError, RnDerivative,
+                        SingularScalingReport, _box_norms, _diag_closed_forms,
+                        _p_limit_lower, _singular_exponents,
+                        _singular_trajectories)
 
 SCHEMA_VERSION = "1.6"
 
@@ -285,49 +276,32 @@ def _leaf(obj):
 
 
 def _write(path, text):
-    """Write `text` to `path` in place, with no newline translation.
-
-    The file is opened without O_TRUNC and, if regular, cut to the written
-    length afterwards: on ext4, truncating a file that was just written to
-    zero length (as `open(path, "w")` does) waits for its blocks to reach
-    the disk.  The inode, its mode and its links stay; a file that is not
-    regular (/dev/null, a FIFO, a terminal) is written and not truncated.
-    """
+    """Write `text` to `path` in place, as the module docstring says: only a
+    regular file is ever truncated, and the inode, mode and links stay."""
+    rest = data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-
-
-def _exit_code(reports):
-    verdicts = [r.verdict for r in reports]
-    if any(v == "fail" for v in verdicts):
-        return 1
-    if any(v == "evidence" for v in verdicts):
-        return 2
-    return 0
+    try:
+        st = os.fstat(fd)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _emit(args, command, config, reports, tables=None):
-    body = {
-        "command": command,
-        "config": config,
-        "reports": [r.to_dict() for r in reports],
-        "tables": {name: {"columns": cols, "rows": rows}
-                   for name, (cols, rows) in (tables or {}).items()},
-    }
-    doc = {
-        "header": {
-            "schema_version": SCHEMA_VERSION,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
-        "body": body,
-    }
+    body = {"command": command, "config": config,
+            "reports": [r.to_dict() for r in reports],
+            "tables": {name: {"columns": cols, "rows": rows}
+                       for name, (cols, rows) in (tables or {}).items()}}
+    doc = {"header": {"schema_version": SCHEMA_VERSION,
+                      "timestamp": datetime.now(timezone.utc).isoformat()},
+           "body": body}
     # one line through json's C encoder; numpy leaves go through the hook; a
-    # non-finite number: ValueError, exit 3
-    text = json.dumps(doc, sort_keys=True, allow_nan=False, default=_leaf)
+    # non-finite number: ValueError, exit 3; no container in `doc` holds itself
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, default=_leaf,
+                      check_circular=False)
     if args.output:
         _write(args.output, text + os.linesep)
     else:
@@ -339,7 +313,8 @@ def _emit(args, command, config, reports, tables=None):
             csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
             _write(os.path.join(args.outdir, f"{command}_{name}.csv"),
                    buf.getvalue())
-    return _exit_code(reports)
+    verdicts = {r.verdict for r in reports}
+    return 1 if "fail" in verdicts else 2 if "evidence" in verdicts else 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +416,10 @@ def _example_diag(args):
             worst = max(worst, rel)
             rows.append([i, l, closed, quad, rel])
     config = {"alphas": args.alphas, "k": args.k, "L": args.L}
-    reports = [CheckReport(
-        name="closed_form_vs_quadrature",
-        verdict="pass" if worst < 1e-8 else "fail",
-        payload={"max_rel_diff": worst},
-        tolerances={"rel": 1e-8},
-    )]
+    reports = [CheckReport(name="closed_form_vs_quadrature",
+                           verdict="pass" if worst < 1e-8 else "fail",
+                           payload={"max_rel_diff": worst},
+                           tolerances={"rel": 1e-8})]
     tables = {"norms": (["i", "l", "closed_form", "quadrature", "rel_diff"],
                         rows)}
     return _emit(args, "example_diag", config, reports, tables)
@@ -460,11 +433,10 @@ def _example_banded(args):
     dets = det_sequence(b.symbol, s, args.L)
     floor = b.det_floor
     inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
-    reports = [CheckReport(
-        name="determinant_envelope",
-        verdict="pass" if inside else "fail",
-        payload={"min_det": float(np.min(dets)), "floor": floor, "upper": 1.0},
-    )]
+    reports = [CheckReport(name="determinant_envelope",
+                           verdict="pass" if inside else "fail",
+                           payload={"min_det": float(np.min(dets)),
+                                    "floor": floor, "upper": 1.0})]
     tables = {"determinants": (["l", "det"], list(enumerate(
         dets.tolist(), 1)))}
     return _emit(args, "example_banded", {"q": args.q, "L": args.L},
@@ -497,11 +469,8 @@ def _example_singular(args):
         payload["detail"] = (
             f"P_N = {float(p_last):.6g} > 0, but the certified lower limit "
             f"P_N exp(-tail) underflows to 0 (tail sum bound {tail:.6g})")
-    reports = [CheckReport(
-        name="singular_scaling_dichotomy",
-        verdict=verdict,
-        payload=payload,
-    )]
+    reports = [CheckReport(name="singular_scaling_dichotomy",
+                           verdict=verdict, payload=payload)]
     tables = {"trajectories": (["n", "P_n", "log_Q_n"], rows)}
     return _emit(args, "example_singular",
                  {"alpha": args.alpha, "N": args.N}, reports, tables)
@@ -511,88 +480,119 @@ def _example_singular(args):
 # argument parsing
 
 
-def _add_symbol_args(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin",
-                        choices=["identity", "diag", "ex53", "ex59"])
-    source.add_argument("--file",
-                        help="symbol file (text format, see module doc)")
+def _symbol_args(p, name):
+    """The flags of `rn` and of the suites, which read a symbol."""
+    g = p.add_mutually_exclusive_group(required=True)  # the symbol's source
+    g.add_argument("--builtin", choices=["identity", "diag", "ex53", "ex59"])
+    g.add_argument("--file", help="symbol file (text format, see module doc)")
     p.add_argument("--alphas", help="diagonal rule, expression in j")
     p.add_argument("--q", type=float, default=0.5,
                    help="off-diagonal ratio for builtin ex59")
+    if name == "rn":
+        p.add_argument("--power", type=int, default=1)
+        p.add_argument("--kappa", type=int, default=2)
+        p.add_argument("--point", action="append",
+                       help="comma-separated coordinates; repeatable")
+        p.add_argument("--box", action="append",
+                       help="box halfwidth; repeatable")
+        p.add_argument("--box-dims", type=int)
+        return
+    p.add_argument("--partition-file")
+    p.add_argument("--seed", type=int, default=0, help="only recorded")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--L", type=int, default=64 if name == "prop56" else 6)
+    if name == "prop56":
+        p.add_argument("--rho", type=float)
+    else:
+        p.add_argument("--boxes", default="1",
+                       help="comma-separated halfwidths")
+        p.add_argument("--dim-cap", type=_dim_cap, default=None,
+                       help="largest truncation size; default none")
 
 
-def _command(sub, name, fn, help=None, tables=True):
-    """A leaf parser: its handler, --output and, with tables, --outdir."""
-    # no abbreviations: `example diag --alpha` is unread, not --alphas
-    p = sub.add_parser(name, help=help, allow_abbrev=False)
+def _example_args(p, name):
+    if name == "diag":
+        p.add_argument("--alphas", default="1-2^-j",
+                       help="diagonal rule, expression in j")
+        p.add_argument("--k", type=float, default=1.0, help="box halfwidth")
+        p.add_argument("--L", type=int, default=6)
+    elif name == "banded":
+        p.add_argument("--q", type=float, default=0.5)
+        p.add_argument("--L", type=int, default=64)
+    else:
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--N", type=int, default=10_000)
+
+
+# command words -> (handler, takes --outdir, help, flags(parser, last word))
+_COMMANDS = {
+    ("rn",): (cmd_rn, True, "evaluate densities and box norms", _symbol_args),
+    **{("check", suite): (cmd_check, False, None, _symbol_args)
+       for suite in ("thm51", "prop52", "prop56")},
+    **{("example", which): (fn, True, None, _example_args) for which, fn in (
+        ("diag", _example_diag), ("banded", _example_banded),
+        ("singular", _example_singular))},
+}
+# group word -> (the attribute naming the command in it, help)
+_GROUPS = {"check": ("suite", "run a hypothesis suite"),
+           "example": ("which", "scripted reproduction of a worked family")}
+
+
+def _command(p, key):
+    """Make `p` the parser of command `key`: its flags, words and handler."""
+    fn, tables, _, add_flags = _COMMANDS[key]
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     if tables:
         p.add_argument("--outdir", help="directory for CSV tables")
-    p.set_defaults(fn=fn)
+    add_flags(p, key[-1])
+    names = ("cmd", *_GROUPS.get(key[0], ())[:1])  # as the tree sets them
+    p.set_defaults(fn=fn, **dict(zip(names, key)))
     return p
 
 
 def build_parser():
-    """A fresh parser; `main` builds one per process and reuses it.  Each
-    command declares exactly the flags it reads."""
-    parser = _Parser(prog="gausscomp",
-                     description="Numerical checks for composition operators "
-                                 "with banded matrix symbols over Gaussian "
-                                 "measure")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = _command(sub, "rn", cmd_rn, "evaluate densities and box norms")
-    _add_symbol_args(p)
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--kappa", type=int, default=2)
-    p.add_argument("--point", action="append",
-                   help="comma-separated coordinates; repeatable")
-    p.add_argument("--box", action="append",
-                   help="box halfwidth; repeatable")
-    p.add_argument("--box-dims", type=int)
-
-    suites = sub.add_parser("check", help="run a hypothesis suite"
-                            ).add_subparsers(dest="suite", required=True)
-    for suite in ("thm51", "prop52", "prop56"):
-        p = _command(suites, suite, cmd_check, tables=False)
-        _add_symbol_args(p)
-        p.add_argument("--partition-file")
-        p.add_argument("--seed", type=int, default=0, help="only recorded")
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--r", type=int, default=1)
-        p.add_argument("--L", type=int, default=64 if suite == "prop56" else 6)
-        if suite == "prop56":
-            p.add_argument("--rho", type=float)
-        else:
-            p.add_argument("--boxes", default="1",
-                           help="comma-separated halfwidths")
-            p.add_argument("--dim-cap", type=_dim_cap, default=None,
-                           help="largest truncation size; default none")
-
-    examples = sub.add_parser(
-        "example", help="scripted reproduction of a worked family"
-    ).add_subparsers(dest="which", required=True)
-    p = _command(examples, "diag", _example_diag)
-    p.add_argument("--alphas", default="1-2^-j",
-                   help="diagonal rule, expression in j")
-    p.add_argument("--k", type=float, default=1.0, help="box halfwidth")
-    p.add_argument("--L", type=int, default=6)
-    p = _command(examples, "banded", _example_banded)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--L", type=int, default=64)
-    p = _command(examples, "singular", _example_singular)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--N", type=int, default=10_000)
+    """A fresh parser of every command; `main` uses it only for help and
+    errors.  Each command declares exactly the flags it reads."""
+    parser = _Parser(prog="gausscomp", description="Numerical checks for "
+                     "composition operators with banded matrix symbols over "
+                     "Gaussian measure")
+    subs = {(): parser.add_subparsers(dest="cmd", required=True)}
+    for key, (_, _, help, _) in _COMMANDS.items():
+        if key[:-1] not in subs:  # the first command of a group
+            dest, group_help = _GROUPS[key[0]]
+            group = subs[()].add_parser(key[0], help=group_help)
+            subs[key[:-1]] = group.add_subparsers(dest=dest, required=True)
+        # no abbreviations: `example diag --alpha` is unread, not --alphas
+        _command(subs[key[:-1]].add_parser(
+            key[-1], help=help, allow_abbrev=False), key)
     return parser
 
 
-_main_parser = functools.lru_cache(maxsize=1)(build_parser)
+class _LeafParser(_Parser):
+    def error(self, message):  # the whole tree reports it
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.lru_cache(maxsize=len(_COMMANDS))
+def _leaf_parser(key):
+    """Command `key`'s parser alone, built once per process.  It has no -h:
+    help, like every error, goes to the whole tree, which prints it."""
+    return _command(_LeafParser(add_help=False, allow_abbrev=False), key)
+
+
+def _parse(argv):
+    """`build_parser().parse_args(argv)`, by the named command's parser."""
+    for key in (tuple(argv[:1]), tuple(argv[:2])):
+        with contextlib.suppress(argparse.ArgumentError):
+            if key in _COMMANDS:
+                return _leaf_parser(key).parse_args(argv[len(key):])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = _main_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -769,6 +770,15 @@ def test_rn_point_csv_keeps_two_columns(tmp_path, capsys):
     assert float(rows[1][1]) > 0
 
 
+def test_rn_point_in_other_digits_is_written_as_utf8(tmp_path, capsys):
+    # float() reads the Arabic-Indic digits; the table keeps them as typed
+    code = main(["rn", "--builtin", "ex53", "--kappa", "2", "--point=١,٢",
+                 "--outdir", str(tmp_path), "--output", str(tmp_path / "r")])
+    capsys.readouterr()
+    row = (tmp_path / "rn_values.csv").read_bytes().split(b"\n")[1]
+    assert code == 0 and row.startswith('"١,٢",'.encode("utf-8"))
+
+
 # -- file formats -----------------------------------------------------------
 
 def test_symbol_file_triplets(tmp_path):
@@ -1055,10 +1065,67 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and doc["body"]["config"]["L"] == 6
 
 
+GOLDEN_ARGV = {path.stem: json.loads(path.read_text())["argv"] for path in
+               sorted(pathlib.Path(__file__).with_name("golden").glob("*.json"))}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV.values(), ids=GOLDEN_ARGV)
+def test_routed_parse_equals_the_tree(argv):
+    assert cli._parse(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["check"], ["check", "nope"], ["example"],
+    ["rn", "--builtin", "ex53", "--bogus"], ["--kap", "2"], ["--L", "x"],
+    ["check", "thm51", "--builtin", "ex53", "--L", "x"],
+    ["check", "--builtin", "ex53", "thm51"], ["--extra", "1", "example", "diag"],
+    ["rn", "--builtin", "ex53", "--file", "f"], ["check", "prop56"],
+    ["rn", "--builtin", "ex53", "--point", "-h"], ["example", "diag", "-hx"],
+    ["example", "singular", "--N", "5", "--N"], ["rn", "--builtin", "nope"],
+    ["check", "thm51", "--builtin", "ex53", "--dim-cap", "-1"],
+])
+def test_routed_errors_equal_the_tree(capsys, argv):
+    with pytest.raises(CliError) as exc:  # main before routing: the tree
+        build_parser().parse_args(argv)
+    print(f"error: {exc.value}", file=sys.stderr)
+    want = capsys.readouterr()
+    assert main(argv) == 3 and capsys.readouterr() == want
+    assert want.err.splitlines()[0].startswith("usage: gausscomp")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "-h"],
+                                  ["check", "thm51", "--help"],
+                                  ["rn", "--builtin", "ex53", "-h"]])
+def test_routed_help_equals_the_tree(capsys, argv):
+    with pytest.raises(SystemExit) as tree:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as routed:
+        main(argv)
+    assert routed.value.code == tree.value.code == 0
+    assert capsys.readouterr() == want and "usage: gausscomp" in want.out
+
+
+def test_a_call_builds_only_its_own_parser_once(capsys, monkeypatch):
+    built, init = [], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._leaf_parser.cache_clear()
+    argv = ["example", "banded", "--L", "8"]
+    assert main(argv) == 0 and len(built) == 1  # not the whole tree
+    assert main(argv) == 0 and len(built) == 1  # and not again
+    capsys.readouterr()
+
+
 def test_build_parser_returns_a_fresh_parser(capsys):
     parser = build_parser()
     assert parser is not build_parser()
-    assert cli._main_parser() is cli._main_parser()
+    key = ("check", "thm51")
+    assert cli._leaf_parser(key) is cli._leaf_parser(key)
     parser.add_argument("--extra")
     assert parser.parse_args(["--extra", "1", "example", "diag"]).extra == "1"
     assert main(["--extra", "1", "example", "diag"]) == 3
@@ -1119,6 +1186,16 @@ def test_rewrite_keeps_the_inode_mode_and_links(tmp_path, capsys):
         assert st.st_nlink == 2
         assert (tmp_path / f"link-{path.name}").read_bytes() == \
             path.read_bytes()
+
+
+def test_short_writes_still_write_the_whole_document(tmp_path, capsys,
+                                                    monkeypatch):
+    want = _banded(300, tmp_path / "r.json", tmp_path / "t")
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    got = _banded(300, tmp_path / "short.json", tmp_path / "short")
+    capsys.readouterr()
+    assert got == want and len(want[0]) > 1000
 
 
 def test_output_to_dev_null_exits_zero(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_every_cache_is_bounded():
                 if hasattr(m, "cache_info"):
                     found[m.__qualname__] = m.cache_info().maxsize
     assert {"HermiteModel.get", "_tensor_rule", "_transfer_by_value",
-            "_polar_ring", "build_parser", "_legendre_rule"} <= found.keys()
+            "_polar_ring", "_leaf_parser", "_legendre_rule"} <= found.keys()
     assert all(size is not None for size in found.values()), found
 
 
