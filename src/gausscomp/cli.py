@@ -137,7 +137,7 @@ def _alpha_expr(expr):
     return fn
 
 
-def _builtin_symbol(name, alphas, q):
+def _builtin_symbol(name, alphas, q, band=False):
     if name == "identity":
         return BandedSymbol.identity()
     if name == "diag":
@@ -148,7 +148,11 @@ def _builtin_symbol(name, alphas, q):
     if name == "ex53":  # its own rule is code; only user text is parsed
         return BandedSymbol.diagonal(_alpha_expr(alphas) if alphas is not None
                                      else lambda j: 1.0 - 2.0 ** -j)
-    return PerturbedIdentity.geometric(q)
+    if not band:  # ex59 as a PerturbedIdentity, its window validated
+        return PerturbedIdentity.geometric(q)
+    if not 0 < q < 1:  # the band alone: the same bits, nothing validated
+        raise CliError("q must lie in (0, 1)")
+    return BandedSymbol.geometric_tridiagonal(q)
 
 
 # rule name -> (required, allowed) numeric parameters
@@ -256,10 +260,10 @@ def _dim_cap(raw):
         f"{raw!r} is not a nonnegative integer or none")
 
 
-def _resolve_symbol(args):
+def _resolve_symbol(args, band=True):
     if args.file:
         return load_symbol(args.file)
-    return _builtin_symbol(args.builtin, args.alphas, args.q)
+    return _builtin_symbol(args.builtin, args.alphas, args.q, band)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +374,7 @@ def cmd_check(args):
                        "and prop52, --n + --r >= 1")
     if prop56 and args.rho is not None and not 0 < args.rho < math.inf:
         raise CliError(f"--rho {args.rho} must be positive and finite")
-    sym = _resolve_symbol(args)
+    sym = _resolve_symbol(args, band=not prop56)
     s = (load_partition(args.partition_file) if args.partition_file
          else BlockPartition.unit(args.L))
     if len(s) < args.L:
@@ -428,10 +432,10 @@ def _example_diag(args):
 def _example_banded(args):
     if args.L < 2:
         raise CliError("example banded needs --L >= 2")
-    b = PerturbedIdentity.geometric(args.q)
-    s = BlockPartition.unit(args.L)
-    dets = det_sequence(b.symbol, s, args.L)
-    floor = b.det_floor
+    band = _builtin_symbol("ex59", None, args.q, band=True)
+    dets = det_sequence(band, BlockPartition.unit(args.L), args.L)
+    q = args.q  # the floor of PerturbedIdentity.geometric(q), bit for bit
+    floor = 1.0 - q * q / (1.0 - q * q)
     inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
     reports = [CheckReport(name="determinant_envelope",
                            verdict="pass" if inside else "fail",
@@ -444,30 +448,30 @@ def _example_banded(args):
 
 
 def _example_singular(args):
-    # streamed: the rows, the checks and the last values, no N-term array
+    """`example singular`: about 100 strided rows of P_n and log Q_n from
+    log sums taken only there and at the last two n; no N-term array.  The
+    verdict fails on P reaching 0, on the log sums of P rising, and on
+    log Q not decreasing over the last two n."""
     beta, q_exp = _singular_exponents(args.alpha, args.N)
     stride = max(1, args.N // 100)
-    rows, at = [], 0
-    monotone, p_last, q_last2 = True, math.inf, ()
-    for p, log_q in _singular_trajectories(beta, q_exp, args.N):
-        rows += [[at + n + 2, float(p[n]), float(log_q[n])]
-                 for n in range(-at % stride, len(p), stride)]
-        monotone = monotone and bool(p[0] <= p_last
-                                     and np.all(np.diff(p) <= 0))
-        p_last, q_last2 = p[-1], (*q_last2, *log_q[-2:])[-2:]
-        at += len(p)
+    n, log_p, log_q = _singular_trajectories(beta, q_exp, args.N, stride)
+    row = (n - 2) % stride == 0  # the last two n only when on the stride
+    rows = list(map(list, zip(n[row].tolist(), np.exp(log_p[row]).tolist(),
+                              log_q[row].tolist())))
+    p_last = float(np.exp(log_p[-1]))
     tail, p_limit_lower = _p_limit_lower(p_last, beta, args.N)
     payload = {"p_limit_lower": p_limit_lower,
-               "final_log_q": float(q_last2[-1]), "beta": beta,
+               "final_log_q": float(log_q[-1]), "beta": beta,
                "note": SingularScalingReport.note}
-    if not (p_last > 0 and q_last2[-1] < q_last2[-2] and monotone):
+    if not (p_last > 0 and log_q[-1] < log_q[-2]
+            and np.all(np.diff(log_p) <= 0)):
         verdict = "fail"
     elif p_limit_lower > 0:
         verdict = "pass"
     else:  # beta > 1 makes lim P positive; only its certificate underflows
         verdict = "evidence"
         payload["detail"] = (
-            f"P_N = {float(p_last):.6g} > 0, but the certified lower limit "
+            f"P_N = {p_last:.6g} > 0, but the certified lower limit "
             f"P_N exp(-tail) underflows to 0 (tail sum bound {tail:.6g})")
     reports = [CheckReport(name="singular_scaling_dichotomy",
                            verdict=verdict, payload=payload)]

@@ -506,28 +506,51 @@ def _singular_exponents(alpha, N):
     if N < 2:
         raise ValueError("N must be at least 2")
     beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
+    if 2.0 * alpha * alpha * beta == 0.0:  # Q's factors 1 - m^-0 would be 0
+        raise ValueError(f"--alpha {alpha!r}: 2 alpha^2 beta underflows to 0")
     return beta, 2.0 * alpha * alpha * beta
 
 
-def _singular_trajectories(beta, q_exp, N):
-    """Yield P_n = prod (1 - m^-beta) and log Q_n = sum log1p(-m^-q_exp),
-    m = 2..n, for n = 2..N+1 in chunks of at most `_CHUNK` terms.
+def _log1m_pow(ln_m, c, out):
+    """out = log(1 - m^-c) from an increasing ln m > 0, to full precision
+    (Maechler 2012): with y = c ln m, log(-expm1(-y)) up to y = ln 2, where
+    1 - e^-y would cancel, and log1p(-exp(-y)) past it."""
+    k = np.searchsorted(ln_m, math.log(2.0) / c, side="right")
+    small, large = np.multiply(ln_m, -c, out=out)[:k], out[k:]
+    np.log(np.negative(np.expm1(small, out=small), out=small), out=small)
+    np.log1p(np.negative(np.exp(large, out=large), out=large), out=large)
+    return out
 
-    Each chunk folds the running product and sum into its first element
-    and accumulates from there; accumulation is sequential, so the values
-    equal one cumprod / cumsum over all N terms bit for bit.
+
+def _singular_trajectories(beta, q_exp, N, stride):
+    """(n, log P_n, log Q_n) at n - 2 = 0, stride, 2 stride, ... < N and at
+    n = N, N + 1: log P_n = sum log1p(-m^-beta), log Q_n = sum
+    log(1 - m^-q_exp), m = 2..n.  Per chunk of at most `_CHUNK` terms, made
+    from one log m, reduceat sums the terms between output points
+    (pairwise) and accumulate carries the sums; at stride 1 that is one
+    cumsum of all N terms, bit for bit.  A caller fails on P reaching 0, on
+    P rising, read off these sums (every term is <= 0, so no sum can rise,
+    printed or not; their exp need not be monotone to the last ulp), and on
+    log Q not decreasing over the last two n.
     """
-    p_carry, q_carry = 1.0, 0.0
-    for start in range(2, N + 2, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, N + 2), dtype=float)
-        p = 1.0 - ns ** (-beta)
-        log_q = np.log1p(-(ns ** (-q_exp)))
-        p[0] *= p_carry
-        np.multiply.accumulate(p, out=p)
-        log_q[0] += q_carry
-        np.add.accumulate(log_q, out=log_q)
-        p_carry, q_carry = p[-1], log_q[-1]
-        yield p, log_q
+    at = np.union1d(np.arange(0, N, stride), (N - 2, N - 1))  # n - 2
+    out, terms = np.empty((2, len(at))), np.empty((2, _CHUNK))
+    first = np.arange(2, min(N, _CHUNK) + 2, dtype=float)  # the first m
+    carry, done = np.zeros(2), 0
+    for lo in range(0, N, _CHUNK):
+        w = min(_CHUNK, N - lo)
+        ln_m = np.log(first[:w] + lo)
+        for t, exponent in zip(terms[:, :w], (beta, q_exp)):
+            _log1m_pow(ln_m, exponent, t)
+        upto = np.searchsorted(at, lo + w - 1, side="right")
+        cuts = at[done:upto] + 1 - lo  # a sum ends at each point and at w
+        starts = np.concatenate(([0], cuts[cuts < w]))
+        sums = np.add.reduceat(terms[:, :w], starts, axis=1)
+        sums[:, 0] += carry
+        np.add.accumulate(sums, axis=1, out=sums)
+        out[:, done:upto] = sums[:, :upto - done]
+        carry, done = sums[:, -1], upto
+    return at + 2, out[0], out[1]
 
 
 def _p_limit_lower(p_last, beta, N):
@@ -546,14 +569,12 @@ def singular_scaling_demo(alpha: float, N: int = 10_000) -> SingularScalingRepor
     1 - exp(-a_n^2 / 2) = 1 - x_n stays bounded away from zero (its
     exponent beta > 1 is summable), while the scaled product of
     1 - exp(-alpha^2 a_n^2) = 1 - x_n^(2 alpha^2) collapses to zero
-    (exponent 2 alpha^2 beta < 1 is not summable).
+    (exponent 2 alpha^2 beta < 1 is not summable).  Both trajectories are
+    kept in full: `_singular_trajectories` at stride 1, P_n = exp(log P_n).
     """
     beta, q_exp = _singular_exponents(alpha, N)
-    p_traj, log_q_traj = np.empty(N), np.empty(N)
-    at = 0
-    for p, log_q in _singular_trajectories(beta, q_exp, N):
-        p_traj[at:at + len(p)], log_q_traj[at:at + len(p)] = p, log_q
-        at += len(p)
+    _, log_p, log_q_traj = _singular_trajectories(beta, q_exp, N, 1)
+    p_traj = np.exp(log_p)
     tail, p_limit_lower = _p_limit_lower(p_traj[-1], beta, N)
     return SingularScalingReport(
         alpha=alpha,

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import argparse
 
@@ -665,6 +666,39 @@ def test_example_banded_envelope(capsys):
     assert all(r[1] > floor for r in rows[1:])
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.69, 0.9])
+def test_ex59_band_has_the_bits_of_the_perturbed_identity(q):
+    band = cli._builtin_symbol("ex59", None, q, band=True)
+    assert np.array_equal(band.bands(1, 40),
+                          PerturbedIdentity.geometric(q).symbol.bands(1, 40))
+
+
+_EX59_COMMANDS = [("rn", "--builtin", "ex59", "--kappa", "3", "--box", "1"),
+                  ("check", "thm51", "--builtin", "ex59"),
+                  ("check", "prop52", "--builtin", "ex59"),
+                  ("example", "banded", "--L", "8"),
+                  ("check", "prop56", "--builtin", "ex59", "--L", "8")]
+
+
+@pytest.mark.parametrize("argv", _EX59_COMMANDS,
+                         ids=["rn", "thm51", "prop52", "banded", "prop56"])
+def test_only_prop56_validates_an_ex59_window(capsys, monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(PerturbedIdentity, "validate_window",
+                        lambda self, n: seen.append(n))
+    assert main([*argv, "--q", "0.5"]) != 3  # thm51 and prop52 judge
+    capsys.readouterr()
+    assert bool(seen) == (argv[1] == "prop56")
+
+
+@pytest.mark.parametrize("argv", _EX59_COMMANDS,
+                         ids=["rn", "thm51", "prop52", "banded", "prop56"])
+@pytest.mark.parametrize("q", ["0", "1", "nan"])
+def test_ex59_q_outside_the_unit_interval_is_bad_input(capsys, argv, q):
+    assert main([*argv, "--q", q]) == 3
+    assert capsys.readouterr() == ("", "error: q must lie in (0, 1)\n")
+
+
 def test_example_singular_trajectories(capsys):
     code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.5",
                         "--N", "2000")
@@ -678,33 +712,64 @@ _CHUNK = gaussmeas._CHUNK
 
 
 @pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               3 * _CHUNK + 7])
+                               3 * _CHUNK + 7, 100 * _CHUNK + 7])
 def test_example_singular_stream_matches_the_demo(capsys, N):
-    # the streamed rows and payload are those of the full trajectories
+    # the strided sums are those of the full trajectories, associated
+    # otherwise; at the last N one stride spans more than one chunk
     code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.7",
                         "--N", str(N))
     rep = gaussmeas.singular_scaling_demo(0.7, N)
     stride = max(1, N // 100)
-    rows = [[n + 2, float(rep.p_trajectory[n]),
-             float(rep.log_q_trajectory[n])] for n in range(0, N, stride)]
+    rows = doc["body"]["tables"]["trajectories"]["rows"]
     assert code == 0
-    assert doc["body"]["tables"]["trajectories"]["rows"] == rows
-    assert doc["body"]["reports"][0]["payload"] == {
-        "p_limit_lower": rep.p_limit_lower,
-        "final_log_q": float(rep.log_q_trajectory[-1]),
+    assert [r[0] for r in rows] == list(range(2, N + 2, stride))
+    for n, p, log_q in rows:
+        assert p == pytest.approx(rep.p_trajectory[n - 2], rel=1e-12)
+        assert log_q == pytest.approx(rep.log_q_trajectory[n - 2], rel=1e-12)
+    payload = doc["body"]["reports"][0]["payload"]
+    assert payload == {
+        "p_limit_lower": pytest.approx(rep.p_limit_lower, rel=1e-12),
+        "final_log_q": pytest.approx(rep.log_q_trajectory[-1], rel=1e-12),
         "beta": rep.beta, "note": rep.note}
 
 
-def test_example_singular_rise_across_chunks_fails(capsys, monkeypatch):
-    # each chunk decreases, but P rises from the first chunk to the second
-    def stream(beta, q_exp, N):
-        yield np.array([0.5, 0.4]), np.array([-1.0, -2.0])
-        yield np.array([0.45, 0.3]), np.array([-3.0, -4.0])
+def test_example_singular_rows_match_an_fsum_of_log1p(capsys):
+    # sums of logs gather less rounding than a running product of factors
+    code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.3",
+                        "--N", "100000")
+    rows = doc["body"]["tables"]["trajectories"]["rows"]
+    beta = doc["body"]["reports"][0]["payload"]["beta"]
+    terms = np.log1p(-np.arange(2, 100_002, dtype=float) ** -beta)
+    cuts = [0] + [n - 1 for n, _, _ in rows]  # P_n sums terms[:n - 1]
+    parts = [math.fsum(terms[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert code == 0
+    for k, (_, p, _) in enumerate(rows):
+        assert p == pytest.approx(math.exp(math.fsum(parts[:k + 1])),
+                                  rel=1e-14)
 
-    monkeypatch.setattr(cli, "_singular_trajectories", stream)
+
+def test_example_singular_rise_across_chunks_fails(capsys, monkeypatch):
+    # the log sums of P rise between two output points: a fail, whatever
+    # exp makes of them
+    def sums(beta, q_exp, N, stride):
+        return (np.arange(2, 6), np.array([-0.5, -0.6, -0.55, -0.7]),
+                np.array([-1.0, -2.0, -3.0, -4.0]))
+
+    monkeypatch.setattr(cli, "_singular_trajectories", sums)
     code, doc = run_cli(capsys, "example", "singular", "--N", "4")
     assert code == 1
     assert doc["body"]["reports"][0]["verdict"] == "fail"
+
+
+def test_example_singular_alpha_whose_exponent_underflows(capsys):
+    # 2 alpha^2 beta = 0 would make every factor of Q zero, its log -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["example", "singular", "--alpha", "1e-300", "--N", "100"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("error: --alpha 1e-300: 2 alpha^2 beta underflows to 0"
+                   "\n")
 
 
 @pytest.mark.parametrize("alpha", ["0.999", "0.9999"])

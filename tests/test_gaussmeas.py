@@ -819,19 +819,33 @@ _CHUNK = gaussmeas._CHUNK
 @pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                3 * _CHUNK + 7])
 def test_singular_stream_matches_one_cumulative_pass(N):
-    # the carried chunks reproduce one cumprod / cumsum bit for bit
+    # at stride 1 the chunked sums are one cumsum of all N log terms, bit
+    # for bit, and the demo's P is exp of it
     alpha = 0.5
     beta, q = gaussmeas._singular_exponents(alpha, N)
-    chunks = list(gaussmeas._singular_trajectories(beta, q, N))
-    assert all(len(p) <= _CHUNK for p, _ in chunks)
-    ns = np.arange(2, N + 2, dtype=float)
-    ref_p = np.cumprod(1.0 - ns ** -beta)
-    ref_q = np.cumsum(np.log1p(-ns ** -q))
-    assert np.array_equal(np.concatenate([p for p, _ in chunks]), ref_p)
-    assert np.array_equal(np.concatenate([lq for _, lq in chunks]), ref_q)
+    n, log_p, log_q = gaussmeas._singular_trajectories(beta, q, N, 1)
+    ln_m = np.log(np.arange(2, N + 2, dtype=float))
+    ref_p = np.cumsum(gaussmeas._log1m_pow(ln_m, beta, np.empty(N)))
+    ref_q = np.cumsum(gaussmeas._log1m_pow(ln_m, q, np.empty(N)))
+    assert np.array_equal(n, np.arange(2, N + 2))
+    assert np.array_equal(log_p, ref_p) and np.array_equal(log_q, ref_q)
     rep = singular_scaling_demo(alpha, N)
-    assert np.array_equal(rep.p_trajectory, ref_p)
+    assert np.array_equal(rep.p_trajectory, np.exp(ref_p))
     assert np.array_equal(rep.log_q_trajectory, ref_q)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1e-3, 1e-6, 1e-9])
+def test_singular_log_q_matches_40_digits(alpha):
+    # 1 - m^-q cancels when q ln m << 1; log(-expm1(-y)) does not
+    import mpmath as mp
+    N = 1000
+    beta, q = gaussmeas._singular_exponents(alpha, N)
+    with mp.workdps(40):
+        ref = mp.fsum(mp.log(1 - mp.mpf(m) ** -mp.mpf(q))
+                      for m in range(2, N + 2))
+        for stride in (1, N // 100):
+            got = gaussmeas._singular_trajectories(beta, q, N, stride)[2][-1]
+            assert abs((got - ref) / ref) < 1e-14
 
 
 def test_singular_scaling_near_degenerate_flag():
