@@ -46,6 +46,7 @@ import os
 import stat
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -294,29 +295,66 @@ def _write(path, text):
         os.close(fd)
 
 
+def _dumps(obj, **kw):
+    # json's C encoder; numpy leaves go through the hook; a non-finite number:
+    # ValueError, exit 3; no container in a report holds itself
+    return json.dumps(obj, allow_nan=False, default=_leaf,
+                      check_circular=False, **kw)
+
+
 def _emit(args, command, config, reports, tables=None):
+    """Write the report document and, with `--outdir`, each table as CSV.
+
+    Without `--outdir` the document is one `json.dumps`.  With it, each
+    table's rows are encoded once and spliced into the document where they
+    go.  A table whose cells are all `int` or `float` is then written as
+    that same text re-punctuated, `[[1, 0.5], [2, 0.25]]` as
+    `1,0.5\\n2,0.25\\n`: json and `csv` both print them by `repr`.  Any
+    other table (`rn`'s `point` strings) goes through `csv.writer`, which
+    quotes a comma and keeps the text as typed.  The directory is made
+    before anything is written, so a bad `--outdir` writes nothing."""
+    tables = tables or {}
     body = {"command": command, "config": config,
             "reports": [r.to_dict() for r in reports],
             "tables": {name: {"columns": cols, "rows": rows}
-                       for name, (cols, rows) in (tables or {}).items()}}
+                       for name, (cols, rows) in tables.items()}}
     doc = {"header": {"schema_version": SCHEMA_VERSION,
                       "timestamp": datetime.now(timezone.utc).isoformat()},
            "body": body}
-    # one line through json's C encoder; numpy leaves go through the hook; a
-    # non-finite number: ValueError, exit 3; no container in `doc` holds itself
-    text = json.dumps(doc, sort_keys=True, allow_nan=False, default=_leaf,
-                      check_circular=False)
+    outdir = tables and args.outdir  # check writes none and has no --outdir
+    if not outdir:
+        text = _dumps(doc, sort_keys=True)
+    else:
+        rows_text = {name: _dumps(rows) for name, (_, rows) in tables.items()}
+        mark = "\0rows"
+        for table in body["tables"].values():
+            table["rows"] = mark
+        # the rows are the body's last values, in sorted order, and only
+        # names, columns and the header follow them: the last marks are the
+        # rows' whatever strings the config or the reports hold
+        head, *tails = _dumps(doc, sort_keys=True).rsplit(_dumps(mark),
+                                                          len(tables))
+        text = head + "".join(rows_text[name] + tail
+                              for name, tail in zip(sorted(tables), tails))
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"--outdir {outdir!r}: {exc}") from None
     if args.output:
         _write(args.output, text + os.linesep)
     else:
         print(text)
-    if tables and args.outdir:  # check writes none and has no --outdir
-        os.makedirs(args.outdir, exist_ok=True)
-        for name, (cols, rows) in tables.items():
-            buf = io.StringIO(newline="")
-            csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
-            _write(os.path.join(args.outdir, f"{command}_{name}.csv"),
-                   buf.getvalue())
+    for name, (cols, rows) in tables.items() if outdir else ():
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        inner = rows_text[name][1:-1]  # "[1, 0.5], [2, 0.25]"; "" if none
+        if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
+            writer.writerows(rows)
+        elif inner:
+            buf.write(inner[1:-1].replace("], [", "\n").replace(", ", ",")
+                      + "\n")
+        _write(os.path.join(outdir, f"{command}_{name}.csv"), buf.getvalue())
     verdicts = {r.verdict for r in reports}
     return 1 if "fail" in verdicts else 2 if "evidence" in verdicts else 0
 
@@ -430,17 +468,30 @@ def _example_diag(args):
 
 
 def _example_banded(args):
+    """`example banded`: the corner determinants of ex59 against the
+    envelope floor < det < 1 for l >= 2.  Each det_l is a product of l
+    pivots of the band elimination, each off by a few ulps, taken as a sum
+    of logs: its absolute error is at most a few l u (u = 2^-53, det <= 1).
+    A det within the band 4 L u of either bound is `evidence`: rounding can
+    put it on either side, as at q 0.003 or 1e-9.  Beyond the band of a
+    bound it is `fail`; inside the band-shrunk envelope it is `pass`."""
     if args.L < 2:
         raise CliError("example banded needs --L >= 2")
     band = _builtin_symbol("ex59", None, args.q, band=True)
     dets = det_sequence(band, BlockPartition.unit(args.L), args.L)
     q = args.q  # the floor of PerturbedIdentity.geometric(q), bit for bit
     floor = 1.0 - q * q / (1.0 - q * q)
-    inside = bool(np.all(dets[1:] > floor) and np.all(dets[1:] < 1.0))
-    reports = [CheckReport(name="determinant_envelope",
-                           verdict="pass" if inside else "fail",
-                           payload={"min_det": float(np.min(dets)),
-                                    "floor": floor, "upper": 1.0})]
+    payload = {"min_det": float(np.min(dets)), "floor": floor, "upper": 1.0}
+    margin = float(np.min(np.minimum(dets[1:] - floor, 1.0 - dets[1:])))
+    rounding = 4 * args.L * 2.0 ** -53
+    verdict = ("pass" if margin > rounding else
+               "evidence" if abs(margin) <= rounding else "fail")
+    if verdict == "evidence":
+        payload["detail"] = (
+            f"the smallest margin to the envelope, {margin:.3g}, lies within "
+            f"its rounding band +-{rounding:.3g} (4 L u)")
+    reports = [CheckReport(name="determinant_envelope", verdict=verdict,
+                           payload=payload)]
     tables = {"determinants": (["l", "det"], list(enumerate(
         dets.tolist(), 1)))}
     return _emit(args, "example_banded", {"q": args.q, "L": args.L},

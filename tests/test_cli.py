@@ -10,9 +10,13 @@ import tracemalloc
 import warnings
 
 import argparse
+import io
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gausscomp import cli, gaussmeas
 from gausscomp.banded import BandedSymbol, PerturbedIdentity
@@ -666,6 +670,35 @@ def test_example_banded_envelope(capsys):
     assert all(r[1] > floor for r in rows[1:])
 
 
+@pytest.mark.parametrize("argv,margin", [
+    # the computed min det is 2 ulps below the floor; in exact arithmetic it
+    # is 6.6e-21 above it (a 60-digit recurrence)
+    (("--q", "0.003", "--L", "50"), -2.220446049250313e-16),
+    (("--q", "1e-9",), 0.0),  # every det rounds to 1.0, the floor and upper
+], ids=["q0.003", "q1e-9"])
+def test_example_banded_det_within_the_rounding_band_is_evidence(capsys, argv,
+                                                                margin):
+    code, doc = run_cli(capsys, "example", "banded", *argv)
+    report, = doc["body"]["reports"]
+    assert code == 2 and report["verdict"] == "evidence"
+    assert report["payload"]["detail"] == (
+        f"the smallest margin to the envelope, {margin:.3g}, lies within its "
+        f"rounding band +-{4 * doc['body']['config']['L'] * 2.0**-53:.3g} "
+        "(4 L u)")
+
+
+def test_example_banded_det_beyond_the_rounding_band_fails(capsys,
+                                                           monkeypatch):
+    floor = 1.0 - 0.25 / 0.75
+    monkeypatch.setattr(cli, "det_sequence", lambda *a: np.array(
+        [1.0, 0.8, floor - 1e-3, 0.7]))
+    code, doc = run_cli(capsys, "example", "banded", "--L", "4")
+    report, = doc["body"]["reports"]
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["payload"] == {"min_det": floor - 1e-3, "floor": floor,
+                                 "upper": 1.0}
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.69, 0.9])
 def test_ex59_band_has_the_bits_of_the_perturbed_identity(q):
     band = cli._builtin_symbol("ex59", None, q, band=True)
@@ -842,6 +875,24 @@ def test_rn_point_in_other_digits_is_written_as_utf8(tmp_path, capsys):
     capsys.readouterr()
     row = (tmp_path / "rn_values.csv").read_bytes().split(b"\n")[1]
     assert code == 0 and row.startswith('"١,٢",'.encode("utf-8"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "banded", "--L", "5"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--point", "0.1,0.2"),
+], ids=["banded", "rn"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+def test_outdir_that_is_a_file_writes_nothing(tmp_path, capsys, argv,
+                                              to_file):
+    # the report was written, or printed, before the directory failed
+    blocker, out = tmp_path / "F", tmp_path / "R"
+    blocker.write_text("kept\n")
+    code = main([*argv, "--outdir", str(blocker),
+                 *(["--output", str(out)] if to_file else [])])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: --outdir {str(blocker)!r}: ")
+    assert blocker.read_text() == "kept\n"
 
 
 # -- file formats -----------------------------------------------------------
@@ -1403,3 +1454,97 @@ def test_reports_carry_no_seed_and_no_copy_of_the_config(capsys, argv):
     assert reports and all("seed" not in r for r in reports)
     if argv[0] == "example":
         assert all(r["params"] == {} for r in reports)
+
+
+# -- each table encoded once --------------------------------------------------
+
+def _reference(written, command, config, reports, tables):
+    """The document and CSVs that json.dumps and csv.writer write alone, at
+    the timestamp of the `written` document."""
+    doc = {"header": json.loads(written)["header"],
+           "body": {"command": command, "config": config,
+                    "reports": [r.to_dict() for r in reports],
+                    "tables": {name: {"columns": cols, "rows": rows}
+                               for name, (cols, rows) in tables.items()}}}
+    csvs = {}
+    for name, (cols, rows) in tables.items():
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerows([cols, *rows])
+        csvs[f"{command}_{name}.csv"] = buf.getvalue().encode()
+    return (json.dumps(doc, sort_keys=True, allow_nan=False,
+                       default=cli._leaf) + os.linesep).encode(), csvs
+
+
+def _assert_written_alone(out, outdir, call):
+    written = out.read_bytes()
+    document, csvs = _reference(written, *call)
+    assert written == document
+    assert sorted(os.listdir(outdir)) == sorted(csvs)
+    for name, text in csvs.items():
+        assert (outdir / name).read_bytes() == text
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "diag", "--L", "9"),
+    ("example", "banded", "--q", "0.45", "--L", "300"),
+    ("example", "singular", "--N", "100000"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--point=0.1,0.2", "--box",
+     "1"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--point=\u0661,\u0662"),
+    ("rn", "--builtin", "ex59", "--kappa", "3", "--box", "1", "--box", "2"),
+], ids=["diag", "banded", "singular", "rn-comma", "rn-arabic-indic",
+        "rn-no-point"])
+def test_outdir_writes_the_bytes_of_json_and_csv_alone(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    calls, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda *a: calls.append(a[1:]) or emit(*a))
+    out, outdir = tmp_path / "r.json", tmp_path / "tables"
+    code = main([*argv, "--output", str(out), "--outdir", str(outdir)])
+    capsys.readouterr()
+    assert code in (0, 2) and len(calls) == 1
+    if argv[0] == "rn" and "--point" not in " ".join(argv):
+        assert calls[0][3]["values"][1] == []
+    _assert_written_alone(out, outdir, calls[0])
+
+
+_NUMBERS = st.one_of(st.integers(), st.integers(-10**300, 10**300),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([-0.0, 5e-324, 1e16, 1e-5]))
+_CELLS = st.one_of(_NUMBERS, st.booleans(), st.text(max_size=4),
+                   st.just("\0rows"))
+_TABLES = st.dictionaries(
+    st.sampled_from(["a", "b", "values"]),
+    st.tuples(st.just(["x", "y"]), st.one_of(*(
+        st.lists(st.lists(c, max_size=4) | st.tuples(c, c), max_size=5)
+        for c in (_NUMBERS, _CELLS)))),
+    min_size=1, max_size=3)
+
+
+@seed(40)
+@settings(max_examples=300, deadline=None)
+@given(_TABLES, st.text(max_size=6) | st.just("\0rows"))
+def test_emit_writes_the_bytes_of_json_and_csv_alone(tables, text):
+    # ints, bools, strings and floats at the edges of repr; a config string
+    # that is the rows' placeholder
+    report = CheckReport(name=text, verdict="pass", payload={"s": text})
+    call = ("t", {"s": text, "rows": [[text, 1.5]]}, [report], tables)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, outdir = pathlib.Path(tmp, "r.json"), pathlib.Path(tmp, "d")
+        args = argparse.Namespace(output=str(out), outdir=str(outdir))
+        assert cli._emit(args, *call) == 0
+        _assert_written_alone(out, outdir, call)
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "banded", "--L", "8"),
+    ("rn", "--builtin", "ex53", "--kappa", "2", "--point", "0.1,0.2"),
+    ("check", "prop56", "--builtin", "ex59", "--L", "8"),
+], ids=["banded", "rn", "prop56"])
+def test_without_outdir_the_document_is_one_dumps(capsys, monkeypatch, argv):
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or
+                        dumps(*a, **k))
+    code = main(list(argv))
+    capsys.readouterr()
+    assert code == 0 and len(calls) == 1
