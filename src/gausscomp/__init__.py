@@ -37,7 +37,6 @@ from .gaussmeas import (
     diag_closed_form,
     gaussian_box_mass,
     h_normalization,
-    infinite_product,
     perturbation_bound_check,
     poisson_bounds,
     rn_power_factorization_check,

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # _band_ranks: relative floor of a rank
+_RANK_BYTES = 1 << 24  # _band_ranks: padded blocks per batched SVD, in bytes
 
 
 class BandedSymbol:
@@ -190,11 +191,17 @@ def _band_blocks(ab, eta, r0, r1, c0, c1, size):
 
 
 def _band_ranks(ab, eta, r0, r1, c0, c1, size):
-    """Ranks of the `_band_blocks` stack by one batched SVD: the singular
-    values above `_RANK_TOL` times the block's own largest (zero block: 0)."""
-    sv = np.linalg.svd(_band_blocks(ab, eta, r0, r1, c0, c1, size),
-                       compute_uv=False)
-    return (sv > _RANK_TOL * sv[:, :1]).sum(1)
+    """Ranks of the `_band_blocks` stack by batched SVDs over chunks of at
+    most `_RANK_BYTES` of blocks (at least one): the singular values above
+    `_RANK_TOL` times the block's own largest (zero block: 0)."""
+    ranks = np.zeros(len(r0), int)
+    step = max(1, _RANK_BYTES // max(8 * size * size, 1))
+    for k in range(0, len(r0), step):
+        part = slice(k, k + step)
+        sv = np.linalg.svd(_band_blocks(ab, eta, r0[part], r1[part], c0[part],
+                                        c1[part], size), compute_uv=False)
+        ranks[part] = (sv > _RANK_TOL * sv[:, :1]).sum(1)
+    return ranks
 
 
 def _band_power(ab, eta, k):

@@ -280,19 +280,39 @@ def _leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write(path, text):
-    """Write `text` to `path` in place, as the module docstring says: only a
-    regular file is ever truncated, and the inode, mode and links stay."""
-    rest = data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+def _open_all(outdir, csvs, output):
+    """Descriptors of the paths `csvs` under `outdir`, then of `output` if
+    given, opened to be written in place (made if missing, never truncated
+    here), all or none: a failure closes what it opened, removes what it
+    made and raises, as a CliError naming `--outdir` for a CSV."""
+    fds, made = [], []
     try:
-        st = os.fstat(fd)
-        while rest:
-            rest = rest[os.write(fd, rest):]
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+        if outdir:
+            os.makedirs(outdir, exist_ok=True)
+        for path in [*csvs, output] if output else csvs:
+            new = not os.path.lexists(path)
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            made += [path] * new
+    except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        for path in made:
+            os.unlink(path)
+        if len(fds) < len(csvs):
+            raise CliError(f"--outdir {outdir!r}: {exc}") from None
+        raise
+    return fds
+
+
+def _write(fd, text):
+    """Write `text` through `fd` in place, as the module docstring says: only
+    a regular file is ever truncated, and the inode, mode and links stay."""
+    rest = data = memoryview(text.encode())
+    st = os.fstat(fd)
+    while rest:
+        rest = rest[os.write(fd, rest):]
+    if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+        os.ftruncate(fd, len(data))
 
 
 def _dumps(obj, **kw):
@@ -311,8 +331,9 @@ def _emit(args, command, config, reports, tables=None):
     that same text re-punctuated, `[[1, 0.5], [2, 0.25]]` as
     `1,0.5\\n2,0.25\\n`: json and `csv` both print them by `repr`.  Any
     other table (`rn`'s `point` strings) goes through `csv.writer`, which
-    quotes a comma and keeps the text as typed.  The directory is made
-    before anything is written, so a bad `--outdir` writes nothing."""
+    quotes a comma and keeps the text as typed.  The directory is made and
+    every output opened before anything is written, so an output that
+    cannot be opened leaves nothing behind."""
     tables = tables or {}
     body = {"command": command, "config": config,
             "reports": [r.to_dict() for r in reports],
@@ -336,14 +357,7 @@ def _emit(args, command, config, reports, tables=None):
                                                           len(tables))
         text = head + "".join(rows_text[name] + tail
                               for name, tail in zip(sorted(tables), tails))
-        try:
-            os.makedirs(outdir, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"--outdir {outdir!r}: {exc}") from None
-    if args.output:
-        _write(args.output, text + os.linesep)
-    else:
-        print(text)
+    csvs = {}
     for name, (cols, rows) in tables.items() if outdir else ():
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
@@ -354,7 +368,18 @@ def _emit(args, command, config, reports, tables=None):
         elif inner:
             buf.write(inner[1:-1].replace("], [", "\n").replace(", ", ",")
                       + "\n")
-        _write(os.path.join(outdir, f"{command}_{name}.csv"), buf.getvalue())
+        csvs[os.path.join(outdir, f"{command}_{name}.csv")] = buf.getvalue()
+    fds = _open_all(outdir, list(csvs), args.output)
+    try:
+        if args.output:
+            _write(fds[-1], text + os.linesep)
+        else:
+            print(text)
+        for fd, data in zip(fds, csvs.values()):
+            _write(fd, data)
+    finally:
+        for fd in fds:
+            os.close(fd)
     verdicts = {r.verdict for r in reports}
     return 1 if "fail" in verdicts else 2 if "evidence" in verdicts else 0
 

@@ -21,7 +21,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,8 +38,6 @@ __all__ = [
     "h_normalization",
     "diag_closed_form",
     "gaussian_box_mass",
-    "infinite_product",
-    "ProductResult",
     "poisson_bounds",
     "singular_scaling_demo",
     "SingularScalingReport",
@@ -80,10 +77,6 @@ class RnDerivative:
         self.A = A
         self.A_inv = np.linalg.inv(A)
         self.log_abs_det_A_inv = -logdet
-
-    @property
-    def kappa(self):
-        return self.A.shape[0]
 
     def log_eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -415,58 +408,7 @@ def _diag_closed_forms(alpha, i, n_plus_r, k, L):
 
 
 # ---------------------------------------------------------------------------
-# infinite products and the singular-scaling demonstration
-
-
-@dataclass(frozen=True)
-class ProductResult:
-    status: str                 # convergent | divergent_to_zero | indeterminate
-    value: float                # partial product
-    remainder_bound: float | None  # bound on |limit/value - 1| when convergent
-    terms_used: int
-
-
-def infinite_product(terms: Callable[[int], float], n_terms: int = 10_000,
-                     tail_bound: Callable[[int], float] | None = None) -> ProductResult:
-    """Classify the product of positive terms t_1, t_2, ...
-
-    Convergence is decided through summability of |1 - t_j|.  With a
-    `tail_bound(N)` certificate (a bound on the tail sum of |1 - t_j|)
-    the verdict is `convergent` together with a rigorous remainder bound.
-    Without a certificate the partial sums can only witness divergence to
-    zero; anything else is `indeterminate`.
-    """
-    log_p = 0.0
-    dev_sum = 0.0
-    dev_half = 0.0
-    hit_zero = False
-    any_above_one = False
-    for j in range(1, n_terms + 1):
-        t = float(terms(j))
-        if t <= 0:
-            raise ValueError(f"term {j} is not positive: {t}")
-        if t > 1:
-            any_above_one = True
-        log_p += math.log(t)
-        dev_sum += abs(1.0 - t)
-        if j == n_terms // 2:
-            dev_half = dev_sum
-        if log_p < -745:  # exp underflows
-            hit_zero = True
-    value = math.exp(log_p) if log_p > -745 else 0.0
-    if tail_bound is not None:
-        T = float(tail_bound(n_terms))
-        if T >= 1.0:
-            raise ValueError("tail bound must certify a tail sum below 1")
-        rem = math.expm1(T / (1.0 - T))
-        return ProductResult("convergent", value, rem, n_terms)
-    if dev_sum == 0.0:
-        # every inspected term is exactly 1; nothing to bound
-        return ProductResult("convergent", value, 0.0, n_terms)
-    tail_estimate = dev_sum - dev_half
-    if not any_above_one and (hit_zero or tail_estimate > 0.05):
-        return ProductResult("divergent_to_zero", value, None, n_terms)
-    return ProductResult("indeterminate", value, None, n_terms)
+# the singular-scaling demonstration
 
 
 def poisson_bounds(a: float):

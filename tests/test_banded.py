@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,30 @@ def test_class_F_matches_entry_walk(case):
     assert rep.block_ranks == ranks
     assert rep.ok == (violation is None
                       and all(r in (0, full) for _, r, full in ranks))
+
+
+@pytest.mark.parametrize("budgets", [2, 6])
+def test_band_ranks_run_in_bounded_memory(budgets):
+    # unchunked, the padded stack alone is `budgets` budgets in size; the
+    # chunked peak stays under one bound whatever the slice count
+    rng, eta, size, n = np.random.default_rng(budgets), 2, 64, 600
+    m = budgets * banded._RANK_BYTES // (8 * size * size)
+    ab = rng.standard_normal((2 * eta + 1, n))
+    r0, c0 = rng.integers(0, n - size, (2, m))
+    r1, c1 = (x + rng.integers(1, size + 1, m) for x in (r0, c0))
+    tracemalloc.start()
+    try:
+        ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * banded._RANK_BYTES
+    dense = _dense(ab, eta, n)
+    want = []
+    for i0, i1, j0, j1 in zip(r0, r1, c0, c1):
+        sv = np.linalg.svd(dense[i0:i1, j0:j1], compute_uv=False)
+        want.append(int((sv > banded._RANK_TOL * sv[0]).sum()))
+    assert ranks.tolist() == want
 
 
 # -- determinants ----------------------------------------------------------

@@ -59,7 +59,7 @@ def test_n_a_imaginary_entry():
                           allow_nan=False, allow_infinity=False))
 def test_n_a_scaling_invariance(z):
     t = tensor_with(3, 2, {(1, 2, 1, 2): 0.5 + 1j, (0, 0, 2, 2): -2.0})
-    assert t.scaled(z).n_a == t.n_a
+    assert CoefficientTensor(t.a * z).n_a == t.n_a
 
 
 # -- positivity form --------------------------------------------------------
@@ -468,6 +468,20 @@ def block_class(a, s, K):
     """The `inverse_in_block_class` report of `prop52_suite` to depth K."""
     return next(r for r in prop52_suite(a, s, 0, 0, K, [])
                 if r.name == "inverse_in_block_class")
+
+
+def test_prop52_slice_past_memory_is_evidence_naming_its_size(monkeypatch):
+    # as for cuts 2, 4, ..., 2^17, whose one 65537^2 slice takes 34 GB;
+    # here the widest block is 4 wide, so the padded slice is 5 x 5
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(checker, "_band_ranks", out_of_memory)
+    s = BlockPartition([2, 4, 8])
+    rep = block_class(BandedSymbol.geometric_tridiagonal(0.5), s, 3)
+    assert rep.verdict == "evidence"
+    assert rep.payload == {"detail": "not computable: a 5 x 5 block slice "
+                                     "does not fit in memory"}
 
 
 def block_class_of_inverse(inv, s, K, tol):

@@ -895,6 +895,25 @@ def test_outdir_that_is_a_file_writes_nothing(tmp_path, capsys, argv,
     assert blocker.read_text() == "kept\n"
 
 
+def test_a_csv_that_cannot_be_opened_writes_no_report(tmp_path, capsys):
+    outdir, out = tmp_path / "D", tmp_path / "R"
+    (outdir / "example_banded_determinants.csv").mkdir(parents=True)
+    code = main(["example", "banded", "--L", "5", "--output", str(out),
+                 "--outdir", str(outdir)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: --outdir {str(outdir)!r}: ")
+
+
+def test_a_report_that_cannot_be_opened_leaves_no_csv(tmp_path, capsys):
+    outdir = tmp_path / "D"
+    code = main(["example", "banded", "--L", "5", "--output", str(tmp_path),
+                 "--outdir", str(outdir)])
+    stdout, err = capsys.readouterr()
+    assert code == 3 and stdout == "" and err.startswith("error: ")
+    assert os.listdir(outdir) == []
+
+
 # -- file formats -----------------------------------------------------------
 
 def test_symbol_file_triplets(tmp_path):

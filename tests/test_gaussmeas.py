@@ -18,7 +18,6 @@ from gausscomp.gaussmeas import (
     diag_closed_form,
     gaussian_box_mass,
     h_normalization,
-    infinite_product,
     perturbation_bound_check,
     poisson_bounds,
     proof_constant,
@@ -741,39 +740,6 @@ def test_box_integral_of_a_zero_form_is_the_box_length(k):
     # s = 0: the factor is (2 pi)^{-1/2} times the length 2k of [-k, k]
     assert gaussmeas._gauss_box_integral(np.zeros((1, 1)), Box(1, k)) == (
         math.log(2.0 * k / math.sqrt(2.0 * math.pi)), 1.0)
-
-
-# -- products ---------------------------------------------------------------
-
-def test_product_all_ones():
-    res = infinite_product(lambda j: 1.0)
-    assert res.status == "convergent"
-    assert res.value == 1.0 and res.remainder_bound == 0.0
-
-
-def test_product_euler_like():
-    res = infinite_product(lambda j: 1.0 - 2.0 ** (-j), n_terms=200,
-                           tail_bound=lambda N: 2.0 ** (-N))
-    assert res.status == "convergent"
-    assert res.value == pytest.approx(0.2887880950866, abs=1e-10)
-    assert res.remainder_bound < 1e-30
-
-
-def test_product_harmonic_divergent():
-    res = infinite_product(lambda j: 1.0 - 1.0 / (j + 1), n_terms=5000)
-    assert res.status == "divergent_to_zero"
-
-
-def test_product_with_a_term_above_one_is_indeterminate():
-    # the harmonic product but for t_1 > 1: no longer witnessed divergent
-    res = infinite_product(lambda j: 1.5 if j == 1 else 1.0 - 1.0 / (j + 1),
-                           n_terms=5000)
-    assert res.status == "indeterminate" and res.remainder_bound is None
-
-
-def test_product_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        infinite_product(lambda j: 1.0 - 1.0 / j, n_terms=10)
 
 
 # -- poisson bounds ---------------------------------------------------------
