@@ -190,17 +190,20 @@ def _band_blocks(ab, eta, r0, r1, c0, c1, size):
                              np.clip(j, 0, w - 1)], 0.0)
 
 
-def _band_ranks(ab, eta, r0, r1, c0, c1, size):
-    """Ranks of the `_band_blocks` stack by batched SVDs over chunks of at
-    most `_RANK_BYTES` of blocks (at least one): the singular values above
-    `_RANK_TOL` times the block's own largest (zero block: 0)."""
-    ranks = np.zeros(len(r0), int)
-    step = max(1, _RANK_BYTES // max(8 * size * size, 1))
-    for k in range(0, len(r0), step):
-        part = slice(k, k + step)
-        sv = np.linalg.svd(_band_blocks(ab, eta, r0[part], r1[part], c0[part],
-                                        c1[part], size), compute_uv=False)
-        ranks[part] = (sv > _RANK_TOL * sv[:, :1]).sum(1)
+def _band_ranks(ab, eta, r0, r1, c0, c1):
+    """Ranks of the `_band_blocks` slices, each padded to its own size, by
+    batched SVDs over chunks of at most `_RANK_BYTES` of same-size blocks (at
+    least one): the singular values above `_RANK_TOL` times the block's own
+    largest (zero block: 0)."""
+    sizes, ranks = np.maximum(r1 - r0, c1 - c0), np.zeros(len(r0), int)
+    for size in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == size)
+        step = max(1, _RANK_BYTES // max(8 * size * size, 1))
+        for part in np.split(same, range(step, len(same), step)):
+            sv = np.linalg.svd(_band_blocks(
+                ab, eta, r0[part], r1[part], c0[part], c1[part], size),
+                compute_uv=False)
+            ranks[part] = (sv > _RANK_TOL * sv[:, :1]).sum(1)
     return ranks
 
 
@@ -292,8 +295,8 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
         return ClassFReport(False, (r + 1, r + c + 2), [])
     b = np.diff(cuts)
     ranks = list(zip(range(1, K), _band_ranks(
-        ab, eta, cuts[:-2], cuts[1:-1], cuts[1:-1], cuts[2:],
-        b.max(initial=0)).tolist(), b[:-1].tolist()))
+        ab, eta, cuts[:-2], cuts[1:-1], cuts[1:-1], cuts[2:]).tolist(),
+        b[:-1].tolist()))
     return ClassFReport(all(r in (0, full) for _, r, full in ranks), None,
                         ranks)
 

@@ -21,23 +21,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .banded import (
-    _RANK_TOL,
-    BandedSymbol,
-    BlockPartition,
-    PerturbedIdentity,
-    _band_ranks,
-    _corner_commutators,
-    _cut_logdets,
-    det_sequence,
-    power_entry_bound,
-)
-from .gaussmeas import (
-    DivergenceError,
-    _adjoint_power,
-    _box_norms,
-    perturbation_bound_check,
-)
+from .banded import (_RANK_TOL, BandedSymbol, BlockPartition,
+                     PerturbedIdentity, _band_ranks, _corner_commutators,
+                     _cut_logdets, det_sequence, power_entry_bound)
+from .gaussmeas import (DivergenceError, _adjoint_power, _box_norms,
+                        perturbation_bound_check)
 from .hermite import HermiteModel, _power_pair_gram
 
 __all__ = [
@@ -445,7 +433,7 @@ def prop52_suite(a: BandedSymbol, s: BlockPartition, n: int, r: int, L: int,
     slices = (np.stack(x, 1).ravel() for x in (
         (t, m, t), (h, h + eta, m), (m, t, m), (h + eta, h, m + eta)))
     try:  # zero padding keeps every rank
-        up, low, ranks = _band_ranks(ab, eta, *slices, size).reshape(-1, 3).T
+        up, low, ranks = _band_ranks(ab, eta, *slices).reshape(-1, 3).T
     except MemoryError:
         verdict, payload = "evidence", {"detail": (
             f"not computable: a {size} x {size} block slice does not fit in "

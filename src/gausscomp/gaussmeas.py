@@ -12,7 +12,8 @@ coupled box integrates one coordinate of positive curvature in closed form
 (a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
 doubles from `_FIRST_ORDER` until two successive values agree to
 `_TARGET`; a refinement that would pass `_MAX_ORDER` per coordinate or
-`_MAX_POINTS` points raises instead of returning.
+`_MAX_POINTS` points raises instead of returning.  `_em_sums` takes the
+singular-scaling sums between distant rows in O(1) by Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -438,15 +439,15 @@ class SingularScalingReport:
     )
 
 
-_CHUNK = 1 << 14  # terms per chunk of `_singular_trajectories`
+_HEAD, _GAP = 1 << 11, 1 << 9  # see `_singular_trajectories`
 
 
 def _singular_exponents(alpha, N):
     """(beta, 2 alpha^2 beta) of the singular scaling over N terms."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    if not 2 <= N <= 1 << 53:  # past 2^53, the index m is not exact
+        raise ValueError(f"--N {N} must lie in [2, 2^53], exact in floats")
     beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
     if 2.0 * alpha * alpha * beta == 0.0:  # Q's factors 1 - m^-0 would be 0
         raise ValueError(f"--alpha {alpha!r}: 2 alpha^2 beta underflows to 0")
@@ -464,35 +465,62 @@ def _log1m_pow(ln_m, c, out):
     return out
 
 
+def _em_sums(a, b, cs):
+    """Sums of f(m) = log(1 - m^-c), m = a..b, for each c of cs over the
+    increasing disjoint runs a..b, by Euler-Maclaurin with 16-point Gauss-
+    Legendre integrals on the pieces a 2^j..min(a 2^(j+1), b).  With y = c
+    ln x and h = e^-y / (1 - e^-y) < 1e243 (c > 1e-243), f = -log1p(h), f' =
+    c h / x and f''' = c / x^3 (2h (c + ch + 1) + (c + 2ch + 1) ch (1 + h)):
+    no step cancels or overflows."""
+    k = np.frexp(-(-b // a) - 1)[1]  # pieces: the least k with a 2^k >= b
+    first = np.cumsum(k) - k
+    lo = np.repeat(a, k) * np.exp2(np.arange(k.sum()) - np.repeat(first, k))
+    half = 0.5 * (np.minimum(2 * lo, np.repeat(b, k)) - lo)  # exact
+    t, w = _legendre_rule(16)
+    x = np.append((lo + half)[:, None] + half[:, None] * t, (a, b))
+    y = np.multiply.outer(cs, np.log(x))
+    h = np.exp(-y) / -np.expm1(-y)
+    f, n, c = -np.log1p(h), len(x) - 2 * len(a), np.reshape(cs, (-1, 1, 1))
+    x, h = x[n:].reshape(2, -1), h[:, n:].reshape(len(cs), 2, -1)  # a; b
+    ch = c * h
+    d3 = c / x ** 3 * (2 * h * (c + ch + 1) + (c + 2 * ch + 1) * ch * (1 + h))
+    ends = f[:, n:].reshape(h.shape) / 2 + [[-1.0], [1.0]] * (
+        ch / x / 12 - d3 / 720)  # (f(a) + f(b)) / 2 + [f'] / 12 - [f'''] / 720
+    quad = f[:, :n].reshape(len(cs), -1, len(w)) @ w * half
+    return np.add.reduceat(quad, first, axis=1) + ends.sum(1)
+
+
 def _singular_trajectories(beta, q_exp, N, stride):
     """(n, log P_n, log Q_n) at n - 2 = 0, stride, 2 stride, ... < N and at
     n = N, N + 1: log P_n = sum log1p(-m^-beta), log Q_n = sum
-    log(1 - m^-q_exp), m = 2..n.  Per chunk of at most `_CHUNK` terms, made
-    from one log m, reduceat sums the terms between output points
-    (pairwise) and accumulate carries the sums; at stride 1 that is one
-    cumsum of all N terms, bit for bit.  A caller fails on P reaching 0, on
-    P rising, read off these sums (every term is <= 0, so no sum can rise,
-    printed or not; their exp need not be monotone to the last ulp), and on
-    log Q not decreasing over the last two n.
-    """
-    at = np.union1d(np.arange(0, N, stride), (N - 2, N - 1))  # n - 2
-    out, terms = np.empty((2, len(at))), np.empty((2, _CHUNK))
-    first = np.arange(2, min(N, _CHUNK) + 2, dtype=float)  # the first m
-    carry, done = np.zeros(2), 0
-    for lo in range(0, N, _CHUNK):
-        w = min(_CHUNK, N - lo)
-        ln_m = np.log(first[:w] + lo)
-        for t, exponent in zip(terms[:, :w], (beta, q_exp)):
-            _log1m_pow(ln_m, exponent, t)
-        upto = np.searchsorted(at, lo + w - 1, side="right")
-        cuts = at[done:upto] + 1 - lo  # a sum ends at each point and at w
-        starts = np.concatenate(([0], cuts[cuts < w]))
-        sums = np.add.reduceat(terms[:, :w], starts, axis=1)
-        sums[:, 0] += carry
-        np.add.accumulate(sums, axis=1, out=sums)
-        out[:, done:upto] = sums[:, :upto - done]
-        carry, done = sums[:, -1], upto
-    return at + 2, out[0], out[1]
+    log(1 - m^-q_exp), m = 2..n.  The terms m <= `_HEAD` and the runs
+    between output points shorter than `_GAP`, cheaper than `_em_sums`'
+    fixed cost, are summed term by term (stride 1: one cumsum, bit for
+    bit), longer runs by `_em_sums`.  -f is completely monotone, so their
+    remainders add to at most 2 zeta(4) / (2 pi)^4 times the integral of
+    |f''''| past `_HEAD`: below 1e-16 of the head's sum for every c.  A
+    caller fails on P reaching 0, on P rising, read off these sums (each
+    run's is <= 0, so none can rise), and on log Q not decreasing over the
+    last two n."""
+    b = np.concatenate((np.arange(2, N, stride), (N, N + 1)))  # the n
+    a = np.concatenate(([2], b[:-1] + 1))  # each sum adds the run a..b
+    s = np.maximum(a, _HEAD + 1)
+    em = b - s >= _GAP - 1  # then s..b goes to `_em_sums`
+    lens = np.where(em, s, b + 1) - a  # the terms summed one by one
+    start = np.cumsum(lens) - lens
+    m = np.arange(2.0, lens.sum() + 2)
+    if em.any():
+        m += np.repeat(a - 2 - start, lens)  # skip each s..b
+    ln_m, terms = np.log(m), np.empty((2, len(m)))
+    for t, c in zip(terms, (beta, q_exp)):
+        _log1m_pow(ln_m, c, t)
+    # the last run, m = N + 1, is never empty, so every start is in range;
+    # an empty run's reduceat would be the next run's first term
+    sums = np.add.reduceat(terms, start, axis=1) * (lens > 0)
+    if em.any():
+        sums[:, em] += _em_sums(s[em], b[em], (beta, q_exp))
+    np.add.accumulate(sums, axis=1, out=sums)
+    return b, sums[0], sums[1]
 
 
 def _p_limit_lower(p_last, beta, N):

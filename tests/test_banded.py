@@ -166,10 +166,20 @@ def test_class_F_matches_entry_walk(case):
                       and all(r in (0, full) for _, r, full in ranks))
 
 
+def _svd_ranks(ab, eta, n, r0, r1, c0, c1):
+    """The `_RANK_TOL` ranks of the slices, one np.linalg.svd each."""
+    dense, want = _dense(ab, eta, n), []
+    for i0, i1, j0, j1 in zip(r0, r1, c0, c1):
+        sv = np.linalg.svd(dense[i0:i1, j0:j1], compute_uv=False)
+        want.append(int((sv > banded._RANK_TOL * sv[:1]).sum()))
+    return want
+
+
 @pytest.mark.parametrize("budgets", [2, 6])
 def test_band_ranks_run_in_bounded_memory(budgets):
-    # unchunked, the padded stack alone is `budgets` budgets in size; the
-    # chunked peak stays under one bound whatever the slice count
+    # padded to 64, the stack alone is `budgets` budgets in size, and about
+    # half that at each slice's own size; the chunked peak stays under one
+    # bound whatever the slice count
     rng, eta, size, n = np.random.default_rng(budgets), 2, 64, 600
     m = budgets * banded._RANK_BYTES // (8 * size * size)
     ab = rng.standard_normal((2 * eta + 1, n))
@@ -177,17 +187,32 @@ def test_band_ranks_run_in_bounded_memory(budgets):
     r1, c1 = (x + rng.integers(1, size + 1, m) for x in (r0, c0))
     tracemalloc.start()
     try:
-        ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1, size)
+        ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * banded._RANK_BYTES
-    dense = _dense(ab, eta, n)
-    want = []
-    for i0, i1, j0, j1 in zip(r0, r1, c0, c1):
-        sv = np.linalg.svd(dense[i0:i1, j0:j1], compute_uv=False)
-        want.append(int((sv > banded._RANK_TOL * sv[0]).sum()))
-    assert ranks.tolist() == want
+    assert ranks.tolist() == _svd_ranks(ab, eta, n, r0, r1, c0, c1)
+
+
+def test_band_ranks_pad_each_slice_to_its_own_size(monkeypatch):
+    # one 300-wide slice among narrow ones, one of them off the band (rank
+    # 0): no narrow slice is padded to its width
+    rng, eta, n = np.random.default_rng(5), 2, 400
+    ab = rng.standard_normal((2 * eta + 1, n))
+    r0, c0 = np.array([0, 10, 40, 90, 50]), np.array([3, 8, 41, 200, 60])
+    r1, c1 = r0 + [3, 4, 2, 5, 300], c0 + [2, 4, 3, 1, 300]
+    calls, blocks = [], banded._band_blocks
+
+    def recorded(ab, eta, r0, r1, c0, c1, size):
+        calls.append((size, np.maximum(r1 - r0, c1 - c0).tolist()))
+        return blocks(ab, eta, r0, r1, c0, c1, size)
+
+    monkeypatch.setattr(banded, "_band_blocks", recorded)
+    ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1)
+    assert sorted(calls) == [(3, [3, 3]), (4, [4]), (5, [5]), (300, [300])]
+    assert ranks.tolist() == _svd_ranks(ab, eta, n, r0, r1, c0, c1)
+    assert ranks[3] == 0
 
 
 # -- determinants ----------------------------------------------------------

@@ -741,14 +741,10 @@ def test_example_singular_trajectories(capsys):
     assert rep["payload"]["final_log_q"] < -5
 
 
-_CHUNK = gaussmeas._CHUNK
-
-
-@pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               3 * _CHUNK + 7, 100 * _CHUNK + 7])
+@pytest.mark.parametrize("N", [2, 3, 16383, 16384, 16385, 49159, 1638407])
 def test_example_singular_stream_matches_the_demo(capsys, N):
     # the strided sums are those of the full trajectories, associated
-    # otherwise; at the last N one stride spans more than one chunk
+    # otherwise; past 100 * 2^9 the runs between rows are Euler-Maclaurin's
     code, doc = run_cli(capsys, "example", "singular", "--alpha", "0.7",
                         "--N", str(N))
     rep = gaussmeas.singular_scaling_demo(0.7, N)
@@ -779,6 +775,23 @@ def test_example_singular_rows_match_an_fsum_of_log1p(capsys):
     for k, (_, p, _) in enumerate(rows):
         assert p == pytest.approx(math.exp(math.fsum(parts[:k + 1])),
                                   rel=1e-14)
+
+
+def test_example_singular_N_past_2_53_is_bad_input(capsys):
+    # past 2^53 the index m is no longer exact in a float
+    assert main(["example", "singular", "--N", "1000000000000000000"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: --N 1000000000000000000 must lie in [2, 2^53], exact in "
+        "floats\n")
+
+
+def test_example_singular_runs_at_N_2_53(capsys):
+    N = 9007199254740992
+    code, doc = run_cli(capsys, "example", "singular", "--N", str(N),
+                        "--alpha", "0.001")
+    rows = doc["body"]["tables"]["trajectories"]["rows"]
+    assert code == 0 and doc["body"]["reports"][0]["verdict"] == "pass"
+    assert [r[0] for r in rows] == list(range(2, N + 2, N // 100))
 
 
 def test_example_singular_rise_across_chunks_fails(capsys, monkeypatch):
@@ -823,8 +836,8 @@ def test_example_singular_tiny_certificate_still_passes(capsys):
 
 
 def test_example_singular_holds_no_trajectory(tmp_path):
-    # the whole run allocates about one chunk, not N terms (the full
-    # trajectories of N = 10^6 take 8 MB each)
+    # the whole run allocates a head of terms and one quadrature per row,
+    # not N terms (the full trajectories of N = 10^6 take 8 MB each)
     tracemalloc.start()
     try:
         code = main(["example", "singular", "--N", "1000000",

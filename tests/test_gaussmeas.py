@@ -779,14 +779,10 @@ def test_singular_scaling_dichotomy():
     assert rep.log_q_trajectory[-1] < rep.log_q_trajectory[-2]
 
 
-_CHUNK = gaussmeas._CHUNK
-
-
-@pytest.mark.parametrize("N", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               3 * _CHUNK + 7])
+@pytest.mark.parametrize("N", [2, 3, 16383, 16384, 16385, 49159])
 def test_singular_stream_matches_one_cumulative_pass(N):
-    # at stride 1 the chunked sums are one cumsum of all N log terms, bit
-    # for bit, and the demo's P is exp of it
+    # at stride 1 the sums are one cumsum of all N log terms, bit for bit,
+    # and the demo's P is exp of it
     alpha = 0.5
     beta, q = gaussmeas._singular_exponents(alpha, N)
     n, log_p, log_q = gaussmeas._singular_trajectories(beta, q, N, 1)
@@ -812,6 +808,56 @@ def test_singular_log_q_matches_40_digits(alpha):
         for stride in (1, N // 100):
             got = gaussmeas._singular_trajectories(beta, q, N, stride)[2][-1]
             assert abs((got - ref) / ref) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1e-3, 1e-9, 0.999])
+@pytest.mark.parametrize("N", [10**5, 10**6])
+def test_singular_rows_match_an_fsum_of_the_terms(N, alpha):
+    # past the head, the runs between rows are Euler-Maclaurin's; every
+    # row still matches the running fsum of per-run fsums of the terms
+    beta, q = gaussmeas._singular_exponents(alpha, N)
+    n, *sums = gaussmeas._singular_trajectories(beta, q, N, N // 100)
+    ln_m, cuts = np.log(np.arange(2, N + 2, dtype=float)), [0, *(n - 1)]
+    for got, c in zip(sums, (beta, q)):
+        terms = gaussmeas._log1m_pow(ln_m, c, np.empty(N))
+        parts = [math.fsum(terms[i:j]) for i, j in zip(cuts, cuts[1:])]
+        want = [math.fsum(parts[:k + 1]) for k in range(len(parts))]
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1e-3, 0.99, 1e-9])
+@pytest.mark.parametrize("N", [10**9, 10**12, 10**15])
+def test_singular_last_row_matches_30_digit_sumem(N, alpha):
+    import mpmath as mp
+    beta, q = gaussmeas._singular_exponents(alpha, N)
+    _, *sums = gaussmeas._singular_trajectories(beta, q, N, N // 100)
+    for got, c in zip(sums, (beta, q)):
+        with mp.workdps(30):
+            def f(m, c=mp.mpf(c)):
+                return mp.log(-mp.expm1(-c * mp.log(m)))
+            ref = (mp.fsum(f(m) for m in range(2, 257))
+                   + mp.sumem(f, [257, N + 1]))
+        assert got[-1] == pytest.approx(float(ref), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9999999, 1e-9, 1e-150, 2.3e-162])
+def test_singular_run_sums_are_nonpositive_and_warn_nothing(alpha):
+    # the caller's "P rising" fail reads np.diff of these sums; tiny alpha
+    # makes h = 1 / y of Q's f' near 1e225 (near 1e242 at 2.3e-162, about
+    # the least alpha whose 2 alpha^2 beta is not 0), and beta near 5e74
+    # underflows P's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (10**5, 10**9, 10**15, 1 << 53):
+            beta, q = gaussmeas._singular_exponents(alpha, N)
+            for stride in (N // 100, N // 7, N):
+                _, log_p, log_q = gaussmeas._singular_trajectories(
+                    beta, q, N, stride)
+                assert np.all(np.diff(log_p, prepend=0.0) <= 0)
+                assert np.all(np.diff(log_q, prepend=0.0) <= 0)
+            a = np.array([2049, 10**4, 10**6, 10**12])
+            for cs in ((beta, q), (1.0, 134.0)):
+                assert np.all(gaussmeas._em_sums(a, 2 * a - 1, cs) <= 0)
 
 
 def test_singular_scaling_near_degenerate_flag():
