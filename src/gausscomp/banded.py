@@ -193,10 +193,11 @@ def _band_blocks(ab, eta, r0, r1, c0, c1, size):
 def _band_ranks(ab, eta, r0, r1, c0, c1):
     """Ranks of the `_band_blocks` slices, each padded to its own size, by
     batched SVDs over chunks of at most `_RANK_BYTES` of same-size blocks (at
-    least one): the singular values above `_RANK_TOL` times the block's own
-    largest (zero block: 0)."""
+    least one), widest first so that a block too large to allocate fails
+    before any SVD: the singular values above `_RANK_TOL` times the block's
+    own largest (zero block: 0)."""
     sizes, ranks = np.maximum(r1 - r0, c1 - c0), np.zeros(len(r0), int)
-    for size in np.unique(sizes).tolist():
+    for size in np.unique(sizes)[::-1].tolist():
         same = np.flatnonzero(sizes == size)
         step = max(1, _RANK_BYTES // max(8 * size * size, 1))
         for part in np.split(same, range(step, len(same), step)):

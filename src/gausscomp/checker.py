@@ -21,11 +21,23 @@ from typing import ClassVar
 
 import numpy as np
 
-from .banded import (_RANK_TOL, BandedSymbol, BlockPartition,
-                     PerturbedIdentity, _band_ranks, _corner_commutators,
-                     _cut_logdets, det_sequence, power_entry_bound)
-from .gaussmeas import (DivergenceError, _adjoint_power, _box_norms,
-                        perturbation_bound_check)
+from .banded import (
+    _RANK_TOL,
+    BandedSymbol,
+    BlockPartition,
+    PerturbedIdentity,
+    _band_ranks,
+    _corner_commutators,
+    _cut_logdets,
+    det_sequence,
+    power_entry_bound,
+)
+from .gaussmeas import (
+    DivergenceError,
+    _adjoint_power,
+    _box_norms,
+    perturbation_bound_check,
+)
 from .hermite import HermiteModel, _power_pair_gram
 
 __all__ = [

@@ -446,8 +446,9 @@ def _singular_exponents(alpha, N):
     """(beta, 2 alpha^2 beta) of the singular scaling over N terms."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if not 2 <= N <= 1 << 53:  # past 2^53, the index m is not exact
-        raise ValueError(f"--N {N} must lie in [2, 2^53], exact in floats")
+    if not 2 <= N < 1 << 53:  # the last index, m = N + 1, must be a float
+        raise ValueError(f"--N {N} must lie in [2, 2^53 - 1], so that every "
+                         "index m <= N + 1 is exact in floats")
     beta = 0.5 * (1.0 + 1.0 / math.sqrt(alpha))
     if 2.0 * alpha * alpha * beta == 0.0:  # Q's factors 1 - m^-0 would be 0
         raise ValueError(f"--alpha {alpha!r}: 2 alpha^2 beta underflows to 0")
@@ -496,15 +497,16 @@ def _singular_trajectories(beta, q_exp, N, stride):
     log(1 - m^-q_exp), m = 2..n.  The terms m <= `_HEAD` and the runs
     between output points shorter than `_GAP`, cheaper than `_em_sums`'
     fixed cost, are summed term by term (stride 1: one cumsum, bit for
-    bit), longer runs by `_em_sums`.  -f is completely monotone, so their
-    remainders add to at most 2 zeta(4) / (2 pi)^4 times the integral of
-    |f''''| past `_HEAD`: below 1e-16 of the head's sum for every c.  A
+    bit), longer runs past their first term by `_em_sums`.  -f is
+    completely monotone, so their remainders add to at most 2 zeta(4) /
+    (2 pi)^4 times the integral of |f''''| past `_HEAD`: below 1e-16 of
+    the head's sum for every c.  A
     caller fails on P reaching 0, on P rising, read off these sums (each
     run's is <= 0, so none can rise), and on log Q not decreasing over the
     last two n."""
     b = np.concatenate((np.arange(2, N, stride), (N, N + 1)))  # the n
     a = np.concatenate(([2], b[:-1] + 1))  # each sum adds the run a..b
-    s = np.maximum(a, _HEAD + 1)
+    s = np.maximum(a + 1, _HEAD + 1)  # a..s-1 is never empty
     em = b - s >= _GAP - 1  # then s..b goes to `_em_sums`
     lens = np.where(em, s, b + 1) - a  # the terms summed one by one
     start = np.cumsum(lens) - lens
@@ -514,9 +516,7 @@ def _singular_trajectories(beta, q_exp, N, stride):
     ln_m, terms = np.log(m), np.empty((2, len(m)))
     for t, c in zip(terms, (beta, q_exp)):
         _log1m_pow(ln_m, c, t)
-    # the last run, m = N + 1, is never empty, so every start is in range;
-    # an empty run's reduceat would be the next run's first term
-    sums = np.add.reduceat(terms, start, axis=1) * (lens > 0)
+    sums = np.add.reduceat(terms, start, axis=1)
     if em.any():
         sums[:, em] += _em_sums(s[em], b[em], (beta, q_exp))
     np.add.accumulate(sums, axis=1, out=sums)

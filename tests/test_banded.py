@@ -177,14 +177,14 @@ def _svd_ranks(ab, eta, n, r0, r1, c0, c1):
 
 @pytest.mark.parametrize("budgets", [2, 6])
 def test_band_ranks_run_in_bounded_memory(budgets):
-    # padded to 64, the stack alone is `budgets` budgets in size, and about
-    # half that at each slice's own size; the chunked peak stays under one
-    # bound whatever the slice count
+    # every slice is 64 x 64, so the one size's stack alone is `budgets`
+    # budgets in size; the chunked peak stays under one bound whatever the
+    # slice count
     rng, eta, size, n = np.random.default_rng(budgets), 2, 64, 600
     m = budgets * banded._RANK_BYTES // (8 * size * size)
     ab = rng.standard_normal((2 * eta + 1, n))
     r0, c0 = rng.integers(0, n - size, (2, m))
-    r1, c1 = (x + rng.integers(1, size + 1, m) for x in (r0, c0))
+    r1, c1 = r0 + size, c0 + size
     tracemalloc.start()
     try:
         ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1)
@@ -197,7 +197,7 @@ def test_band_ranks_run_in_bounded_memory(budgets):
 
 def test_band_ranks_pad_each_slice_to_its_own_size(monkeypatch):
     # one 300-wide slice among narrow ones, one of them off the band (rank
-    # 0): no narrow slice is padded to its width
+    # 0): no narrow slice is padded to its width, and the widest go first
     rng, eta, n = np.random.default_rng(5), 2, 400
     ab = rng.standard_normal((2 * eta + 1, n))
     r0, c0 = np.array([0, 10, 40, 90, 50]), np.array([3, 8, 41, 200, 60])
@@ -210,7 +210,7 @@ def test_band_ranks_pad_each_slice_to_its_own_size(monkeypatch):
 
     monkeypatch.setattr(banded, "_band_blocks", recorded)
     ranks = banded._band_ranks(ab, eta, r0, r1, c0, c1)
-    assert sorted(calls) == [(3, [3, 3]), (4, [4]), (5, [5]), (300, [300])]
+    assert calls == [(300, [300]), (5, [5]), (4, [4]), (3, [3, 3])]
     assert ranks.tolist() == _svd_ranks(ab, eta, n, r0, r1, c0, c1)
     assert ranks[3] == 0
 

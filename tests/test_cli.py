@@ -777,16 +777,17 @@ def test_example_singular_rows_match_an_fsum_of_log1p(capsys):
                                   rel=1e-14)
 
 
-def test_example_singular_N_past_2_53_is_bad_input(capsys):
-    # past 2^53 the index m is no longer exact in a float
-    assert main(["example", "singular", "--N", "1000000000000000000"]) == 3
+@pytest.mark.parametrize("N", ["9007199254740992", "1000000000000000000"])
+def test_example_singular_N_past_2_53_is_bad_input(capsys, N):
+    # from N = 2^53 on, the last index m = N + 1 is not exact in a float
+    assert main(["example", "singular", "--N", N]) == 3
     assert capsys.readouterr() == (
-        "", "error: --N 1000000000000000000 must lie in [2, 2^53], exact in "
-        "floats\n")
+        "", f"error: --N {N} must lie in [2, 2^53 - 1], so that every index "
+        "m <= N + 1 is exact in floats\n")
 
 
-def test_example_singular_runs_at_N_2_53(capsys):
-    N = 9007199254740992
+def test_example_singular_runs_at_N_2_53_minus_1(capsys):
+    N = 9007199254740991
     code, doc = run_cli(capsys, "example", "singular", "--N", str(N),
                         "--alpha", "0.001")
     rows = doc["body"]["tables"]["trajectories"]["rows"]
