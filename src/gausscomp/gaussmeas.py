@@ -500,10 +500,9 @@ def _singular_trajectories(beta, q_exp, N, stride):
     bit), longer runs past their first term by `_em_sums`.  -f is
     completely monotone, so their remainders add to at most 2 zeta(4) /
     (2 pi)^4 times the integral of |f''''| past `_HEAD`: below 1e-16 of
-    the head's sum for every c.  A
-    caller fails on P reaching 0, on P rising, read off these sums (each
-    run's is <= 0, so none can rise), and on log Q not decreasing over the
-    last two n."""
+    the head's sum for every c.  A caller fails on P reaching 0, on P
+    rising, read off these sums (each run's is <= 0, so none can rise), and
+    on log Q not decreasing over the last two n."""
     b = np.concatenate((np.arange(2, N, stride), (N, N + 1)))  # the n
     a = np.concatenate(([2], b[:-1] + 1))  # each sum adds the run a..b
     s = np.maximum(a + 1, _HEAD + 1)  # a..s-1 is never empty
