@@ -55,9 +55,9 @@ from .banded import (BandedSymbol, BlockPartition, PerturbedIdentity,
                      det_sequence)
 from .checker import CheckReport
 from .gaussmeas import (Box, DivergenceError, RnDerivative,
-                        SingularScalingReport, _box_norms, _diag_closed_forms,
+                        SingularScalingReport, _band_sweep, _box_norms,
                         _p_limit_lower, _singular_exponents,
-                        _singular_trajectories)
+                        _singular_trajectories, diag_closed_form)
 
 SCHEMA_VERSION = "1.6"
 
@@ -472,13 +472,12 @@ def _example_diag(args):
     if args.L <= n_plus_r or not 0 < args.k < math.inf:
         raise CliError(f"example diag needs --L > {n_plus_r} and a positive, "
                        "finite --k")
-    rows, worst, levels = [], 0.0, range(n_plus_r + 1, args.L + 1)
-    ab = BandedSymbol.diagonal(alpha).bands(1, args.L)
-    for i in (1, 2):  # one trajectory per power
-        quads = _box_norms(ab, 0, i, Box(n_plus_r, args.k), levels)
-        # zip takes the closed form first at each level: it rejects a bad tail
-        for l, closed, quad in zip(levels, _diag_closed_forms(
-                ab[0].tolist(), i, n_plus_r, args.k, args.L), quads):
+    box, levels = Box(n_plus_r, args.k), range(n_plus_r + 1, args.L + 1)
+    ab, rows, worst = BandedSymbol.diagonal(alpha).bands(1, args.L), [], 0.0
+    for i in (1, 2):  # one trajectory per power, on two independent paths
+        diag_closed_form(alpha, i, n_plus_r, args.k, args.L)  # bad input first
+        for l, closed, quad in zip(levels, _box_norms(ab, 0, i, box, levels),
+                                   _band_sweep(ab, 0, i, box, levels)):
             rel = abs(closed - quad) / closed
             worst = max(worst, rel)
             rows.append([i, l, closed, quad, rel])

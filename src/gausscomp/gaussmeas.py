@@ -2,18 +2,19 @@
 weighted-norm computations.
 
 Everything is assembled in log space: the densities involved span hundreds
-of orders of magnitude already in moderate dimension.  Box-restricted
-Gaussian integrals are exact on the unrestricted coordinates, through one
-LDL^T sweep of the band of K = 2I - P^T P, P = A^i, for all nested
-corners (`_box_norms`), which integrates a run of levels with the same box
-form once.  A decoupled box then factors into closed-form erf
-(or, for negative curvature, erfi through Dawson's function) terms.  A
+of orders of magnitude already in moderate dimension.  A diagonal symbol's
+box-restricted Gaussian integrals factor in closed form
+(`_diag_closed_forms`); any other band's are exact on the unrestricted
+coordinates, through one LDL^T sweep of the band of K = 2I - P^T P, P = A^i,
+for all nested corners (`_band_sweep`), which integrates a run of levels
+with the same box form once.  A decoupled box then factors into closed-form
+erf (or, for negative curvature, erfi through Dawson's function) terms.  A
 coupled box integrates one coordinate of positive curvature in closed form
 (a shifted erf) and the others by a tensor Gauss-Legendre rule whose order
-doubles from `_FIRST_ORDER` until two successive values agree to
-`_TARGET`; a refinement that would pass `_MAX_ORDER` per coordinate or
-`_MAX_POINTS` points raises instead of returning.  `_em_sums` takes the
-singular-scaling sums between distant rows in O(1) by Euler-Maclaurin.
+doubles from `_FIRST_ORDER` until two successive values agree to `_TARGET`;
+a refinement that would pass `_MAX_ORDER` per coordinate or `_MAX_POINTS`
+points raises instead of returning.  `_em_sums` takes the singular-scaling
+sums between distant rows in O(1) by Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)  # exp of anything larger overflows
 _SUP_WINDOW = 200  # proof_constant: coordinates of its sups
-_MAX_MULTIPLIER = 1e4  # largest multiplier of _box_norms' unpivoted sweep
+_MAX_MULTIPLIER = 1e4  # largest multiplier of _band_sweep's unpivoted sweep
 _NOT_PD = ("quadratic form fails positive-definiteness on unrestricted "
            "coordinates")  # DivergenceError: the message's stem
 
@@ -230,28 +231,41 @@ def _adjoint_power(A, d):
 
 def _box_norms(ab, eta, i, box: Box, cuts):
     """Yield `chi_norm_sq` of A_n^i on `box` per leading corner A_n, n in the
-    increasing `cuts`, of the matrix with band `ab`: exp(log_scale) times
-    the integral of a form S on the box's dims = min(box.dims, n) axes.
+    increasing `cuts`, of the band `ab`: `_diag_closed_forms` if eta = 0."""
+    return (_band_sweep(ab, eta, i, box, cuts) if eta else
+            _diag_closed_forms(ab[0, :cuts[-1]].tolist(), i, box, cuts))
 
-    With P = A_n^i and K = 2I - P^T P, E = P^-T K P^-1: the box keeps T^-1,
-    T = P_b K^-1 P_b^T, at log scale -log|det P| - (log|det K| + log|det T|)
-    / 2; E_ff is positive definite iff T is nonsingular with as many
-    negative eigenvalues as K (Sylvester, then Haynsworth's inertia
-    additivity on E^-1), else DivergenceError.  K_n is K_N's corner, N =
-    cuts[-1], but in its last w = i eta rows, so one LDL^T sweep of K_N's
-    band (bandwidth g = 2w) serves every level for its rows below
-    n - w - g (none while n < 2 (w + g)), and a dense Schur complement of
-    K_n's rows from the last swept row m closes it.  The sweep does not
-    pivot: a zero pivot or a multiplier past `_MAX_MULTIPLIER` stops it,
-    and every later level closes from there (from row 0: the whole
-    corner), whose LU finds a singular K.  A is scaled by a power of 2 to
-    entries up to 1.  A level whose T equals the previous level's bit for
-    bit reuses that level's eigenvalues and box integral (a settled
-    trajectory integrates once per run of equal T); the inertia test and
-    the log scale are still the level's own.  A norm outside the float
-    range, past it or underflowed to 0, raises OverflowError naming its
-    corner.
-    """
+
+def _checked_norm(scale, v, n):
+    """exp(scale) v, the n x n corner's box norm, or OverflowError."""
+    try:  # exp(scale) v is the more accurate while exp(scale) is in range
+        norm = (math.exp(scale) * v if scale <= _LOG_MAX
+                else math.exp(scale + math.log(v)) if v else 0.0)
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:  # the integrand is positive on the box
+        raise OverflowError(f"the box norm of the {n} x {n} corner is "
+                            "outside the float range")
+    return norm
+
+
+def _band_sweep(ab, eta, i, box: Box, cuts):
+    """`_box_norms` of any band: exp(log_scale) times the integral of a form S
+    on the box's dims = min(box.dims, n) axes.  With P = A_n^i and K = 2I - P^T
+    P, E = P^-T K P^-1, the box keeps T^-1, T = P_b K^-1 P_b^T, at log scale
+    -log|det P| - (log|det K| + log|det T|) / 2; E_ff is positive definite iff
+    T is nonsingular with as many negative eigenvalues as K (Sylvester, then
+    Haynsworth's inertia additivity on E^-1), else DivergenceError.  K_n is
+    K_N's corner, N = cuts[-1], but in its last w = i eta rows, so one LDL^T
+    sweep of K_N's band (bandwidth g = 2w) serves every level for its rows
+    below n - w - g (none while n < 2 (w + g)), and a dense Schur complement of
+    K_n's rows from the last swept row m closes it.  The sweep does not pivot:
+    a zero pivot or a multiplier past `_MAX_MULTIPLIER` stops it, and every
+    later level closes from there (from row 0: the whole corner), whose LU
+    finds a singular K.  A is scaled by a power of 2 to entries up to 1.  A
+    level whose T equals the previous one's bit for bit reuses its eigenvalues
+    and box integral (a settled trajectory integrates once per run of equal T);
+    the inertia test and the log scale are still the level's own."""
     N, w, g, d = cuts[-1], i * eta, 2 * i * eta, box.dims
     signs, logdet_a = _cut_logdets(ab, eta, cuts)
     c = 2.0 ** math.ceil(math.log2(max(1.0, np.abs(ab[:, :N]).max())))
@@ -314,15 +328,7 @@ def _box_norms(ab, eta, i, box: Box, cuts):
         lf, v = lfv
         scale = -i * (ld_a + n * math.log(c)) - 0.5 * (
             ld_k + math.fsum(math.log(abs(x)) for x in lams)) + lf
-        try:  # exp(scale) v is the more accurate while exp(scale) is in range
-            norm = (math.exp(scale) * v if scale <= _LOG_MAX
-                    else math.exp(scale + math.log(v)) if v else 0.0)
-        except OverflowError:
-            norm = math.inf
-        if not 0.0 < norm < math.inf:  # the integrand is positive on the box
-            raise OverflowError(f"the box norm of the {n} x {n} corner is "
-                                "outside the float range")
-        yield norm
+        yield _checked_norm(scale, v, n)
 
 
 def chi_norm_sq(A, i: int, box: Box | None) -> float:
@@ -375,37 +381,52 @@ def diag_closed_form(alphas, i: int, n_plus_r: int, k: float, l: int) -> float:
     alpha = BandedSymbol.diagonal(alphas).bands(1, l)[0].tolist()
     if l <= n_plus_r:
         raise ValueError("truncation l must exceed the box dimension n+r")
-    return list(_diag_closed_forms(alpha, i, n_plus_r, k, l))[-1]
-
-
-def _diag_closed_forms(alpha, i, n_plus_r, k, L):
-    """Yield `diag_closed_form` at l = n_plus_r + 1..L from one running
-    log-sum that subtracts each tail term in order: each value's own bits."""
-    log_val = 0.0
-    for j in range(1, n_plus_r + 1):
-        aj = abs(alpha[j - 1])
-        ai, two = aj ** i, 2.0 - aj ** (2 * i)
-        if two <= 0:
+    for j, aj in enumerate(alpha[:n_plus_r], 1):
+        if 2.0 - abs(aj) ** (2 * i) <= 0:
             raise ValueError(f"2 - alpha_{j}^(2i) <= 0; box factor undefined")
-        if ai == 0:
+        if abs(aj) ** i == 0:
             raise ValueError(f"alpha_{j}^(2i) = 0; box factor undefined")
-        # a^{-2i} times the integral over [-k,k] of exp(-x^2 (1 - a^{2i}) /
-        # a^{2i}) d(mu_G) is, by x = a^i y, a^{-i} times a factor on k / a^i
-        log_val += _log_box_factor(two, k / ai) - i * math.log(aj)
-    for j in range(n_plus_r + 1, L + 1):
-        aj = alpha[j - 1]
-        if not 0 < aj <= 1:
-            raise ValueError(f"tail entries must satisfy 0 < alpha_{j} <= 1, "
-                             f"got {aj}")
-        log_val -= i * math.log(aj) + 0.5 * math.log(2.0 - aj ** (2 * i))
+    levels = range(n_plus_r + 1, l + 1)
+    run = _diag_closed_forms(alpha, i, Box(n_plus_r, k), levels)
+    for m in levels:  # level m adds coordinate m: its domain, then its value
+        if not 0 < alpha[m - 1] <= 1:
+            raise ValueError(f"tail entries must satisfy 0 < alpha_{m} <= 1, "
+                             f"got {alpha[m - 1]}")
         try:
-            value = math.exp(log_val)
+            value = next(run)
         except OverflowError:
-            value = 0.0
-        if value == 0.0:  # overflowed, or underflowed past the subnormals
-            raise ValueError(f"closed form at l = {j} is outside the float "
-                             "range")
-        yield value
+            raise ValueError(f"closed form at l = {m} is outside the float "
+                             "range") from None
+    return value
+
+
+def _diag_closed_forms(alpha, i, box: Box, cuts):
+    """`_box_norms` of diag(alpha): exp of a Neumaier-compensated prefix sum
+    over coordinates j, a = |alpha_j| and t = 2 - a^2i, of -i log a -
+    log(t) / 2 off the box and, by x = a^i y, -i log a + `_log_box_factor`(t,
+    k / a^i) on it (erfi where t < 0).  Each level raises what `_band_sweep`
+    raises there: LinAlgError for an alpha_j = 0, else DivergenceError for
+    t = 0 or a t < 0 off the box, else OverflowError."""
+    s, comp, bad = 0.0, 0.0, []  # the sum, its compensation; K's bad pivots
+    for m, n in zip([0, *cuts], cuts):
+        for j, a in enumerate(map(abs, alpha[m:n]), m):
+            if a == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            ai = math.prod([a] * i)  # as the sweep's band power: t's bits
+            t = 2.0 - ai * ai
+            if t == 0.0 or t < 0.0 and j >= box.dims:
+                bad.append(t)
+                continue
+            x = -i * math.log(a) + (-0.5 * math.log(t) if j >= box.dims else
+                _log_box_factor(t, box.halfwidth / ai if ai else math.inf))
+            u = s + x
+            comp += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
+            s = u
+        if bad:  # a singular K, else negative pivots off the box
+            raise DivergenceError(_NOT_PD + (" (singular)" if 0.0 in bad else
+                                             f" ({len(bad)} negative eigen"
+                                             "values)"))
+        yield _checked_norm(s, math.exp(comp), n)  # no rounding of s + comp
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from gausscomp import gaussmeas
+from gausscomp import checker, cli, gaussmeas
 from gausscomp.banded import BandedSymbol, BlockPartition, PerturbedIdentity
 from gausscomp.checker import prop52_suite, thm51_suite
 from gausscomp.gaussmeas import (
@@ -168,8 +169,8 @@ def test_diag_closed_form_with_a_subnormal_box_power():
     # alpha_1^2 = 1e-310 is subnormal, so 2 / alpha_1^2 overflows; the box
     # factor taken in y = x / alpha_1 never forms it.  Reference: (2 / pi)
     # k^2 / alpha_1^2 from mpmath at 40 digits
-    run = list(gaussmeas._diag_closed_forms([1e-155, 1.0, 1.0, 1.0], 1, 2,
-                                            1e-300, 4))
+    run = list(gaussmeas._diag_closed_forms([1e-155, 1.0, 1.0, 1.0], 1,
+                                            Box(2, 1e-300), (3, 4)))
     assert run[-1] == pytest.approx(6.3661977236758134e-291, rel=1e-12)
 
 
@@ -177,20 +178,23 @@ def test_diag_closed_form_with_a_subnormal_box_power():
                                    lambda j: 1.0 - (j + 1) ** -0.75,
                                    lambda j: 0.9 ** (j % 7) / (1 + j % 3)])
 def test_running_closed_forms_have_each_levels_bits(alpha):
-    # one running log-sum per power gives every level's own call, bit for bit
+    # one compensated running log-sum per power gives every level's own
+    # call, bit for bit
     seq = [alpha(j) for j in range(1, 121)]
     for i, k in ((1, 1.0), (2, 0.7)):
-        run = list(gaussmeas._diag_closed_forms(seq, i, 2, k, 120))
+        run = list(gaussmeas._diag_closed_forms(seq, i, Box(2, k),
+                                                range(3, 121)))
         assert run == [diag_closed_form(seq, i, 2, k, l)
                        for l in range(3, 121)]
 
 
 def test_running_closed_forms_stop_where_each_level_does():
     seq = [0.01] * 200
-    run = gaussmeas._diag_closed_forms(seq, 1, 2, 1.0, 200)
+    run = gaussmeas._diag_closed_forms(seq, 1, Box(2, 1.0), range(3, 201))
     for l in range(3, 167):
         assert next(run) == diag_closed_form(seq, 1, 2, 1.0, l)
-    with pytest.raises(ValueError, match="l = 167 is outside the float"):
+    with pytest.raises(OverflowError, match="the box norm of the 167 x 167 "
+                       "corner is outside the float range"):
         next(run)
     with pytest.raises(ValueError, match="l = 167 is outside the float"):
         diag_closed_form(seq, 1, 2, 1.0, 167)
@@ -557,8 +561,11 @@ def _counting_integral(monkeypatch):
 def test_a_settled_trajectory_integrates_once_per_run_of_equal_forms(
         monkeypatch):
     # alpha_j = 1 - 2^-j: from about j = 53 on every corner closes on the
-    # same box form, so two powers of 64 levels need 4 integrals, not 128
+    # same box form, so two powers of 64 levels need 4 integrals, not 128.
+    # The band sweep is called on purpose: a diagonal band's own path is
+    # the closed form, with no integral
     forms = _counting_integral(monkeypatch)
+    monkeypatch.setattr(checker, "_box_norms", gaussmeas._band_sweep)
     ex53 = BandedSymbol.diagonal(lambda j: 1.0 - 2.0 ** -j)
     reports = thm51_suite(ex53, BlockPartition.unit(64), 1, 1, 64,
                           [Box(2, 1.0)])
@@ -583,8 +590,14 @@ def test_box_norms_integrate_each_level_whose_form_moved(monkeypatch, i,
          + np.diag(rng.uniform(-0.2, 0.2, L - 1), 1)
          + np.diag(rng.uniform(-0.2, 0.2, L - 1), -1))
     forms, box = _counting_integral(monkeypatch), Box(2, 1.0)
-    ref = [chi_norm_sq(A[:n, :n], i, Box(min(n, 2), 1.0))
-           for n in range(1, L + 1)]
+
+    def swept(n):  # chi_norm_sq of the n x n corner, through the band
+        # sweep: chi_norm_sq takes the diagonal 1 x 1 corner in closed form
+        sym = BandedSymbol.from_dense(A[:n, :n])
+        return next(gaussmeas._band_sweep(sym.bands(1, n), sym.eta, i,
+                                          Box(min(n, 2), 1.0), (n,)))
+
+    ref = [swept(n) for n in range(1, L + 1)]
     moved = sum(n == 0 or S.shape != forms[n - 1].shape
                 or S.tobytes() != forms[n - 1].tobytes()
                 for n, S in enumerate(forms))
@@ -605,6 +618,89 @@ def test_ex53_trajectories_reach_level_20000():
     for i, traj in enumerate(trajs, 1):
         assert traj[-1] == pytest.approx(diag_closed_form(
             lambda j: 1.0 - 2.0 ** -j, i, 2, 1.0, 20_000), rel=1e-10)
+
+
+def test_thm51_on_ex53_makes_no_box_integral(monkeypatch, tmp_path):
+    # a diagonal band takes its closed form: `check thm51 --builtin ex53
+    # --L 64` runs no box integral and never enters the band sweep, and its
+    # trajectories are the sweep's to rounding
+    ab = BandedSymbol.diagonal(lambda j: 1.0 - 2.0 ** -j).bands(1, 64)
+    swept = [list(gaussmeas._band_sweep(ab, 0, i, Box(2, 1.0), range(1, 65)))
+             for i in (1, 2)]
+    forms = _counting_integral(monkeypatch)
+    monkeypatch.setattr(gaussmeas, "_band_sweep", None)
+    out = tmp_path / "thm51.json"
+    cli.main(["check", "thm51", "--builtin", "ex53", "--L", "64",
+              "--output", str(out)])
+    assert forms == []
+    reports = json.loads(out.read_text())["body"]["reports"]
+    trajs = [r["payload"]["trajectory"] for r in reports
+             if r["name"].startswith("norm_trajectory")]
+    assert len(trajs) == 2
+    for traj, ref in zip(trajs, swept):
+        assert traj == pytest.approx(ref, rel=1e-12)
+
+
+def _run(norms):
+    """The values a box-norm generator yields, and the class and message of
+    what it raised (None if nothing)."""
+    values = []
+    try:
+        for value in norms:
+            values.append(value)
+    except (ArithmeticError, ValueError) as exc:
+        return values, (type(exc), str(exc))
+    return values, None
+
+
+@seed(43)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.floats(0.05, 1.6) | st.just(
+    1e-45) | st.sampled_from([2 ** 0.5, 2 ** 0.25, 2 ** (1 / 6)])),
+    min_size=1, max_size=40),
+       st.integers(1, 3), st.floats(0.2, 3.0), st.booleans(), st.data())
+def test_diagonal_closed_form_matches_the_band_sweep(entries, i, k, unit,
+                                                     data):
+    # signs, a zero, box entries with |alpha|^2i > 2 (the erfi side), tails
+    # with |alpha|^2i >= 2 (a divergence), the rounded 2^(1/2i), whose t = 2
+    # - |alpha|^2i is a rounding error, and 1e-45, whose norms leave the
+    # float range (its |alpha|^2i stays normal: the sweep's T = |alpha|^2i /
+    # t underflows to 0 past that): the closed form raises what the sweep
+    # raises at the same level, and agrees with it before that
+    alpha = [-mod if neg else mod for neg, mod in entries]
+    L = len(alpha)
+    zero = data.draw(st.none() | st.integers(0, L - 1), label="zero at")
+    if zero is not None:
+        alpha[zero] = 0.0
+    d = data.draw(st.integers(0, L), label="box dims")
+    cuts = tuple(range(1, L + 1)) if unit else tuple(sorted(data.draw(
+        st.sets(st.integers(1, L), min_size=1), label="cuts")))
+    ab, box = np.array([alpha]), Box(d, k)
+    want, want_exc = _run(gaussmeas._band_sweep(ab, 0, i, box, cuts))
+    got, got_exc = _run(gaussmeas._box_norms(ab, 0, i, box, cuts))
+    assert got_exc == want_exc
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_rn_box_over_every_ex53_coordinate_matches_40_digits(tmp_path):
+    # `rn --builtin ex53 --kappa 1000 --box 1`: i = 1 and the box [-1, 1]
+    # on all 1000 coordinates, each a factor erf(sqrt(t / 2) / a) / (a
+    # sqrt(t)), t = 2 - a^2.  The compensated sum keeps the 1000-term log
+    # within 1e-13; a plain running sum is 7.9e-12 off
+    import mpmath as mp
+
+    out = tmp_path / "rn.json"
+    cli.main(["rn", "--builtin", "ex53", "--kappa", "1000", "--box", "1",
+              "--output", str(out)])
+    (row,) = json.loads(out.read_text())["body"]["tables"]["box_norms"][
+        "rows"]
+    with mp.workdps(40):
+        alphas = [mp.mpf(1.0 - 2.0 ** -j) for j in range(1, 1001)]
+        ref = mp.exp(mp.fsum(mp.log(mp.erf(mp.sqrt((2 - a * a) / 2) / a)
+                                    / (a * mp.sqrt(2 - a * a)))
+                             for a in alphas))
+    assert row[:2] == [1.0, 1000]
+    assert abs(row[2] - ref) <= 1e-13 * ref
 
 
 def test_legendre_rule_is_cached_and_read_only():
