@@ -181,13 +181,14 @@ def _band_blocks(ab, eta, r0, r1, c0, c1, size):
     """The blocks [r0:r1, c0:c1] (0-based; one per entry of the index
     arrays) of the corner whose band from column 1 is `ab`, each at the top
     left of a size x size zero block: zero off the band and the corner."""
-    x, w = np.arange(size), ab.shape[1]
-    i = np.where(x < np.subtract(r1, r0)[:, None], np.add.outer(r0, x), -1)
-    j = np.where(x < np.subtract(c1, c0)[:, None], np.add.outer(c0, x), -1)
-    i, j = i[:, :, None], j[:, None, :]
-    keep = (abs(i - j) <= eta) & (i >= 0) & (j >= 0) & (i < w) & (j < w)
-    return np.where(keep, ab[np.clip(eta + i - j, 0, 2 * eta),
-                             np.clip(j, 0, w - 1)], 0.0)
+    w, out = ab.shape[1], np.zeros((len(r0), size, size))
+    j = np.add.outer(c0, np.arange(size))  # the blocks' columns
+    lo, hi = np.maximum(r0, 0)[:, None], np.minimum(r1, w)[:, None]
+    cols = (0 <= j) & (j < np.minimum(c1, w)[:, None])
+    for d in range(-eta, eta + 1):  # the entries (j + d, j), as `_dense` does
+        b, y = np.nonzero(cols & (lo <= j + d) & (j + d < hi))
+        out[b, j[b, y] + d - np.asarray(r0)[b], y] = ab[eta + d, j[b, y]]
+    return out
 
 
 def _band_ranks(ab, eta, r0, r1, c0, c1):

@@ -336,15 +336,18 @@ def _top_level(s, L, dim_cap, dims):
         s.s[:L], max(dim_cap, dims), "right"))
 
 
+_BOX_NORM_ERRORS = (DivergenceError, ValueError, OverflowError, MemoryError)
+
+
 def _box_norm_failure(exc):
-    """The verdict and payload of a box norm that raised `exc`: "fail" for a
-    divergent integral or a singular corner, "evidence" for a norm past the
-    float range or a quadrature past its budget."""
+    """The verdict and payload of a box norm that raised `exc`, one of the
+    `_BOX_NORM_ERRORS`: "fail" for a divergent integral or singular corner,
+    "evidence" past memory, the float range or the quadrature budget."""
     if isinstance(exc, DivergenceError):
         return "fail", {"detail": str(exc)}
     if isinstance(exc, np.linalg.LinAlgError):  # a ValueError, not a budget
         return "fail", {"detail": "singular truncation corner"}
-    if isinstance(exc, OverflowError):
+    if isinstance(exc, (OverflowError, MemoryError)):
         return "evidence", {"detail": f"not computable: {exc}"}
     return "evidence", {"detail": "not computable within the quadrature "
                                   f"budget: {exc}"}
@@ -372,7 +375,7 @@ def _box_norm_reports(ab, eta, s, L, powers, boxes, dim_cap, finite_name,
                 norms = _box_norms(ab, eta, i, box, s.s[:top]) if top else ()
                 for norm in norms:  # the levels before a raise count
                     traj.append(norm)
-            except (DivergenceError, ValueError, OverflowError) as exc:
+            except _BOX_NORM_ERRORS as exc:
                 verdict, payload = _box_norm_failure(exc)
                 if isinstance(exc, np.linalg.LinAlgError):
                     payload["first_singular_level"] = len(traj) + 1

@@ -52,11 +52,10 @@ import numpy as np
 
 from . import checker
 from .banded import (BandedSymbol, BlockPartition, PerturbedIdentity,
-                     det_sequence)
+                     _dense, det_sequence)
 from .checker import CheckReport
-from .gaussmeas import (Box, DivergenceError, RnDerivative,
-                        SingularScalingReport, _band_sweep, _box_norms,
-                        _p_limit_lower, _singular_exponents,
+from .gaussmeas import (Box, RnDerivative, SingularScalingReport, _band_sweep,
+                        _box_norms, _p_limit_lower, _singular_exponents,
                         _singular_trajectories, diag_closed_form)
 
 SCHEMA_VERSION = "1.6"
@@ -161,7 +160,7 @@ _RULE_ARITY = {"identity": (0, 0), "ex59": (0, 1),
                "geometric_tridiagonal": (1, 2)}
 
 
-def _rule_symbol(name, params):
+def _rule_symbol(name, params, band):
     """The symbol of a rule line; ValueError or CliError for bad input."""
     if name in ("diag", "ex53"):  # the sequence is the rest of the line
         return _builtin_symbol(name, " ".join(params) or None, None)
@@ -175,12 +174,12 @@ def _rule_symbol(name, params):
     if not all(map(math.isfinite, vals)):
         raise ValueError("a parameter is not finite")
     if name != "geometric_tridiagonal":
-        return _builtin_symbol(name, None, vals[0] if vals else 0.5)
+        return _builtin_symbol(name, None, vals[0] if vals else 0.5, band)
     return BandedSymbol.geometric_tridiagonal(*vals)
 
 
-def load_symbol(path):
-    """Read a symbol from the text format documented in the module docstring."""
+def load_symbol(path, band=False):
+    """Read a symbol file (module docstring); `band`: as `_builtin_symbol`."""
     with open(path) as fh:
         lines = [ln for ln in map(str.strip, fh)
                  if ln and not ln.startswith("#")]
@@ -195,7 +194,7 @@ def load_symbol(path):
         name, *params = lines[1].split()[1:] or [""]
         where = f"{path}: rule line {lines[1]!r}"
         try:
-            sym = _rule_symbol(name, params)
+            sym = _rule_symbol(name, params, band)
         except (CliError, ValueError) as exc:
             raise CliError(f"{where}: {exc}") from None
 
@@ -262,9 +261,8 @@ def _dim_cap(raw):
 
 
 def _resolve_symbol(args, band=True):
-    if args.file:
-        return load_symbol(args.file)
-    return _builtin_symbol(args.builtin, args.alphas, args.q, band)
+    return (load_symbol(args.file, band) if args.file else
+            _builtin_symbol(args.builtin, args.alphas, args.q, band))
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +398,14 @@ def cmd_rn(args):
         raise CliError(f"rn needs 0 <= --box-dims <= --kappa {args.kappa}, "
                        f"got {args.box_dims}")
     sym = _resolve_symbol(args)
-    if isinstance(sym, PerturbedIdentity):
-        sym = sym.symbol
     ab = sym.bands(1, args.kappa)
-    reports, values = [], []
+    reports, values, norms = [], [], []
     if args.point:
-        d = RnDerivative(np.linalg.matrix_power(sym.window(args.kappa),
-                                                args.power))
+        d = RnDerivative(np.linalg.matrix_power(
+            _dense(ab, sym.eta, args.kappa), args.power))
         values = [[raw, d(np.array(_finite_floats("--point", raw,
                                                    args.kappa)))]
                   for raw in args.point]
-    norms = []
     for raw in args.box or []:
         hw, = _finite_floats("--box", raw, 1)
         dims = args.box_dims if args.box_dims is not None else args.kappa
@@ -418,7 +413,7 @@ def cmd_rn(args):
         try:
             norms.append([hw, dims, next(_box_norms(
                 ab, sym.eta, args.power, box, (args.kappa,)))])
-        except (DivergenceError, ValueError, OverflowError) as exc:
+        except checker._BOX_NORM_ERRORS as exc:
             verdict, payload = checker._box_norm_failure(exc)
             reports.append(CheckReport(name=f"box_norm[{raw}]",
                                        verdict=verdict, payload=payload))
@@ -455,8 +450,6 @@ def cmd_check(args):
     else:
         boxes = [Box(args.n + args.r, h)
                  for h in _finite_floats("--boxes", args.boxes)]
-        if isinstance(sym, PerturbedIdentity):
-            sym = sym.symbol
         suite = (checker.prop52_suite if args.suite == "prop52"
                  else checker.thm51_suite)
         reports = suite(sym, s, args.n, args.r, args.L, boxes,
@@ -467,25 +460,32 @@ def cmd_check(args):
 
 
 def _example_diag(args):
-    alpha = _alpha_expr(args.alphas)
-    n_plus_r = 2
+    alpha, n_plus_r = _alpha_expr(args.alphas), 2
     if args.L <= n_plus_r or not 0 < args.k < math.inf:
         raise CliError(f"example diag needs --L > {n_plus_r} and a positive, "
                        "finite --k")
     box, levels = Box(n_plus_r, args.k), range(n_plus_r + 1, args.L + 1)
     ab, rows, worst = BandedSymbol.diagonal(alpha).bands(1, args.L), [], 0.0
+    failed = {}  # the detail of each failed general path -> its verdict
     for i in (1, 2):  # one trajectory per power, on two independent paths
-        diag_closed_form(alpha, i, n_plus_r, args.k, args.L)  # bad input first
-        for l, closed, quad in zip(levels, _box_norms(ab, 0, i, box, levels),
-                                   _band_sweep(ab, 0, i, box, levels)):
-            rel = abs(closed - quad) / closed
-            worst = max(worst, rel)
+        diag_closed_form(ab[0], i, n_plus_r, args.k, args.L)  # bad input first
+        sweep = _band_sweep(ab, 0, i, box, levels)
+        for l, closed in zip(levels, _box_norms(ab, 0, i, box, levels)):
+            try:  # a failure of the general path ends this power's rows
+                quad = next(sweep)
+            except checker._BOX_NORM_ERRORS as exc:
+                verdict, payload = checker._box_norm_failure(exc)
+                failed[f"i = {i}, l = {l}: {payload['detail']}"] = verdict
+                break
+            worst = max(worst, rel := abs(closed - quad) / closed)
             rows.append([i, l, closed, quad, rel])
     config = {"alphas": args.alphas, "k": args.k, "L": args.L}
-    reports = [CheckReport(name="closed_form_vs_quadrature",
-                           verdict="pass" if worst < 1e-8 else "fail",
-                           payload={"max_rel_diff": worst},
-                           tolerances={"rel": 1e-8})]
+    verdicts = {"pass" if worst < 1e-8 else "fail", *failed.values()}
+    payload = {"max_rel_diff": worst, "detail": "; ".join(failed)}
+    reports = [CheckReport(
+        name="closed_form_vs_quadrature", tolerances={"rel": 1e-8},
+        verdict=min(verdicts, key=["fail", "evidence", "pass"].index),
+        payload=payload if failed else {"max_rel_diff": worst})]
     tables = {"norms": (["i", "l", "closed_form", "quadrature", "rel_diff"],
                         rows)}
     return _emit(args, "example_diag", config, reports, tables)

@@ -175,11 +175,33 @@ def _svd_ranks(ab, eta, n, r0, r1, c0, c1):
     return want
 
 
+@seed(44)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 30), st.data())
+def test_band_blocks_are_the_dense_windows(eta, w, data):
+    # blocks on and off the band, starting before the corner (as
+    # `_corner_commutators` asks) or past it, each padded to `size`; the band
+    # holds entries at rows past the corner too, which no block may read
+    ab = np.random.default_rng(w).standard_normal((2 * eta + 1, w))
+    ends = st.tuples(st.integers(-6, w + 5), st.integers(0, 8))
+    blocks = data.draw(st.lists(st.tuples(ends, ends), min_size=1,
+                                max_size=5))
+    (r0, nr), (c0, nc) = (np.array(x).T for x in zip(*blocks))
+    size = max(*nr, *nc, 1) + data.draw(st.integers(0, 2))
+    got = banded._band_blocks(ab, eta, r0, r0 + nr, c0, c0 + nc, size)
+    pad = size + 6  # zeros around the corner: every window lies inside
+    dense = np.pad(_dense(ab, eta, w), pad)
+    for blk, i, h, j, k in zip(got, r0 + pad, nr, c0 + pad, nc):
+        want = np.zeros((size, size))
+        want[:h, :k] = dense[i:i + h, j:j + k]
+        assert np.array_equal(blk, want)
+
+
 @pytest.mark.parametrize("budgets", [2, 6])
 def test_band_ranks_run_in_bounded_memory(budgets):
     # every slice is 64 x 64, so the one size's stack alone is `budgets`
-    # budgets in size; the chunked peak stays under one bound whatever the
-    # slice count
+    # budgets in size; the chunked peak, the stack filled in place one
+    # diagonal at a time, stays under one bound whatever the slice count
     rng, eta, size, n = np.random.default_rng(budgets), 2, 64, 600
     m = budgets * banded._RANK_BYTES // (8 * size * size)
     ab = rng.standard_normal((2 * eta + 1, n))
@@ -191,7 +213,7 @@ def test_band_ranks_run_in_bounded_memory(budgets):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * banded._RANK_BYTES
+    assert peak < 1.5 * banded._RANK_BYTES
     assert ranks.tolist() == _svd_ranks(ab, eta, n, r0, r1, c0, c1)
 
 

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gausscomp import cli, gaussmeas
+from gausscomp import checker, cli, gaussmeas
 from gausscomp.banded import BandedSymbol, PerturbedIdentity
 from gausscomp.checker import CheckReport
 from gausscomp.cli import (CliError, _alpha_expr, build_parser, load_partition,
                            load_symbol, main)
-from gausscomp.gaussmeas import Box, chi_norm_sq
+from gausscomp.gaussmeas import (Box, DivergenceError, RnDerivative,
+                                 chi_norm_sq)
 
 
 def run_cli(capsys, *argv):
@@ -392,6 +393,30 @@ def test_box_norm_past_the_float_range_is_evidence(capsys, argv, name, corner):
         "rows"] == []
 
 
+_OOM = ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
+        "and data type float64")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("rn", "--kappa", "3", "--box", "1"), "box_norm[1]"),
+    (("check", "thm51", "--L", "3"), "finiteness[i=1,box=0]"),
+], ids=["rn", "thm51"])
+def test_box_norm_past_memory_is_evidence(capsys, monkeypatch, argv, name):
+    # as rn --kappa 20000 --box 1 under a 1 GB address-space limit, whose
+    # sweep cannot allocate its N x d array; nothing large is allocated here
+    def out_of_memory(*args):
+        raise MemoryError(_OOM)
+
+    monkeypatch.setattr(cli, "_box_norms", out_of_memory)
+    monkeypatch.setattr(checker, "_box_norms", out_of_memory)
+    code = main([*argv, "--builtin", "ex59"])
+    out, err = capsys.readouterr()
+    reports = json.loads(out)["body"]["reports"]
+    rep = next(r for r in reports if r["name"] == name)
+    assert code == 2 and err == "" and rep["verdict"] == "evidence"
+    assert rep["payload"] == {"detail": f"not computable: {_OOM}"}
+
+
 @pytest.mark.parametrize("argv", [
     ("--kappa", "1", "--point=nan"),
     ("--kappa", "1", "--point=inf"),
@@ -433,28 +458,33 @@ def test_rn_point_on_a_singular_corner_is_bad_input(capsys):
 
 
 def test_rn_box_norms_read_the_band(capsys, monkeypatch):
-    # no dense corner without --point: each row is `_box_norms` on the band,
-    # bit for bit the dense adapter's value; a point builds the corner once
+    # each row is `_box_norms` on the band, bit for bit the dense adapter's
+    # value; a point's dense corner comes from that same band, so every call
+    # reads the band once and no window
     sym = PerturbedIdentity.geometric(0.3).symbol
     rows = [[h, 2, chi_norm_sq(sym.window(3), 1, Box(2, h))]
             for h in (1.0, 0.5)]
-    window, calls = BandedSymbol.window, []
+    value = RnDerivative(sym.window(3))(np.array([0, 0.1, 0]))
+    bands, calls, reads = BandedSymbol.bands, [], []
 
     def refused(*args):
         raise AssertionError("densified")
 
-    def counted(self, n):
-        calls.append(n)
-        return window(self, n)
+    def counted(self, lo, hi):
+        reads[-1] += 1
+        return bands(self, lo, hi)
 
     monkeypatch.setattr(BandedSymbol, "from_dense", refused)
+    monkeypatch.setattr(BandedSymbol, "window", lambda self, n: calls.append(n))
+    monkeypatch.setattr(BandedSymbol, "bands", counted)
     argv = ["rn", "--builtin", "ex59", "--q", "0.3", "--kappa", "3", "--box",
             "1", "--box", "0.5", "--box-dims", "2"]
-    for patched, point in ((refused, []), (counted, ["--point", "0,0.1,0"])):
-        monkeypatch.setattr(BandedSymbol, "window", patched)
+    for point in ([], ["--point", "0,0.1,0"]):
+        reads.append(0)
         code, doc = run_cli(capsys, *argv, *point)
         assert code == 0 and doc["body"]["tables"]["box_norms"]["rows"] == rows
-    assert calls == [3]
+    assert doc["body"]["tables"]["values"]["rows"] == [["0,0.1,0", value]]
+    assert calls == [] and reads == [1, 1]
 
 
 def test_builtin_ex53_is_its_rule_without_the_parser(tmp_path, capsys,
@@ -650,6 +680,80 @@ def test_example_diag_underflowing_closed_form_is_bad_input(tmp_path, capsys,
     assert err == "error: closed form at l = 3 is outside the float range\n"
 
 
+def test_example_diag_evaluates_its_rule_once_per_coordinate(capsys,
+                                                             monkeypatch):
+    # the closed form takes the diagonal already read: --L 12 evaluations,
+    # not 12 more per power
+    parse, calls = cli._alpha_expr, []
+
+    def counted(expr):
+        rule = parse(expr)
+
+        def counted_rule(j):
+            calls.append(j)
+            return rule(j)
+
+        return counted_rule
+
+    monkeypatch.setattr(cli, "_alpha_expr", counted)
+    code, _ = run_cli(capsys, "example", "diag", "--L", "12")
+    assert code == 0 and calls == list(range(1, 13))
+
+
+_UNDERFLOW = "exp(-230.2585093*exp(50*(1-j)))"  # 1e-100, then 1.0 from j = 2
+
+
+def test_example_diag_failed_general_path_is_its_verdict(capsys):
+    # at i = 2, level 3, the box entry alpha_1^4 underflows in the band sweep,
+    # which then finds a singular form; the closed form is finite there.  That
+    # power's rows end, and the verdict says why: exit 1, no traceback
+    code = main(["example", "diag", "--alphas", _UNDERFLOW, "--L", "4"])
+    out, err = capsys.readouterr()
+    body = json.loads(out)["body"]
+    rep, = body["reports"]
+    rows = body["tables"]["norms"]["rows"]
+    assert code == 1 and err == "" and rep["verdict"] == "fail"
+    assert [r[:2] for r in rows] == [[1, 3], [1, 4]]
+    assert rep["payload"] == {
+        "max_rel_diff": max(r[4] for r in rows),
+        "detail": "i = 2, l = 3: quadratic form fails positive-definiteness "
+                  "on unrestricted coordinates (0 negative eigenvalues, "
+                  "singular)"}
+
+
+_BUDGET = ("i = 1, l = 4: not computable within the quadrature budget: no "
+           "order")
+
+
+@pytest.mark.parametrize("second,verdict,code,detail,powers", [
+    (None, "evidence", 2, _BUDGET, [1, 2, 2, 2]),
+    (DivergenceError("diverges"), "fail", 1,
+     f"{_BUDGET}; i = 2, l = 4: diverges", [1, 2]),
+], ids=["budget", "budget-and-divergence"])
+def test_example_diag_general_path_failures_combine(
+        capsys, monkeypatch, second, verdict, code, detail, powers):
+    # the general path fails after level 3: at i = 1 past its quadrature
+    # budget, at i = 2 divergent or not at all; each failure ends its own
+    # power's rows, and the worst verdict is the report's
+    sweep = cli._band_sweep
+
+    def failing(ab, eta, i, box, levels):
+        run = sweep(ab, eta, i, box, levels)
+        yield next(run)
+        error = ValueError("no order") if i == 1 else second
+        if error is not None:
+            raise error
+        yield from run
+
+    monkeypatch.setattr(cli, "_band_sweep", failing)
+    got, doc = run_cli(capsys, "example", "diag", "--L", "5")
+    rep, = doc["body"]["reports"]
+    rows = doc["body"]["tables"]["norms"]["rows"]
+    assert got == code and rep["verdict"] == verdict
+    assert rep["payload"]["detail"] == detail
+    assert [r[0] for r in rows] == powers
+
+
 def test_example_diag_runs_past_l53(capsys):
     # alpha_j = 1 - 2^-j rounds to 1.0 from j = 54: a tail factor of 1
     code, doc = run_cli(capsys, "example", "diag", "--L", "60")
@@ -722,6 +826,51 @@ def test_only_prop56_validates_an_ex59_window(capsys, monkeypatch, argv):
     assert main([*argv, "--q", "0.5"]) != 3  # thm51 and prop52 judge
     capsys.readouterr()
     assert bool(seen) == (argv[1] == "prop56")
+
+
+def test_ex59_rule_file_reaches_each_command_as_its_builtin_twin(
+        tmp_path, capsys, monkeypatch):
+    # rn, thm51 and prop52 get the band alone from a `rule ex59` file, as
+    # from --builtin ex59: no PerturbedIdentity is built, and the reports and
+    # tables are equal; only prop56 gets its PerturbedIdentity
+    p = tmp_path / "ex59.txt"
+    p.write_text("banded 1\nrule ex59 q=0.3\n")
+
+    def refused(self):
+        raise AssertionError("a PerturbedIdentity was built")
+
+    for argv in (("rn", "--kappa", "3", "--box", "1", "--box-dims", "2",
+                  "--point", "0,0.1,0"), ("check", "thm51", "--L", "5"),
+                 ("check", "prop52", "--L", "5")):
+        with monkeypatch.context() as m:
+            m.setattr(PerturbedIdentity, "__post_init__", refused)
+            (code, doc), (twin_code, twin) = (run_cli(capsys, *argv, *src) for
+                src in (["--file", str(p)], ["--builtin", "ex59", "--q", "0.3"]))
+        assert code == twin_code != 3
+        assert [doc["body"][k] for k in ("reports", "tables")] == [
+            twin["body"][k] for k in ("reports", "tables")]
+    seen, suite = [], checker.prop56_suite
+
+    def recorded(sym, *args, **kw):
+        seen.append(type(sym))
+        return suite(sym, *args, **kw)
+
+    monkeypatch.setattr(checker, "prop56_suite", recorded)
+    code, _ = run_cli(capsys, "check", "prop56", "--file", str(p), "--L", "8")
+    assert code == 0 and seen == [PerturbedIdentity]
+
+
+@pytest.mark.parametrize("argv", [c for c in _EX59_COMMANDS if c[0] != "example"],
+                         ids=["rn", "thm51", "prop52", "prop56"])
+def test_ex59_rule_file_q_outside_the_unit_interval_is_bad_input(
+        tmp_path, capsys, argv):
+    # the band and the PerturbedIdentity refuse q with the same message
+    p = tmp_path / "ex59.txt"
+    p.write_text("banded 1\nrule ex59 1\n")
+    argv = [a for a in argv if a not in ("--builtin", "ex59")]
+    assert main([*argv, "--file", str(p)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: {p}: rule line 'rule ex59 1': q must lie in (0, 1)\n")
 
 
 @pytest.mark.parametrize("argv", _EX59_COMMANDS,
