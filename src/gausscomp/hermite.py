@@ -12,17 +12,20 @@ Every entry of those matrices is a Gaussian moment of a polynomial, the
 integral of phi_a(P x) phi_b(Q x) exp(-x^T E x / 2).  `gaussian_gram`
 whitens E by its Cholesky factor and applies the tensor Gauss-Hermite rule
 that is exact for the degree at hand, so the matrices carry rounding error
-only.  It is the only Gauss-Hermite rule here: a model holds no grid of
-its own.
+only.  The transfer matrices, where E = I, apply that rule unwhitened.  A
+model holds no grid of its own.
 
-Three bounded `functools.lru_cache`s, keyed by value, hold what is built
+Four bounded `functools.lru_cache`s, keyed by value, hold what is built
 once per process: models by (kappa, degree) and the read-only tensor rules
-by (order, kappa), 256 of each, and the operator matrices by the symbol's
-bytes, both degrees and the direction.  That last cache holds the last
-operator only: one entry costs (dim_out * dim_in + dim_in**2) * 8 bytes,
-about 0.8 MB at kappa 3, degree 8 and 9 MB at kappa 4, and an operator is
-re-applied to each test function right after its first application, so
-one entry serves every hit.
+by (order, kappa), 256 of each; the operator matrices by the symbol's
+bytes, both degrees and the direction; and the read-only basis of the side
+an operator does not move, at the rule's nodes, by (order n, kappa,
+degree).  The last two hold one entry each, because an operator is
+re-applied to each test function right after its first application and
+the operators of one sweep share their models.  An operator entry costs
+(dim_out * dim_in + dim_in**2) * 8 bytes, about 0.8 MB at kappa 3, degree
+8 and 9 MB at kappa 4; a basis entry costs n**kappa * dim * 8 bytes, about
+1.8 MB at kappa 3, degree 8, n = 11.
 """
 
 from __future__ import annotations
@@ -210,33 +213,54 @@ def _transfer(A, model_in: HermiteModel, model_out: HermiteModel, adjoint: bool)
     S = <phi_in o A, phi_out> and G = <phi_in o A, phi_in o A>.  For the
     adjoint T (density times inverse composition), S follows from
     <T phi_b, phi_a> = <phi_b, phi_a o A>, and G is the power-pair Gram
-    <T phi_in, T phi_in>.  Every entry is computed exactly by
-    `gaussian_gram`; the matrices are cached by value.
+    <T phi_in, T phi_in>, by `_power_pair_gram`.  The rest comes from one
+    tensor Gauss-Hermite rule, exact for each: the basis that A moves is
+    evaluated at its nodes, the other read from `_rule_basis`.  The matrices
+    are cached by value.  ValueError: A is not kappa x kappa.
     """
     A = np.asarray(A, dtype=float)
+    if A.shape != (model_in.kappa,) * 2:
+        raise ValueError(f"a symbol of shape {A.shape} does not act on a "
+                         f"kappa = {model_in.kappa} model")
     return _transfer_by_value(A.tobytes(), A.shape, model_in.kappa,
                               model_in.degree, model_out.degree, adjoint)
+
+
+@functools.lru_cache(maxsize=1)
+def _rule_basis(n, kappa, degree):
+    """Read-only basis of the (kappa, degree) model at the order-n tensor
+    rule's nodes: the side of a transfer matrix that A does not move."""
+    V = HermiteModel.get(kappa, degree).basis_matrix(_tensor_rule(n, kappa)[0])
+    V.flags.writeable = False
+    return V
 
 
 @functools.lru_cache(maxsize=1)
 def _transfer_by_value(data, shape, kappa, degree_in, degree_out, adjoint):
     A = np.frombuffer(data).reshape(shape)
     model_in = HermiteModel.get(kappa, degree_in)
-    model_out = HermiteModel.get(kappa, degree_out)
-    I = np.eye(kappa)
-    if not adjoint:
-        return (gaussian_gram(I, I, model_out, A, model_in),
-                gaussian_gram(I, A, model_in, A, model_in))
-    return (gaussian_gram(I, A, model_out, I, model_in),
-            _power_pair_gram({1: _adjoint_power(A, 1)}, 1, model_in, 1,
-                             model_in))
+    n = (degree_in + degree_out) // 2 + 1
+    if adjoint:  # G first, so that no moved basis is held while it runs
+        G = _power_pair_gram({1: _adjoint_power(A, 1)}, 1, model_in, 1,
+                             model_in)
+        Z, W = _tensor_rule(n, kappa)
+        Vf = _rule_basis(n, kappa, degree_in)
+        Va = HermiteModel.get(kappa, degree_out).basis_matrix(Z @ A.T)
+        return Va.T @ (W[:, None] * Vf), G
+    n = max(n, degree_in + 1)  # G pairs two degree_in polynomials
+    Z, W = _tensor_rule(n, kappa)
+    Vf = _rule_basis(n, kappa, degree_out)
+    Va = model_in.basis_matrix(Z @ A.T)
+    WVa = W[:, None] * Va
+    return Vf.T @ WVa, Va.T @ WVa
 
 
 def _apply(A, f: CylFunction, target, adjoint, pad):
     if target is None:
         target = HermiteModel.get(f.model.kappa, f.model.degree + pad)
     if target.kappa != f.model.kappa:
-        raise ValueError("dimension mismatch between symbol and model")
+        raise ValueError(f"target model has kappa = {target.kappa} but the "
+                         f"function's model has kappa = {f.model.kappa}")
     S, G = _transfer(A, f.model, target, adjoint)
     coef = S @ f.coef
     full = float(np.real(np.vdot(f.coef, G @ f.coef)))

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss, hermeval
 
 import gausscomp
-from gausscomp.gaussmeas import DivergenceError, chi_norm_sq
+from gausscomp.gaussmeas import DivergenceError, _adjoint_power, chi_norm_sq
 from gausscomp.hermite import (
     CylFunction,
     HermiteModel,
+    _power_pair_gram,
+    _rule_basis,
     _tensor_rule,
     _transfer,
     _transfer_by_value,
@@ -141,7 +143,8 @@ def test_every_cache_is_bounded():
                 if hasattr(m, "cache_info"):
                     found[m.__qualname__] = m.cache_info().maxsize
     assert {"HermiteModel.get", "_tensor_rule", "_transfer_by_value",
-            "_polar_ring", "_leaf_parser", "_legendre_rule"} <= found.keys()
+            "_rule_basis", "_polar_ring", "_leaf_parser",
+            "_legendre_rule"} <= found.keys()
     assert all(size is not None for size in found.values()), found
 
 
@@ -323,15 +326,103 @@ def brute_projection(A, coef, model_in, model_out, adjoint):
 @given(st.integers(1, 3), st.integers(0, 6), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_operators_match_brute_force_projection(kappa, degree, adjoint, seed):
+    # the default target and explicit ones below, at and above the source
+    # degree: composition's G must stay exact for a lower-degree target
     A = well_conditioned(kappa, seed)
     model = HermiteModel.get(kappa, degree)
     coef = np.random.default_rng(seed).standard_normal(model.dim)
     apply = adjoint_apply if adjoint else composition_apply
-    g, leak = apply(A, model.function(coef))
-    ref = brute_projection(A, coef, model, g.model, adjoint)
-    np.testing.assert_allclose(g.coef, ref, rtol=0, atol=1e-10 * max(
-        1.0, float(np.max(np.abs(ref)))))
-    assert leak >= 0.0
+    targets = [None] + [HermiteModel.get(kappa, t)
+                        for t in (max(0, degree - 2), degree, degree + 3)]
+    for target in targets:
+        g, leak = apply(A, model.function(coef), target=target)
+        ref = brute_projection(A, coef, model, g.model, adjoint)
+        np.testing.assert_allclose(g.coef, ref, rtol=0, atol=1e-10 * max(
+            1.0, float(np.max(np.abs(ref)))))
+        assert leak >= 0.0
+        if not adjoint:
+            # G = <phi_in o A, phi_in o A> on a rule three orders above
+            X, W = gauss_hermite_rule(kappa, degree + 4)
+            V = brute_basis(X @ A.T, model.indices)
+            G_ref = V.T @ (W[:, None] * V)
+            _, G = _transfer(A, model, g.model, False)
+            np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-10 * max(
+                1.0, float(np.max(np.abs(G_ref)))))
+
+
+@pytest.mark.parametrize("kappa,degree", [(1, 2), (1, 16), (2, 7), (3, 4)])
+@pytest.mark.parametrize("pad", [-2, 0, 4])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_transfer_is_the_whitened_gram_formula(kappa, degree, pad, adjoint):
+    # S and G as Gaussian moments by `gaussian_gram` with E = I, as they
+    # were once computed, agree with the direct rule to rounding
+    A = well_conditioned(kappa, 100 * kappa + degree)
+    model_in = HermiteModel.get(kappa, degree)
+    model_out = HermiteModel.get(kappa, degree + pad)
+    I = np.eye(kappa)
+    if adjoint:
+        expected = (gaussian_gram(I, A, model_out, I, model_in),
+                    _power_pair_gram({1: _adjoint_power(A, 1)}, 1, model_in,
+                                     1, model_in))
+    else:
+        expected = (gaussian_gram(I, I, model_out, A, model_in),
+                    gaussian_gram(I, A, model_in, A, model_in))
+    for got, ref in zip(_transfer(A, model_in, model_out, adjoint), expected):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("apply", [adjoint_apply, composition_apply])
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (1, 2)])
+def test_symbol_of_the_wrong_size_is_named(apply, shape):
+    # the check comes before any cache or rule is read
+    f = HermiteModel.get(2, 3).function(np.ones(10))
+    caches = (_transfer_by_value, _rule_basis, _tensor_rule)
+    before = [c.cache_info() for c in caches]
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"
+                       r" does not act on a kappa = 2 model"):
+        apply(0.5 * np.ones(shape), f)
+    assert [c.cache_info() for c in caches] == before
+
+
+@pytest.mark.parametrize("apply", [adjoint_apply, composition_apply])
+def test_target_of_another_dimension_is_named(apply):
+    f = HermiteModel.get(2, 3).function(np.ones(10))
+    with pytest.raises(ValueError, match="target model has kappa = 3 but "
+                       "the function's model has kappa = 2"):
+        apply(0.5 * np.eye(2), f, target=HermiteModel.get(3, 3))
+
+
+def test_rule_basis_holds_one_read_only_basis():
+    V = _rule_basis(4, 2, 3)
+    np.testing.assert_array_equal(
+        V, HermiteModel.get(2, 3).basis_matrix(_tensor_rule(4, 2)[0]))
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+    # keyed by value: equal arguments hit, a second model evicts the first
+    assert _rule_basis(4, 2, 3) is V
+    assert _rule_basis(4, 2, 4).shape == (16, HermiteModel.get(2, 4).dim)
+    info = _rule_basis.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    assert _rule_basis(4, 2, 3) is not V
+    assert _rule_basis.cache_info().misses == info.misses + 1
+
+
+@pytest.mark.parametrize("adjoint,calls", [(False, 1), (True, 2)])
+def test_each_operator_evaluates_the_basis_it_moves_once(monkeypatch,
+                                                         adjoint, calls):
+    # the fixed side is read from `_rule_basis`; the adjoint's G evaluates
+    # its own basis in `_power_pair_gram`
+    apply = adjoint_apply if adjoint else composition_apply
+    f = HermiteModel.get(2, 4).basis_function((1, 1))
+    apply(np.array([[0.6, 0.1], [-0.2, 0.5]]), f)
+    seen = []
+    basis_matrix = HermiteModel.basis_matrix
+    monkeypatch.setattr(HermiteModel, "basis_matrix",
+                        lambda self, pts: seen.append(len(pts)) or
+                        basis_matrix(self, pts))
+    apply(np.array([[0.7, 0.0], [0.1, 0.4]]), f)
+    assert len(seen) == calls
 
 
 @settings(max_examples=15, deadline=None)
