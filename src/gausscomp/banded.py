@@ -34,6 +34,9 @@ __all__ = [
 
 _RANK_TOL = 1e-10  # _band_ranks: relative floor of a rank
 _RANK_BYTES = 1 << 24  # _band_ranks: padded blocks per batched SVD, in bytes
+_LOG_ROW_TOL = math.log1p(1e-12)  # PerturbedIdentity: slack of a row bound
+_TINY = np.finfo(float).tiny  # the least normal float, 2^-1022
+_CHUNK_ROWS = 1024  # _cut_logdets: band rows turned into lists at a time
 
 
 class BandedSymbol:
@@ -76,8 +79,11 @@ class BandedSymbol:
 
         def band(lo, hi):
             # q**j for j = lo-1..hi; j = 0 would sit at (0, 1), outside
-            pw = [q ** j if j else 0.0 for j in range(lo - 1, hi + 1)]
-            return [pw[:-1], [diag] * (hi - lo + 1), pw[1:]]
+            pw = np.fromiter((q ** j if j else 0.0
+                              for j in range(lo - 1, hi + 1)), float)
+            ab = np.full((3, hi - lo + 1), float(diag))
+            ab[0], ab[2] = pw[:-1], pw[1:]
+            return ab
 
         return cls(1, band)
 
@@ -303,6 +309,19 @@ def in_class_F(a: BandedSymbol, s: BlockPartition, K: int):
                         ranks)
 
 
+def _band_rows(ab, eta, n, lo, hi):
+    """Rows lo..hi - 1 (0-based) of the n x n corner of the band `ab` as
+    lists, row[t] = a_{i, i - eta + t}, then eta zero columns; entries past
+    the corner and rows past it are zero."""
+    out = np.zeros((hi - lo, 3 * eta + 1))
+    for t in range(2 * eta + 1):  # a_ic = ab[2 eta - t, c], c = i - eta + t
+        i0, i1 = max(lo, eta - t), min(hi, n, n + eta - t)
+        if i1 > i0:
+            out[i0 - lo:i1 - lo, t] = ab[2 * eta - t, i0 - eta + t:
+                                         i1 - eta + t]
+    return out.tolist()
+
+
 def _cut_logdets(ab, eta, cuts):
     """(sign, log|det|) arrays of the leading corners of sizes `cuts` of the
     matrix whose band from column 1 is `ab`, by one band elimination with
@@ -313,54 +332,68 @@ def _cut_logdets(ab, eta, cuts):
     p >= c, is read just before the first such exchange: the pivots before
     row j times the determinant of the reduced block on rows and columns
     j..c - 1, at most eta x eta.  A column with no nonzero candidate leaves
-    each corner not yet read exactly singular, (0, -inf), and ends it."""
+    each corner not yet read exactly singular, (0, -inf), and ends it.
+    Step j reads rows j..j + eta only, so rows become lists `_CHUNK_ROWS`
+    at a time and leave once eliminated: the band's bytes bound the memory."""
     n = cuts[-1]
-    # rows[i][t] = a_{i, i - eta + t} (0-based), then eta columns for the
-    # fill of row exchanges; the eta rows past n stay zero
-    rows = np.zeros((n + eta, 3 * eta + 1))
-    rows[:n, :2 * eta + 1] = _transpose(ab[:, :n], eta).T
-    rows, piv, read = rows.tolist(), [], {}
+    # rows[i - r0][t] = a_{i, i - eta + t} (0-based), then eta columns for
+    # the fill of row exchanges; the eta rows past n stay zero
+    rows, r0, piv, got, read = [], 0, np.ones(n + 1), [], {}
     # the fill columns stay zero until the first exchange; column j at tj
-    push, ts = piv.append, range(eta + 1, 2 * eta + 1)
+    push, ts = got.append, range(eta + 1, 2 * eta + 1)
     offs = [(off, eta - off) for off in range(1, eta + 1)]
     for j in range(n):
-        p, x = j, rows[j][eta]
+        l = j - r0
+        if l + eta >= len(rows):  # convert the next rows, drop the done ones
+            piv[r0 + 1:j + 1] = got
+            rows = rows[l:] + _band_rows(ab, eta, n, r0 + len(rows),
+                                         min(n + eta, j + eta + _CHUNK_ROWS))
+            r0, l = j, 0
+            got.clear()
+        p, x = l, rows[l][eta]
         ax = abs(x)
         for off, tj in offs:
-            y = rows[j + off][tj]
+            y = rows[l + off][tj]
             if abs(y) > ax:
-                p, x, ax = j + off, y, abs(y)
+                p, x, ax = l + off, y, abs(y)
         if x == 0.0:
             break
-        if p > j:
-            for k in range(bisect_right(cuts, j), bisect_right(cuts, p)):
+        if p > l:
+            for k in range(bisect_right(cuts, j), bisect_right(cuts, p + r0)):
                 if k not in read:  # the first exchange to cross corner k
                     read[k] = (j, *np.linalg.slogdet(
-                        [rows[i][j - i + eta:cuts[k] - i + eta]
+                        [rows[i - r0][j - i + eta:cuts[k] - i + eta]
                          for i in range(j, cuts[k])]))
             # swap rows j and p, each re-offset to its new position
-            sh, ts = p - j, range(eta + 1, 3 * eta + 1)
-            rows[j], rows[p] = ([0.0] * sh + rows[p][:-sh],
-                                rows[j][sh:] + [0.0] * sh)
+            sh, ts = p - l, range(eta + 1, 3 * eta + 1)
+            rows[l], rows[p] = ([0.0] * sh + rows[p][:-sh],
+                                rows[l][sh:] + [0.0] * sh)
             push(-x)  # an exchange flips the sign
         else:
             push(x)
-        top = rows[j]
+        top = rows[l]
         for off, tj in offs:
-            row = rows[j + off]
+            row = rows[l + off]
             y = row[tj]
             if y != 0.0:
                 m = y / x
                 for t in ts:
                     row[t - off] -= m * top[t]
-    # prefix products of the pivots: [j] is that of the rows before j
-    sg = np.concatenate(([1.0], np.sign(piv).cumprod()))
-    la = np.concatenate(([0.0], np.log(np.abs(piv)).cumsum()))
-    ends = np.minimum(cuts, len(piv))
-    signs, logabs = sg[ends], la[ends]
-    signs[ends < cuts], logabs[ends < cuts] = 0.0, -np.inf
+    npiv = r0 + len(got)
+    piv[r0 + 1:npiv + 1] = got
+    del rows, got
+    # prefix products of the pivots, in place: [j] is that of the rows
+    # before j; the entries past npiv are never read
+    sg = np.sign(piv)
+    np.cumprod(sg, out=sg)
+    np.cumsum(np.log(np.abs(piv, out=piv), out=piv), out=piv)
+    ends = np.array(cuts)
+    singular = ends > npiv
+    np.minimum(ends, npiv, out=ends)
+    signs, logabs = sg[ends], piv[ends]
+    signs[singular], logabs[singular] = 0.0, -np.inf
     for k, (j, sign, logdet) in read.items():
-        signs[k], logabs[k] = sg[j] * sign, la[j] + logdet
+        signs[k], logabs[k] = sg[j] * sign, piv[j] + logdet
     return signs, logabs
 
 
@@ -417,19 +450,40 @@ def power(a: BandedSymbol, k: int, window: int) -> BandedSymbol:
     return BandedSymbol(eta, lambda lo, hi: ab[:, lo - 1:hi])
 
 
+def _log_least(x):
+    """log of the least real that each stored float of `x` can stand for:
+    |x| less half an ulp of it, 2^-53 of |x| or, below the normal range,
+    2^-1075 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2.1); -inf at 0.  A float just above the underflow threshold can
+    lie above the real it rounds by a good part of itself."""
+    ax = np.abs(x)
+    # half an ulp over |x| is 0.5 / (|x| 2^1074), at most 2^-53; 0.5 at 0
+    rel = np.minimum(ax, _TINY)
+    np.maximum(np.ldexp(rel, 1074, out=rel), 1.0, out=rel)
+    np.log1p(np.divide(-0.5, rel, out=rel), out=rel)
+    with np.errstate(divide="ignore"):
+        np.log(ax, out=ax)
+    ax += rel
+    return ax
+
+
 @dataclass
 class PerturbedIdentity:
     """Symmetric banded perturbation of the identity, b = I + bhat.
 
-    Carries the row-bound sequence alpha, summable weights p with ratio
-    bounds (m, M), and the certified sums of both sequences.  The symmetry
-    and row-bound invariants are validated on the materialized window at
-    construction and on any later window growth.
+    Carries the row-bound sequence alpha and summable weights p with ratio
+    bounds (m, M) as logarithms, `log_alpha` and `log_weights` evaluated on
+    an index array, so that neither underflows at any depth, and the
+    certified sums of both sequences.  `read_window(n)` reads bhat's band
+    and both sequences on [1, n] once, and every check reads them there.
+    The symmetry, row-bound and ratio invariants are validated on [1, 16]
+    at construction and on any later window growth, each stored entry of
+    bhat allowing half an ulp of itself (`_log_least`).
     """
 
     base: BandedSymbol          # the perturbation bhat
-    alpha: Callable             # j -> alpha_j > 0
-    weights: Callable           # j -> p_j > 0
+    log_alpha: Callable         # index array j -> log alpha_j, alpha_j > 0
+    log_weights: Callable       # index array j -> log p_j, p_j > 0
     m: float
     M: float
     alpha_sum: float            # certified sum of alpha_j
@@ -437,46 +491,70 @@ class PerturbedIdentity:
     preconditions: tuple = ()   # ((name, ok), ...) family-level admissibility
     det_floor: float | None = None  # floor of the corner determinants
     validated_window: int = field(default=0, init=False)
+    _read: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.m < self.M:
             raise ValueError("ratio bounds require 0 < m < M")
+        self._read = (np.zeros((2 * self.base.eta + 1, 0)), np.zeros(0),
+                      np.zeros(0))
         self.validate_window(16)
 
+    def read_window(self, n):
+        """(bhat's band on columns 1..n, log alpha_j, log p_j for j = 1..n),
+        views of arrays that are read once: a longer window reads only the
+        columns and indices past the longest one read before."""
+        ab, la, lp = self._read
+        if n > la.size:
+            j = np.arange(la.size + 1, n + 1)
+            self._read = ab, la, lp = (
+                np.concatenate((ab, self.base.bands(j[0], n)), axis=1),
+                np.concatenate((la, self.log_alpha(j))),
+                np.concatenate((lp, self.log_weights(j))))
+        return ab[:, :n], la[:n], lp[:n]
+
     def validate_window(self, n):
-        """Check symmetry, |bhat_ij| <= alpha_i and ratio bounds on [1, n].
+        """Check symmetry, |bhat_ij| <= alpha_i, p_j > 0 and ratio bounds on
+        [1, n].
 
         [1, validated_window] has been checked already, so only the rows
-        whose band reaches past it and the new weight ratios are."""
+        whose band reaches past it and the new weight ratios are.  Each
+        comparison is taken in log space."""
         w = self.validated_window
         if n <= w:
             return
+        ab, la, lp = self.read_window(n)
         eta = self.base.eta
         lo = max(1, w - eta + 1)
         c0 = max(1, lo - eta)  # the first column a visited row reaches
-        at = _transpose(self.base.bands(c0, n), eta)  # (A^T)^T: rows c0..n
+        at = _transpose(ab[:, c0 - 1:], eta)  # (A^T)^T: rows c0..n
         # a_ij[r, t] = a_ij, a_ji[r, t] = a_ji at i = lo + r, j = i + t - eta
-        a_ij, a_ji = at.T[lo - c0:], _transpose(at, eta).T[lo - c0:]
-        alpha = [self.alpha(k) for k in range(lo, n + 1)]
-        al = np.array(alpha, dtype=float)[:, None]
-        bad = (al <= 0) | (a_ij != a_ji) | (np.abs(a_ij) > al * (1 + 1e-12))
+        a_ij, la = at.T[lo - c0:], la[lo - 1:, None]
+        bad = a_ij != _transpose(at, eta).T[lo - c0:]  # a_ij != a_ji
+        bad |= ~(la > -np.inf)
+        bad |= _log_least(a_ij) > la + _LOG_ROW_TOL
         if bad.any():  # the first violation, in the order checks are stated
             r, t = np.unravel_index(np.argmax(bad), bad.shape)
-            i, j, ai, x = lo + r, lo + r + t - eta, alpha[r], float(a_ij[r, t])
-            if ai <= 0:
+            i, j, li, x = lo + r, lo + r + t - eta, la[r, 0], float(a_ij[r, t])
+            if not li > -np.inf:
                 raise ValueError(f"alpha_{i} must be positive")
-            if x != a_ji[r, t]:
+            if x != _transpose(at, eta).T[lo - c0 + r, t]:  # a_ji
                 raise ValueError(f"perturbation not symmetric at ({i}, {j})")
-            raise ValueError(
-                f"|bhat_({i},{j})| = {abs(x)} exceeds alpha_{i} = {ai}")
-        p = [self.weights(j) for j in range(max(1, w), n + 1)]
-        for j, (pj, pnext) in enumerate(zip(p, p[1:]), start=max(1, w)):
-            ratio = pnext / pj
-            if not self.m < ratio < self.M:
-                raise ValueError(
-                    f"weight ratio p_{j+1}/p_{j} = {ratio} outside "
-                    f"({self.m}, {self.M})"
-                )
+            raise ValueError(f"|bhat_({i},{j})| = {abs(x)} exceeds "
+                             f"alpha_{i} = {math.exp(li)}")
+        lp = lp[max(1, w) - 1:]
+        positive = lp > -np.inf
+        if not positive.all():
+            j = max(1, w) + int(np.argmin(positive))
+            raise ValueError(f"p_{j} must be positive")
+        step = lp[1:] - lp[:-1]  # log p_(j+1) - log p_j
+        bad = ~((step > math.log(self.m)) & (step < math.log(self.M)))
+        if bad.any():
+            r = int(np.argmax(bad))
+            j = max(1, w) + r
+            raise ValueError(f"weight ratio p_{j+1}/p_{j} = "
+                             f"{math.exp(step[r])} outside ({self.m}, "
+                             f"{self.M})")
         self.validated_window = n
 
     @property
@@ -486,7 +564,8 @@ class PerturbedIdentity:
 
     @classmethod
     def geometric(cls, q):
-        """The 1-banded family bhat[j, j+1] = q**j with alpha_j = q**(j-1).
+        """The 1-banded family bhat[j, j+1] = q**j with alpha_j = q**(j-1)
+        and p_j = q**j, as log alpha_j = (j - 1) log q and log p_j = j log q.
 
         Admissible for 0 < q < sqrt(2)/2; the constructor records the
         admissibility of the supplied q as a precondition instead of
@@ -498,10 +577,11 @@ class PerturbedIdentity:
         if not 0 < q < 1:
             raise ValueError("q must lie in (0, 1)")
         base = BandedSymbol.geometric_tridiagonal(q, diag=0.0)
+        log_q = math.log(q)
         return cls(
             base=base,
-            alpha=lambda j: q ** (j - 1),
-            weights=lambda j: q ** j,
+            log_alpha=lambda j: (j - 1) * log_q,
+            log_weights=lambda j: j * log_q,
             m=0.5 * q,
             M=0.5 * (1.0 + q),
             alpha_sum=1.0 / (1.0 - q),
@@ -516,11 +596,19 @@ class PerturbedIdentity:
 def power_entry_bound(b: PerturbedIdentity, k: int, window: int):
     """Check |(bhat**k)_ij| <= (sum alpha)**(k-1) * alpha_i on the window.
 
-    Returns (ok, worst_ratio) where worst_ratio is max |entry| / bound.
+    Each row's largest |entry| on the window, from the band of the
+    (window + k eta) corner's power, less half an ulp of it (`_log_least`),
+    is compared with its bound in log space, in O(window (k eta)^2).
+    Returns (ok, worst_ratio) where worst_ratio is the largest such ratio.
     """
-    b.validate_window(window + k * b.base.eta)
-    pw = power(b.base, k, window).window(window)
-    bounds = b.alpha_sum ** (k - 1) * np.array(
-        [b.alpha(i) for i in range(1, window + 1)])
-    worst = float(np.max(np.max(np.abs(pw), axis=1) / bounds))
+    w = k * b.base.eta  # rows past the corner reach only rows past the window
+    b.validate_window(window + w)
+    ab, la, _ = b.read_window(window + w)
+    pk, most = _band_power(ab, b.base.eta, k), np.zeros(window)
+    for d in range(-w, w + 1):  # entry (i, i + d), 0-based: pk[w - d, i + d]
+        lo, hi = max(0, -d), min(window, window - d)
+        np.maximum(most[lo:hi], np.abs(pk[w - d, lo + d:hi + d]),
+                   out=most[lo:hi])
+    excess = _log_least(most) - la[:window]
+    worst = math.exp(excess.max() - (k - 1) * math.log(b.alpha_sum))
     return worst <= 1.0 + 1e-12, worst

@@ -59,7 +59,6 @@ __all__ = [
 _PSD_TOL = 1e-10  # form_positivity_evidence: relative asymmetry and eigenvalue
 _DEFECT_TOL = 1e-6  # snr_form_value: rounding allowance between rule orders
 _HYPO_TOL = 1e-7  # hyponormality_consequence: a value past it is a disproof
-_ENTRY_BOUND_WINDOW = 12  # prop56_suite: coordinates of the power entry bound
 _PERTURBATION_WINDOW = 24  # prop56_suite: coordinates of the perturbation form
 
 
@@ -203,10 +202,16 @@ def _power_pair_grams(A, model: HermiteModel, max_power: int,
                       order: int | None = None):
     """Gram matrices G[a][b] with f^T G conj(g) = <S^a f, S^b g>, each the
     exact `hermite._power_pair_gram`; `order` only raises the exact
-    Gauss-Hermite rule order.  Each power A^-d is built once."""
+    Gauss-Hermite rule order.  Each power A^-d is built once.  ValueError,
+    before any Gram: A is not kappa x kappa, or an entry is not finite."""
     A = np.asarray(A, dtype=float)
-    if A.shape[0] != model.kappa:
-        raise ValueError("symbol dimension does not match the model")
+    if A.shape != (model.kappa,) * 2:
+        raise ValueError(f"a symbol of shape {A.shape} does not act on a "
+                         f"kappa = {model.kappa} model")
+    if not np.all(np.isfinite(A)):
+        i, j = np.argwhere(~np.isfinite(A))[0].tolist()
+        raise ValueError(f"symbol entry ({i + 1}, {j + 1}) is {A[i, j]}, "
+                         f"not finite")
     adj = [_adjoint_power(A, d) for d in range(max_power + 1)]
     grams = {}
     for a in range(max_power + 1):
@@ -484,10 +489,13 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
     """Hypothesis suite for the perturbed-identity criterion.
 
     Family preconditions are checked first; a failed precondition stops the
-    suite before any determinant analysis.  Then: summability certificates,
-    the determinant floor |det b_k| >= rho up to depth L, the power entry
-    bound on the first `_ENTRY_BOUND_WINDOW` coordinates, and the
-    perturbation inequality with the proof-derived constant, exact over x
+    suite before any determinant analysis.  The rest read log alpha_j, log
+    p_j and bhat's band once, for the window win = max(64, s(L)) and the k
+    eta columns past it that the k-th power reaches: the summability
+    certificates, the symmetry/row-bound/ratio validation and the power
+    entry bound for k <= n + r, each on all of win in log space, and the
+    determinant floor |det b_k| >= rho up to depth L.  Only the
+    perturbation inequality with the proof-derived constant is exact over x
     supported on the first `_PERTURBATION_WINDOW` coordinates (one
     eigenvalue per power, nothing sampled), reported with the constant of
     the power that attains the largest ratio.  The conclusion names the
@@ -508,10 +516,13 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
                                "analysis not attempted"},
         ))
         return reports
+    # log alpha_j, log p_j and bhat's band, read once for the checks below;
+    # the k-th power reaches k eta columns past the window
+    win, powers = max(64, s.cut(min(len(s), L))), range(1, max(1, n + r) + 1)
+    _, log_alpha, log_p = b.read_window(win + powers[-1] * b.base.eta)
     # summability and ratio certificates (validated on a finite window)
-    win = max(64, s.cut(min(len(s), L)))
-    partial_alpha = math.fsum(b.alpha(j) for j in range(1, win + 1))
-    partial_p = math.fsum(b.weights(j) for j in range(1, win + 1))
+    partial_alpha = math.fsum(np.exp(log_alpha[:win]))
+    partial_p = math.fsum(np.exp(log_p[:win]))
     summable_ok = (partial_alpha <= b.alpha_sum * (1 + 1e-9)
                    and partial_p <= b.weight_sum * (1 + 1e-9))
     reports.append(CheckReport(
@@ -545,27 +556,34 @@ def prop56_suite(b: PerturbedIdentity, s: BlockPartition, n: int, r: int,
                  "note": f"floor verified to depth {len(dets)}"},
         params={"L": len(dets)},
     ))
-    # trace-class entry bound for powers up to n + r
-    worst_entry = 0.0
-    for k in range(1, max(1, n + r) + 1):
-        ok, ratio = power_entry_bound(b, k, _ENTRY_BOUND_WINDOW)
-        worst_entry = max(worst_entry, ratio)
-    reports.append(CheckReport(
-        name="power_entry_bound",
-        verdict="pass" if worst_entry <= 1.0 + 1e-12 else "fail",
-        payload={"worst_ratio": worst_entry},
-        params={"window": _ENTRY_BOUND_WINDOW, "max_power": max(1, n + r)},
-    ))
-    # perturbation inequality, exact on a window
-    worst = max((perturbation_bound_check(b, k, _PERTURBATION_WINDOW)
-                 for k in range(1, max(1, n + r) + 1)),
-                key=lambda chk: chk.worst_ratio)
-    reports.append(CheckReport(
-        name="perturbation_inequality",
-        verdict="pass" if worst.all_pass else "fail",
-        payload={"worst_ratio": worst.worst_ratio, "C_tilde": worst.C_tilde},
-        params={"window": worst.window},
-    ))
+    # trace-class entry bound for powers up to n + r, and the perturbation
+    # inequality exact on a window; each validates the rows it reads, so a
+    # violation in them fails the check instead of ending the suite
+    try:
+        worst_entry = max(power_entry_bound(b, k, win)[1] for k in powers)
+        reports.append(CheckReport(
+            name="power_entry_bound",
+            verdict="pass" if worst_entry <= 1.0 + 1e-12 else "fail",
+            payload={"worst_ratio": worst_entry},
+            params={"window": win, "max_power": powers[-1]},
+        ))
+    except ValueError as exc:
+        reports.append(CheckReport(name="power_entry_bound", verdict="fail",
+                                   payload={"detail": str(exc)}))
+    try:
+        worst = max((perturbation_bound_check(b, k, _PERTURBATION_WINDOW)
+                     for k in powers), key=lambda chk: chk.worst_ratio)
+        reports.append(CheckReport(
+            name="perturbation_inequality",
+            verdict="pass" if worst.all_pass else "fail",
+            payload={"worst_ratio": worst.worst_ratio,
+                     "C_tilde": worst.C_tilde},
+            params={"window": worst.window},
+        ))
+    except ValueError as exc:
+        reports.append(CheckReport(name="perturbation_inequality",
+                                   verdict="fail",
+                                   payload={"detail": str(exc)}))
     all_ok = all(rep.verdict == "pass" for rep in reports)
     window, narrowest = min(
         ((rep.params.get("window", rep.params.get("L")), rep.name)

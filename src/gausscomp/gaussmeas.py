@@ -588,16 +588,14 @@ def proof_constant(b: PerturbedIdentity, k: int) -> float:
     """The explicit inequality constant for the k-th power of b = I + bhat.
 
     Assembled from the proof's chain: c = max(sup alpha_j / p_j, sup
-    alpha_j), both sups over the first `_SUP_WINDOW` coordinates; the
-    shift-norm bound on the weighted space comes from the ratio bounds
-    (m, M); the k-th power of the perturbation is controlled
-    through the binomial expansion with row bounds alpha_j scaled by
-    g_k = sum_i C(k, i) (sum alpha)^(i-1).
+    alpha_j), both sups over the first `_SUP_WINDOW` coordinates of
+    `read_window`, in log space; the shift-norm bound on the weighted space
+    comes from the ratio bounds (m, M); the k-th power of the perturbation
+    is controlled through the binomial expansion with row bounds alpha_j
+    scaled by g_k = sum_i C(k, i) (sum alpha)^(i-1).
     """
-    c = 0.0
-    for j in range(1, _SUP_WINDOW + 1):
-        aj = b.alpha(j)
-        c = max(c, aj, aj / b.weights(j))
+    _, log_alpha, log_p = b.read_window(_SUP_WINDOW)
+    c = math.exp(max(log_alpha.max(), (log_alpha - log_p).max()))
     g_k = sum(
         math.comb(k, i) * b.alpha_sum ** (i - 1) for i in range(1, k + 1)
     )
@@ -633,10 +631,7 @@ def perturbation_bound_check(b: PerturbedIdentity, k: int,
     n = window + k * b.base.eta
     b.validate_window(n + k * b.base.eta)
     B = power(b.symbol, k, n).window(n)[:, :window]
-    p = np.array([b.weights(j) for j in range(1, window + 1)], dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("weights must be positive")
-    scale = 1.0 / np.sqrt(p)
+    scale = np.exp(-0.5 * b.read_window(window)[2])  # validated: p_j > 0
     form = (np.eye(window) - B.T @ B) * np.outer(scale, scale)
     worst = float(np.max(np.abs(np.linalg.eigvalsh(form)))) / C_tilde
     return PerturbationCheck(C_tilde, worst, worst <= 1.0, window)

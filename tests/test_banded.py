@@ -30,6 +30,16 @@ def geometric(q):
     return BandedSymbol.geometric_tridiagonal(q)
 
 
+def halves(j):
+    """log p_j of the weights p_j = 0.5**j."""
+    return j * math.log(0.5)
+
+
+def log_one(j):
+    """log alpha_j of the row bounds alpha_j = 1."""
+    return np.zeros(j.shape)
+
+
 # -- truncate / block -------------------------------------------------------
 
 def test_truncate_diagonal_corner():
@@ -481,6 +491,58 @@ def test_cut_logdets_past_a_tiny_first_pivot_is_one_call(monkeypatch):
         assert logabs[p - 1] == pytest.approx(la, abs=1e-11)
 
 
+def cut_logdets_in_chunks(ab, eta, cuts, rows):
+    """`_cut_logdets` turning `rows` band rows into lists at a time."""
+    saved, banded._CHUNK_ROWS = banded._CHUNK_ROWS, rows
+    try:
+        return _cut_logdets(ab, eta, cuts)
+    finally:
+        banded._CHUNK_ROWS = saved
+
+
+@seed(6)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(["normal", "zero", "sparse", "tiny"]))
+def test_cut_logdets_chunks_leave_every_bit(eta, widths, s_seed, diag):
+    # rows converted 1, 2, 3 or 5 at a time, exchanges and corner reads
+    # across the chunk edges: the same bits as one chunk of every row
+    n = sum(widths)
+    rng = np.random.default_rng(s_seed)
+    ab = rng.standard_normal((2 * eta + 1, n + eta))
+    if diag == "zero":
+        ab[eta] = 0.0
+    elif diag == "sparse":
+        ab[rng.random(ab.shape) < 0.5] = 0.0
+    elif diag == "tiny":
+        ab[eta, rng.integers(n)] = 1e-12
+    cuts = tuple(np.cumsum(widths).tolist())
+    want = cut_logdets_in_chunks(ab, eta, cuts, n + eta)
+    for rows in (1, 2, 3, 5):
+        got = cut_logdets_in_chunks(ab, eta, cuts, rows)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_det_sequence_runs_in_bounded_memory():
+    # step j of the elimination reads rows j..j + eta only, so rows become
+    # lists a chunk at a time and leave once eliminated: with the pivots
+    # and the per-corner arrays, the peak stays under three bands' bytes
+    L, b = 200_000, PerturbedIdentity.geometric(0.5)
+    ab = b.symbol.bands(1, L)
+    a = BandedSymbol(1, lambda lo, hi: ab[:, lo - 1:hi])
+    s = BlockPartition.unit(L)
+    tracemalloc.start()
+    try:
+        dets = det_sequence(a, s, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ab.nbytes
+    assert len(dets) == L and dets.min() > b.det_floor
+
+
 def test_det_singular_corner_reported():
     # the corners past a singular one are their own determinants
     a = BandedSymbol.from_entries(1, {(1, 1): 1.0, (2, 2): 0.0, (3, 3): 2.0,
@@ -563,6 +625,39 @@ def test_power_entry_bound_geometric():
         assert ok and worst <= 1.0 + 1e-12
 
 
+def rounding_up(q, j):
+    """How far the float q**j lies above the real q^j, relative to it."""
+    import mpmath as mp
+    with mp.workdps(40):
+        return float(mp.mpf(q ** j) / mp.mpf(q) ** j) - 1.0
+
+
+@pytest.mark.parametrize("q,j,up", [(0.3, 617, 0.02), (0.41, 833, 0.05),
+                                    (0.6, 1458, 0.41)])
+def test_every_row_to_the_underflow_depth_passes_the_row_bound(q, j, up):
+    # entry (j + 1, j) is the float q**j and alpha_(j + 1) the real q^j,
+    # in log space; just before q**j underflows it rounds up by `up` of
+    # itself, which half an ulp of the entry allows for
+    assert rounding_up(q, j) > up
+    depth = next(k for k in range(1, 2000) if q ** k == 0.0)
+    b = PerturbedIdentity.geometric(q)
+    b.validate_window(depth + 1)
+    assert b.validated_window == depth + 1
+    for k in (1, 2):
+        ok, worst = power_entry_bound(b, k, depth + 1)
+        assert ok and worst <= 1.0 + 1e-12
+
+
+def test_log_least_is_half_an_ulp_below():
+    # 2^-53 of a normal |x|; 2^-1075 of 3 and 1 times 2^-1074
+    tiny, sub, rel = np.finfo(float).tiny, 2.0 ** -1074, 1.0 - 2.0 ** -53
+    x = np.array([0.0, -1.0, 0.75, tiny, 3 * sub, sub])
+    want = [-np.inf, math.log(rel), math.log(0.75 * rel),
+            math.log(tiny * rel), math.log(2.5) - 1074 * math.log(2),
+            -1075 * math.log(2)]
+    np.testing.assert_allclose(banded._log_least(x), want, rtol=1e-15)
+
+
 # -- perturbed identity ----------------------------------------------------
 
 def test_perturbed_identity_preconditions():
@@ -589,28 +684,29 @@ def test_perturbed_identity_symbol_diagonal():
 def test_perturbed_identity_rejects_asymmetry():
     base = BandedSymbol.from_entries(1, {(1, 2): 0.5, (2, 1): 0.4})
     with pytest.raises(ValueError):
-        PerturbedIdentity(base=base, alpha=lambda j: 1.0,
-                          weights=lambda j: 0.5**j, m=0.25, M=0.75,
+        PerturbedIdentity(base=base, log_alpha=log_one,
+                          log_weights=halves, m=0.25, M=0.75,
                           alpha_sum=10.0, weight_sum=1.0)
 
 
 def test_perturbed_identity_rejects_row_bound_violation():
     base = BandedSymbol.geometric_tridiagonal(0.5, diag=0.0)
     with pytest.raises(ValueError):
-        PerturbedIdentity(base=base, alpha=lambda j: 0.5**j * 0.1,
-                          weights=lambda j: 0.5**j, m=0.25, M=0.75,
+        PerturbedIdentity(base=base,
+                          log_alpha=lambda j: halves(j) + math.log(0.1),
+                          log_weights=halves, m=0.25, M=0.75,
                           alpha_sum=0.2, weight_sum=1.0)
 
 
 def test_validate_window_checks_each_coordinate_once():
     calls = []
 
-    def alpha(j):
-        calls.append(j)
-        return 0.5 ** (j - 1)
+    def log_alpha(j):
+        calls.extend(j.tolist())
+        return halves(j - 1)
 
     b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
-                          alpha=alpha, weights=lambda j: 0.5 ** j, m=0.25,
+                          log_alpha=log_alpha, log_weights=halves, m=0.25,
                           M=0.75, alpha_sum=2.0, weight_sum=1.0)
     assert b.validated_window == 16 and calls == list(range(1, 17))
     calls.clear()
@@ -618,28 +714,30 @@ def test_validate_window_checks_each_coordinate_once():
     b.validate_window(16)
     assert calls == []
     b.validate_window(40)
-    # only rows whose band reaches past the old window 16 are checked again
-    assert b.validated_window == 40 and calls == list(range(16, 41))
+    # row 16, whose band reaches past the old window, is checked again from
+    # the alpha_16 read before: each coordinate is read once
+    assert b.validated_window == 40 and calls == list(range(17, 41))
 
 
 def test_validate_window_reads_each_weight_once():
     calls = []
 
-    def weights(j):
-        calls.append(j)
-        return 0.5 ** j
+    def log_weights(j):
+        calls.extend(j.tolist())
+        return halves(j)
 
     b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
-                          alpha=lambda j: 0.5 ** (j - 1), weights=weights,
-                          m=0.25, M=0.75, alpha_sum=2.0, weight_sum=1.0)
+                          log_alpha=lambda j: halves(j - 1),
+                          log_weights=log_weights, m=0.25, M=0.75,
+                          alpha_sum=2.0, weight_sum=1.0)
     assert b.validated_window == 16 and calls == list(range(1, 17))
     calls.clear()
     b.validate_window(10)
     b.validate_window(16)
     assert calls == []
     b.validate_window(40)
-    # the first new ratio p_17 / p_16 reads the old edge weight again
-    assert b.validated_window == 40 and calls == list(range(16, 41))
+    # the first new ratio p_17 / p_16 takes the old edge weight as read
+    assert b.validated_window == 40 and calls == list(range(17, 41))
 
 
 @pytest.mark.parametrize("eta,i,j", [(1, 16, 17), (2, 16, 17), (2, 15, 17)])
@@ -647,8 +745,8 @@ def test_validate_window_growth_checks_the_old_edge(eta, i, j):
     # an entry in a row inside the validated window [1, 16] whose column
     # lies past it is first seen when the window grows
     asym = BandedSymbol.from_entries(eta, {(i, j): 0.5, (j, i): 0.4})
-    b = PerturbedIdentity(base=asym, alpha=lambda k: 1.0,
-                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+    b = PerturbedIdentity(base=asym, log_alpha=log_one,
+                          log_weights=halves, m=0.25, M=0.75,
                           alpha_sum=40.0, weight_sum=1.0)
     assert b.validated_window == 16
     with pytest.raises(ValueError, match=rf"not symmetric at \({i}, {j}\)"):
@@ -656,8 +754,9 @@ def test_validate_window_growth_checks_the_old_edge(eta, i, j):
     assert b.validated_window == 16
     # row j's own bound is loose, so only row i can see the violation
     big = BandedSymbol.from_entries(eta, {(i, j): 2.0, (j, i): 2.0})
-    b = PerturbedIdentity(base=big, alpha=lambda k: 3.0 if k == j else 1.0,
-                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+    b = PerturbedIdentity(base=big,
+                          log_alpha=lambda k: np.where(k == j, math.log(3), 0),
+                          log_weights=halves, m=0.25, M=0.75,
                           alpha_sum=40.0, weight_sum=1.0)
     with pytest.raises(ValueError, match=rf"\|bhat_\({i},{j}\)\| = 2.0 "):
         b.validate_window(40)
@@ -665,8 +764,9 @@ def test_validate_window_growth_checks_the_old_edge(eta, i, j):
 
 def test_validate_window_growth_checks_the_new_weight_ratios():
     b = PerturbedIdentity(base=BandedSymbol.geometric_tridiagonal(0.5, 0.0),
-                          alpha=lambda k: 1.0,
-                          weights=lambda k: 0.5 ** k if k <= 16 else 0.1 ** k,
+                          log_alpha=log_one,
+                          log_weights=lambda k: k * np.log(np.where(
+                              k <= 16, 0.5, 0.1)),
                           m=0.25, M=0.75, alpha_sum=40.0, weight_sum=1.0)
     with pytest.raises(ValueError, match=r"p_17/p_16"):
         b.validate_window(40)
@@ -675,7 +775,7 @@ def test_validate_window_growth_checks_the_new_weight_ratios():
 def test_validated_window_is_not_an_argument():
     with pytest.raises(TypeError):
         PerturbedIdentity(base=BandedSymbol.from_entries(1, {}),
-                          alpha=lambda j: 1.0, weights=lambda j: 0.5 ** j,
+                          log_alpha=log_one, log_weights=halves,
                           m=0.25, M=0.75, alpha_sum=1.0, weight_sum=1.0,
                           validated_window=100)
 
@@ -820,12 +920,12 @@ def test_every_view_reads_the_rule_bit_for_bit(case, data):
         assert np.array_equal(dets == 0.0, want == 0.0)
 
 
-def first_violation_by_rows(base, alpha, w, n):
+def first_violation_by_rows(base, log_alpha, w, n):
     """The row loop `validate_window` replaced: the first symmetry or row
     bound message on rows max(1, w - eta + 1)..n, else None."""
     for i in range(max(1, w - base.eta + 1), n + 1):
-        ai = alpha(i)
-        if ai <= 0:
+        ai = math.exp(log_alpha(np.array([i]))[0])
+        if not ai > 0:
             return f"alpha_{i} must be positive"
         for j in range(max(1, i - base.eta), min(n, i + base.eta) + 1):
             if base.entry(i, j) != base.entry(j, i):
@@ -865,23 +965,25 @@ def perturbations(draw):
 @given(perturbations())
 def test_validate_window_reports_the_row_walks_first_violation(case):
     base, alphas, n = case
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(alphas)  # -inf at 0, nan below
 
-    def alpha(k):
-        return alphas[k - 1]
+    def log_alpha(k):
+        return logs[k - 1]
 
     def make():
-        return PerturbedIdentity(base=base, alpha=alpha,
-                                 weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+        return PerturbedIdentity(base=base, log_alpha=log_alpha,
+                                 log_weights=halves, m=0.25, M=0.75,
                                  alpha_sum=100.0, weight_sum=1.0)
 
-    want = first_violation_by_rows(base, alpha, 0, 16)
+    want = first_violation_by_rows(base, log_alpha, 0, 16)
     if want is not None:
         with pytest.raises(ValueError) as err:
             make()
         assert str(err.value) == want
         return
     b = make()
-    want = first_violation_by_rows(base, alpha, 16, n)
+    want = first_violation_by_rows(base, log_alpha, 16, n)
     if want is None:
         b.validate_window(n)
         assert b.validated_window == n
@@ -899,7 +1001,7 @@ def test_validate_window_and_minors_read_each_rule_value_once():
         return 0.5 ** j
 
     b = PerturbedIdentity(base=BandedSymbol.diagonal(rule),
-                          alpha=lambda j: 1.0, weights=lambda j: 0.5 ** j,
+                          log_alpha=log_one, log_weights=halves,
                           m=0.25, M=0.75, alpha_sum=100.0, weight_sum=1.0)
     assert sorted(calls) == list(range(1, 17))
     calls.clear()
@@ -914,11 +1016,11 @@ def test_validate_window_names_asymmetry_before_the_row_bound():
     # (17, 18) is both asymmetric and over its row bound: the symmetry
     # check comes first, as in the row walk
     base = BandedSymbol.from_entries(1, {(17, 18): 2.0, (18, 17): 1.0})
-    b = PerturbedIdentity(base=base, alpha=lambda k: 1.0,
-                          weights=lambda k: 0.5 ** k, m=0.25, M=0.75,
+    b = PerturbedIdentity(base=base, log_alpha=log_one,
+                          log_weights=halves, m=0.25, M=0.75,
                           alpha_sum=100.0, weight_sum=1.0)
     with pytest.raises(ValueError) as err:
         b.validate_window(40)
     assert str(err.value) == "perturbation not symmetric at (17, 18)"
-    assert first_violation_by_rows(base, lambda k: 1.0, 16, 40) == \
+    assert first_violation_by_rows(base, log_one, 16, 40) == \
         str(err.value)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gausscomp.banded import (
     BandedSymbol,
     BlockPartition,
     PerturbedIdentity,
+    power,
 )
 from gausscomp.checker import (
     CoefficientTensor,
@@ -261,6 +263,44 @@ def test_power_pair_grams_diverging_pair_raises():
     # 2 / 1.5^2 - 1 < 0: <S f, S g> diverges for the expanding symbol 1.5
     with pytest.raises(DivergenceError):
         _power_pair_grams(np.array([[1.5]]), HermiteModel.get(1, 4), 1)
+
+
+def gram_callers(A):
+    """The three callers of `_power_pair_grams`, each on a kappa = 2 model."""
+    model = HermiteModel.get(2, 2)
+    c = gram_construct(np.ones((2, 1, 1), dtype=complex))
+    fs = [[model.function(np.ones(model.dim)) for _ in range(2)]]
+    return {"snr_form_matrix": lambda: snr_form_matrix(A, c, 1, model),
+            "snr_form_value": lambda: snr_form_value(A, c, 1, fs, model),
+            "hyponormality_consequence":
+                lambda: hyponormality_consequence(A, 2)}
+
+
+@pytest.mark.parametrize("caller", ["snr_form_matrix", "snr_form_value",
+                                    "hyponormality_consequence"])
+@pytest.mark.parametrize("A,message", [
+    ([[0.5, 0.1], [np.nan, 0.5]],
+     r"^symbol entry \(2, 1\) is nan, not finite$"),
+    ([[0.5, -np.inf], [np.nan, 0.5]],
+     r"^symbol entry \(1, 2\) is -inf, not finite$"),
+    (np.full((2, 3), 0.3),
+     r"^a symbol of shape \(2, 3\) does not act on a kappa = 2 model$"),
+])
+def test_gram_path_refuses_a_malformed_symbol(monkeypatch, caller, A,
+                                              message):
+    # a NaN entry used to give NaN Grams and numpy's "Eigenvalues did not
+    # converge", a (2, 3) symbol "Last 2 dimensions of the array must be
+    # square"; now a ValueError names it before any power or Gram is built
+    built = []
+    monkeypatch.setattr(checker, "_adjoint_power",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(checker, "_power_pair_gram",
+                        lambda *args: built.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            gram_callers(np.array(A))[caller]()
+    assert built == []
 
 
 def test_snr_defect_is_rounding_level():
@@ -740,6 +780,67 @@ def test_prop56_geometric_passes():
     assert floor.payload["min_abs_det"] > 2.0 / 3.0
 
 
+def direct_prop56_values(q, win, powers, window=24, sup_window=200):
+    """The prop56 checks' values from the floats q**(j-1) and q**j, as the
+    suite took them before log space: the summability partials, the worst
+    power entry ratio on dense window corners, and the perturbation
+    inequality's C_tilde and worst ratio."""
+    b = PerturbedIdentity.geometric(q)
+    alpha = [q ** (j - 1) for j in range(1, max(win, sup_window) + 1)]
+    p = [q ** j for j in range(1, max(win, sup_window) + 1)]
+    S = 1.0 / (1.0 - q)
+    entry = max(float(np.max(np.max(np.abs(
+        power(b.base, k, win).window(win)), axis=1)
+        / (S ** (k - 1) * np.array(alpha[:win])))) for k in powers)
+    c = max(max(alpha[:sup_window]),
+            max(a / w for a, w in zip(alpha[:sup_window], p)))
+    pert = []
+    for k in powers:
+        g_k = sum(math.comb(k, i) * S ** (i - 1) for i in range(1, k + 1))
+        K = (2.0 * (g_k * c) ** 2 * (2 * k + 1)
+             * (max(0.5 * (1.0 + q), 2.0 / q) ** (k / 2.0)) ** 2)
+        C = K + 2.0 * math.sqrt(K)
+        B = power(b.symbol, k, window + k).window(window + k)[:, :window]
+        scale = 1.0 / np.sqrt(p[:window])
+        form = (np.eye(window) - B.T @ B) * np.outer(scale, scale)
+        pert.append((float(np.max(np.abs(np.linalg.eigvalsh(form)))) / C, C))
+    worst, C = max(pert)
+    return {"alpha_partial": math.fsum(alpha[:win]),
+            "weight_partial": math.fsum(p[:win]), "entry": entry,
+            "perturbation": worst, "C_tilde": C}
+
+
+@seed(29)
+@settings(max_examples=40, deadline=None)
+@given(st.floats(2.0 ** -1022, math.sqrt(2) / 2, exclude_max=True))
+def test_prop56_log_sequences_match_the_floats(q):
+    # wherever q**j is a normal float, log alpha_j and log p_j are the
+    # logarithms of q**(j-1) and q**j, and where no check's window reaches
+    # past that, every value the suite reports is the float evaluation's
+    # (q is normal: at the least subnormal q, m = q / 2 rounds to 0)
+    b = PerturbedIdentity.geometric(q)
+    tiny = np.finfo(float).tiny
+    J = next((j for j in range(1, 2000) if q ** j < tiny), 2000) - 1
+    _, log_alpha, log_p = b.read_window(J)
+    j = np.arange(1, J + 1)
+    np.testing.assert_allclose(log_alpha, [math.log(q ** (i - 1)) for i in j],
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(log_p, [math.log(q ** i) for i in j],
+                               rtol=1e-15, atol=0.0)
+    if J < 200:  # proof_constant's sups read 200 weights
+        return
+    reports = {r.name: r for r in prop56_suite(
+        b, BlockPartition.unit(64), 1, 1, b.det_floor, L=64)}
+    want = direct_prop56_values(q, 64, (1, 2))
+    got = {**reports["summability_certificates"].payload,
+           "entry": reports["power_entry_bound"].payload["worst_ratio"],
+           "perturbation":
+               reports["perturbation_inequality"].payload["worst_ratio"],
+           "C_tilde": reports["perturbation_inequality"].payload["C_tilde"]}
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
 def test_prop56_inadmissible_q_stops_early():
     s = BlockPartition.unit(16)
     reports = prop56_suite(PerturbedIdentity.geometric(0.8), s, 1, 1,
@@ -754,9 +855,9 @@ def test_prop56_inadmissible_q_stops_early():
 
 def test_prop56_zero_perturbation_trivial():
     base = BandedSymbol.from_entries(1, {})
-    b = PerturbedIdentity(base=base, alpha=lambda j: 0.5 ** j,
-                          weights=lambda j: 0.5 ** j, m=0.25, M=0.75,
-                          alpha_sum=1.0, weight_sum=1.0)
+    b = PerturbedIdentity(base=base, log_alpha=lambda j: j * math.log(0.5),
+                          log_weights=lambda j: j * math.log(0.5), m=0.25,
+                          M=0.75, alpha_sum=1.0, weight_sum=1.0)
     s = BlockPartition.unit(16)
     reports = prop56_suite(b, s, 1, 1, rho=0.5, L=16)
     assert all(r.verdict == "pass" for r in reports)
@@ -766,14 +867,34 @@ def test_prop56_singular_corner_fails_the_floor():
     # b_2 = [[1, 1], [1, 1]] is singular; half its |det| is no floor
     base = BandedSymbol.from_entries(1, {(1, 2): 1.0, (2, 1): 1.0})
     b = PerturbedIdentity(base=base,
-                          alpha=lambda j: 1.0 if j <= 2 else 0.5 ** j,
-                          weights=lambda j: 0.5 ** j, m=0.25, M=0.75,
-                          alpha_sum=3.0, weight_sum=1.0)
+                          log_alpha=lambda j: np.where(j <= 2, 0.0,
+                                                       j * math.log(0.5)),
+                          log_weights=lambda j: j * math.log(0.5), m=0.25,
+                          M=0.75, alpha_sum=3.0, weight_sum=1.0)
     reports = {r.name: r for r in prop56_suite(b, BlockPartition.unit(10),
                                                 1, 1, None, L=8)}
     floor = reports["determinant_floor"]
     assert floor.verdict == "fail"
     assert floor.payload["min_abs_det"] == 0.0 and floor.payload["rho"] == 0.0
+    assert reports["conclusion"].verdict == "fail"
+
+
+def test_prop56_window_violation_fails_the_checks_that_read_it():
+    # bhat is asymmetric at (20, 21), inside the window but past the 16
+    # coordinates the constructor validates: the checks that read those
+    # rows report it as a failure instead of raising out of the suite
+    base = BandedSymbol.from_entries(1, {(20, 21): 0.5, (21, 20): 0.25})
+    b = PerturbedIdentity(base=base, log_alpha=lambda j: np.zeros(j.shape),
+                          log_weights=lambda j: j * math.log(0.5), m=0.25,
+                          M=0.75, alpha_sum=100.0, weight_sum=1.0)
+    reports = {r.name: r for r in prop56_suite(
+        b, BlockPartition.unit(40), 1, 1, 0.5, L=40)}
+    detail = "perturbation not symmetric at (20, 21)"
+    for name in ("symmetry_rowbound_ratio", "power_entry_bound",
+                 "perturbation_inequality"):
+        assert reports[name].verdict == "fail"
+        assert reports[name].payload == {"detail": detail}
+    assert reports["determinant_floor"].verdict == "pass"
     assert reports["conclusion"].verdict == "fail"
 
 
@@ -796,5 +917,7 @@ def test_fixed_tolerances_reach_the_reports():
     prop56 = {r.name: r for r in prop56_suite(
         PerturbedIdentity.geometric(0.5), BlockPartition.unit(16), 1, 1,
         rho=None, L=16)}
-    assert prop56["power_entry_bound"].params["window"] == 12
+    # every check but the exact perturbation sup covers max(64, s(L))
+    assert prop56["power_entry_bound"].params["window"] == 64
+    assert prop56["perturbation_inequality"].params["window"] == 24
     assert len(LambdaGrid().points()) == 1537

@@ -61,10 +61,10 @@ def test_prop56_perturbation_inequality_is_exact(capsys):
 
 
 @pytest.mark.parametrize("L,window,check", [
-    ("500", 12, "power_entry_bound"), ("5", 5, "determinant_floor")])
+    ("500", 24, "perturbation_inequality"), ("5", 5, "determinant_floor")])
 def test_prop56_conclusion_names_the_smallest_window(capsys, L, window,
                                                      check):
-    # the floor reads L corners, but the power entry bound only 12
+    # the floor reads L corners, but the exact perturbation sup only 24
     code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
                         "--L", L)
     assert code == 0
@@ -72,6 +72,35 @@ def test_prop56_conclusion_names_the_smallest_window(capsys, L, window,
     assert conclusion["params"]["window"] == window
     detail = conclusion["payload"]["detail"]
     assert f"depth {window}," in detail and f"({check})" in detail
+
+
+def floats_of(obj):
+    """Every float in a nested JSON value."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in floats_of(v)]
+    if isinstance(obj, list):
+        return [x for v in obj for x in floats_of(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@pytest.mark.parametrize("q,L", [("0.25", "600"), ("0.3", "700"),
+                                 ("0.41", "900"), ("0.5", "1075"),
+                                 ("0.5", "1076"), ("0.5", "1100"),
+                                 ("0.6", "1500")])
+def test_prop56_passes_past_the_underflow_depth(capsys, q, L):
+    # q**j underflows to 0 before L (j = 538, 619, 836, 1075 and 1459), but
+    # log alpha_j and log p_j do not: every check but the exact
+    # perturbation sup covers all L coordinates and passes
+    code, doc = run_cli(capsys, "check", "prop56", "--builtin", "ex59",
+                        "--q", q, "--L", L)
+    assert code == 0
+    assert all(math.isfinite(x) for x in floats_of(doc["body"]))
+    reports = {r["name"]: r for r in doc["body"]["reports"]}
+    assert all(r["verdict"] == "pass" for r in reports.values())
+    for name in ("summability_certificates", "symmetry_rowbound_ratio",
+                 "power_entry_bound"):
+        assert reports[name]["params"]["window"] == int(L)
+    assert reports["determinant_floor"]["params"]["L"] == int(L)
 
 
 def test_prop56_power_entry_bound_at_n_plus_r_4(capsys):

@@ -988,11 +988,15 @@ def test_perturbation_bound_unit_vector():
     assert chk.worst_ratio == pytest.approx(0.5 / chk.C_tilde, rel=1e-14)
 
 
-def _zero_perturbation(weights=lambda j: 0.5 ** j):
+def _halves(j):
+    return j * math.log(0.5)
+
+
+def _zero_perturbation(log_weights=_halves):
     from gausscomp.banded import BandedSymbol
     base = BandedSymbol.from_entries(1, {})
-    return PerturbedIdentity(base=base, alpha=lambda j: 0.5 ** j,
-                             weights=weights, m=0.25, M=0.75,
+    return PerturbedIdentity(base=base, log_alpha=_halves,
+                             log_weights=log_weights, m=0.25, M=0.75,
                              alpha_sum=1.0, weight_sum=1.0)
 
 
@@ -1002,10 +1006,13 @@ def test_perturbation_bound_zero_perturbation():
 
 
 def test_perturbation_bound_nonpositive_weight_raises():
-    # the ratio bounds hold (p_{j+1} / p_j = 0.5), the weights are negative
-    b = _zero_perturbation(weights=lambda j: -(0.5 ** j))
-    with pytest.raises(ValueError, match="weights must be positive"):
-        perturbation_bound_check(b, 1, 8)
+    # a weight with no logarithm (p_j <= 0: -inf or nan) is refused when
+    # the window that holds it is validated, before any form reads it
+    with pytest.raises(ValueError, match="^p_3 must be positive$"):
+        _zero_perturbation(lambda j: np.where(j == 3, -np.inf, _halves(j)))
+    b = _zero_perturbation(lambda j: np.where(j == 20, np.nan, _halves(j)))
+    with pytest.raises(ValueError, match="^p_20 must be positive$"):
+        perturbation_bound_check(b, 1, 24)
 
 
 def _sampled_ratio(b, k, x):
@@ -1016,7 +1023,7 @@ def _sampled_ratio(b, k, x):
     xp[: len(x)] = x
     y = np.linalg.matrix_power(b.symbol.window(n), k) @ xp
     lhs = abs(float(xp @ xp - y @ y))
-    p = np.array([b.weights(j) for j in range(1, len(x) + 1)])
+    p = np.exp(b.read_window(len(x))[2])
     return lhs / (proof_constant(b, k) * float(np.sum(x * x * p)))
 
 
@@ -1039,7 +1046,7 @@ def test_perturbation_bound_top_eigenvector_attains(q, k):
     chk = perturbation_bound_check(b, k, 24)
     n = 24 + k
     B = np.linalg.matrix_power(b.symbol.window(n + k), k)[:n, :24]
-    scale = 1.0 / np.sqrt([b.weights(j) for j in range(1, 25)])
+    scale = q ** -(np.arange(1, 25) / 2.0)  # 1 / sqrt(p_j)
     w, v = np.linalg.eigh((np.eye(24) - B.T @ B) * np.outer(scale, scale))
     top = v[:, np.argmax(np.abs(w))] * scale
     assert _sampled_ratio(b, k, top) == pytest.approx(chk.worst_ratio,

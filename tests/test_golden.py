@@ -37,6 +37,8 @@ COMMANDS = {
                                "0.5"],
     "check_prop56_ex59_q0.8": ["check", "prop56", "--builtin", "ex59", "--q",
                                "0.8"],
+    "check_prop56_ex59_q0.3_L700": ["check", "prop56", "--builtin", "ex59",
+                                    "--q", "0.3", "--L", "700"],
     "check_thm51_ex59_q0.69_L24": ["check", "thm51", "--builtin", "ex59",
                                    "--q", "0.69", "--L", "24"],
     "check_thm51_ex59_q0.5_L40": ["check", "thm51", "--builtin", "ex59",
